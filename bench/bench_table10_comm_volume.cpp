@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
          "dis-smo-shrink must move fewer bytes than dis-smo");
   expect(shrinkEngaged >= 0, "shrinking never engaged at bench scale");
   expect(bcastsSkipped > 0,
-         "elected-row cache absorbed no broadcasts after shrink engaged");
+         "the row store absorbed no elected-row broadcasts");
   expect(std::abs(pbmObjective - exactObjective) <= tol,
          "pbm objective not within 1e-3 relative of the exact solver");
   expect(std::abs(shrinkObjective - exactObjective) <= tol,

@@ -53,8 +53,8 @@ solver::SolverSnapshot decodeSolverState(std::span<const std::byte> payload);
 /// snapshot (global iteration, whether shrinking ever engaged, local
 /// alpha/f, local active set) but under its own Kind so a global-method
 /// resume can never misread a partitioned run's solver file. The
-/// replicated elected-row cache is deliberately not saved: rebuilding it
-/// from scratch changes only communication volume, never the trajectory.
+/// replicated row store is deliberately not saved: rebuilding it from
+/// scratch changes only communication volume, never the trajectory.
 std::vector<std::byte> encodeDisSmoState(const solver::SolverSnapshot& snap);
 solver::SolverSnapshot decodeDisSmoState(std::span<const std::byte> payload);
 

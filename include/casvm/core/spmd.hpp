@@ -97,8 +97,8 @@ struct RankBoard {
   /// First global iteration at which an adaptive shrink pass committed
   /// (DisSmoShrink), -1 if shrinking never engaged.
   std::vector<long long> shrinkEngagedIter;
-  /// Elected-row broadcasts served from the replicated cache instead of
-  /// the wire (DisSmoShrink).
+  /// Elected-row broadcasts served from the replicated row store instead
+  /// of the wire (DisSmoShrink, Pbm).
   std::vector<long long> rowBcastsSkipped;
 
   /// Traffic snapshot at the init/train boundary, written by rank 0.

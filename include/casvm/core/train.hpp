@@ -228,8 +228,8 @@ struct TrainResult {
   /// First global iteration at which adaptive shrinking committed a pass
   /// (DisSmoShrink), -1 when it never engaged (other methods: always -1).
   long long shrinkEngagedIteration = -1;
-  /// Elected-row broadcasts served from the replicated cache instead of
-  /// the wire, summed over ranks (DisSmoShrink; 0 otherwise).
+  /// Elected-row broadcasts served from the replicated row store instead
+  /// of the wire, summed over ranks (DisSmoShrink and Pbm; 0 otherwise).
   long long electedRowBcastsSkipped = 0;
   /// Global pair-correction iterations (Method::Pbm; 0 otherwise).
   long long pairIterations = 0;

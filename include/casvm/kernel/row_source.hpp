@@ -80,6 +80,21 @@ class ExactRowSource final : public RowSource {
            activeCount * 4 >= ds_.rows();
   }
 
+  /// One kernel column against an external dense vector x with
+  /// precomputed ||x||^2: out[j] = K(xj, x) for j in `rows` (ascending);
+  /// out.size() == rows(). Under the same full/partial rule as the row
+  /// fills it runs the tiled Kernel::rowWith over every row (entries
+  /// outside `rows` are then overwritten too) or per-row evalWith over
+  /// `rows` only. Both are bitwise-identical to evalWith.
+  void fillColumn(std::span<const float> x, double xSelfDot,
+                  std::span<const std::size_t> rows, std::span<double> out) {
+    if (preferFullFill(rows.size())) {
+      kernel_.rowWith(ds_, x, xSelfDot, out, workspace_);
+      return;
+    }
+    for (std::size_t j : rows) out[j] = kernel_.evalWith(ds_, j, x, xSelfDot);
+  }
+
  private:
   const Kernel& kernel_;
   const data::Dataset& ds_;

@@ -209,7 +209,7 @@ class Comm {
     const std::vector<std::byte> payload = recvBytes(src, tag);
     CASVM_CHECK(payload.size() % sizeof(T) == 0, "recvVec: size mismatch");
     std::vector<T> v(payload.size() / sizeof(T));
-    std::memcpy(v.data(), payload.data(), payload.size());
+    if (!payload.empty()) std::memcpy(v.data(), payload.data(), payload.size());
     return v;
   }
 
@@ -371,7 +371,9 @@ class Comm {
     const Message msg = recvRaw(src, tag);
     CASVM_CHECK(msg.payload.size() % sizeof(T) == 0, "recvVec: size mismatch");
     std::vector<T> v(msg.payload.size() / sizeof(T));
-    std::memcpy(v.data(), msg.payload.data(), msg.payload.size());
+    if (!msg.payload.empty()) {
+      std::memcpy(v.data(), msg.payload.data(), msg.payload.size());
+    }
     return v;
   }
 

@@ -25,7 +25,7 @@ struct CommModelParams {
   long long r = 8;  ///< PBM outer rounds
   /// Average surviving active-set fraction once adaptive shrinking engages
   /// (DisSmoShrink): scales the elected-row broadcast volume, since the
-  /// replicated cache absorbs the re-elections of the shrunken core.
+  /// replicated row store absorbs the re-elections of the shrunken core.
   double sigma = 0.5;
   /// Nyström landmarks when the run used the low-rank backend (0 = exact).
   /// Only the Dis-SMO family pays extra: one allgatherv replicating the L

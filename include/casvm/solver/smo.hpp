@@ -56,7 +56,11 @@ struct SolverOptions {
   double C = 1.0;               ///< box constraint (eqn. 2)
   double tolerance = 1e-3;      ///< KKT tolerance tau
   std::size_t maxIterations = 0;  ///< 0 = auto (100*m + 10000)
-  std::size_t cacheBytes = 64ull << 20;  ///< kernel row cache budget
+  /// Kernel row cache budget. The global methods also bound their
+  /// replicated row store (dis-smo-shrink's and PBM's) by it, per rank: a
+  /// PBM rank holds up to this much in its block solver's row cache plus
+  /// this much in the store.
+  std::size_t cacheBytes = 64ull << 20;
   Selection selection = Selection::FirstOrder;
   /// Per-class box scaling: positive samples get C * positiveWeight,
   /// negative samples C * negativeWeight. Raising positiveWeight counters

@@ -46,7 +46,7 @@ std::vector<std::byte> encodeFrame(Kind kind,
   const std::uint32_t crc = support::crc32(payload);
   std::memcpy(p, &crc, sizeof(crc));
   p += sizeof(crc);
-  std::memcpy(p, payload.data(), payload.size());
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
   return out;
 }
 

@@ -16,7 +16,7 @@ class Writer {
   void raw(const void* data, std::size_t bytes) {
     const std::size_t off = out_.size();
     out_.resize(off + bytes);
-    std::memcpy(out_.data() + off, data, bytes);
+    if (bytes > 0) std::memcpy(out_.data() + off, data, bytes);
   }
   template <class T>
   void scalar(T v) {
@@ -47,7 +47,7 @@ class Reader {
   explicit Reader(std::span<const std::byte> in) : in_(in) {}
   void raw(void* data, std::size_t bytes) {
     CASVM_CHECK(in_.size() >= bytes, "checkpoint decode: truncated payload");
-    std::memcpy(data, in_.data(), bytes);
+    if (bytes > 0) std::memcpy(data, in_.data(), bytes);
     in_ = in_.subspan(bytes);
   }
   template <class T>

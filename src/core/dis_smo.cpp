@@ -2,27 +2,32 @@
 // plus the adaptive-shrinking variant (Narasimhan & Vishnu 2014).
 //
 // One global SMO solve runs across P ranks, each owning a block of rows.
-// Every iteration performs:
+// Every iteration is one globalPairStep (global_common.hpp):
 //   1. local working-set scan over the owned (active) rows,
 //   2. two allreduce MINLOC/MAXLOC reductions electing (i_high, i_low),
 //   3. two broadcasts shipping the elected samples to everyone,
-//   4. a local gradient update of f over the owned active rows (eqn. 5).
+//   4. a local gradient update of f over the owned active rows (eqn. 5),
+//      one kernel column per elected sample from the kernel layer.
 // This is exactly the 14 log P t_s + 2 n log P t_w per-iteration pattern of
 // the paper's eqn. (9), and is why Dis-SMO's isoefficiency is W = Omega(P^3).
+// This file owns the policy around the step: snapshots, shrink passes,
+// unshrinking, convergence and the degenerate retry.
 //
 // Method::DisSmoShrink adds distributed adaptive shrinking on top: every
 // shrinkInterval iterations the ranks agree (one allreduce pair) on global
 // shrink thresholds, each rank drops its bound-pinned out-of-contention
-// rows, and the scan/gradient work falls to the surviving active set. Once
-// shrinking engages, elections concentrate on the recurring support-vector
-// core, so a replicated elected-row cache starts absorbing the row
-// broadcasts — shrinking cuts both the O(m/P) compute term and the
-// 2n log P t_w bandwidth term of eqn. (9). Before convergence is declared
-// the full gradient is rebuilt from the globally gathered support vectors
-// and every row reactivated, exactly like the serial solver's unshrink.
+// rows, and the scan/gradient work falls to the surviving active set. It
+// also hands the step a replicated GlobalRowStore from iteration 0, so a
+// re-elected sample costs no broadcast: elections concentrate on the
+// recurring support-vector core, and shrinking cuts both the O(m/P)
+// compute term and the 2n log P t_w bandwidth term of eqn. (9). The store
+// changes bytes, never iterates; plain Dis-SMO runs without it, because its
+// traffic is the paper's baseline. Before convergence is declared the full
+// gradient is rebuilt from the globally gathered support vectors and every
+// row reactivated, exactly like the serial solver's unshrink.
 //
 // Every branch that changes collective structure (shrink commit, unshrink,
-// convergence, degenerate bail, cache hit/miss) is decided from allreduced
+// convergence, degenerate bail, store hit/miss) is decided from allreduced
 // or broadcast values, so all ranks take it together — the loop stays
 // deadlock-free by construction.
 
@@ -30,7 +35,6 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
-#include <unordered_map>
 
 #include "global_common.hpp"
 #include "methods.hpp"
@@ -41,52 +45,6 @@
 #include "casvm/support/error.hpp"
 
 namespace casvm::core::detail {
-
-namespace {
-
-/// Replicated cache of elected samples, keyed by the election index
-/// (rank * kRankStride + local row). Engaged once shrinking has fired:
-/// the active set is then dominated by the recurring support-vector core,
-/// so the same rows win election again and again and their broadcasts are
-/// pure waste. Every rank inserts on the same misses and applies the same
-/// alpha updates (both derive from broadcast/allreduced values), so the
-/// cache contents — and therefore hit/miss decisions — are identical
-/// everywhere, keeping the skipped broadcasts collective-safe.
-class ElectedRowCache {
- public:
-  struct Entry {
-    ElectedMeta meta;
-    std::vector<float> row;
-  };
-
-  /// Hard entry cap: insertion stops deterministically when full (no
-  /// eviction), so all ranks stop inserting at the same miss.
-  static constexpr std::size_t kMaxEntries = 4096;
-
-  Entry* find(long long key) {
-    const auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
-  void insert(long long key, const ElectedMeta& meta,
-              const std::vector<float>& row) {
-    if (map_.size() >= kMaxEntries) return;
-    map_.emplace(key, Entry{meta, row});
-  }
-
-  /// Keep a cached alpha exact after a step touched its sample. No-op for
-  /// uncached keys. Unshrinking never moves alphas, so steps are the only
-  /// writers and cached metadata can never go stale.
-  void updateAlpha(long long key, double alpha) {
-    const auto it = map_.find(key);
-    if (it != map_.end()) it->second.meta.alpha = alpha;
-  }
-
- private:
-  std::unordered_map<long long, Entry> map_;
-};
-
-}  // namespace
 
 void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
   const int rank = comm.rank();
@@ -110,8 +68,6 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
   const std::size_t mLocal = local.rows();
   const std::size_t n = local.cols();
   const bool shrinking = ctx.config.method == Method::DisSmoShrink;
-
-  const GlobalDual prob{local, kern, cPos, cNeg, boundEps, tau};
 
   // Low-rank backend: ONE global landmark set shared by every rank. Each
   // rank selects its deterministic share of the L landmarks from its own
@@ -143,6 +99,8 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
     lrFactor = lowrank::NystromFactor::buildWithLandmarks(
         kern, local, std::move(globalSet), ctx.config.nystromEigenFloor);
   }
+  const GlobalDual prob{local, kern, cPos, cNeg, boundEps, tau,
+                        lrFactor ? &*lrFactor : nullptr};
 
   std::vector<double> alpha(mLocal, 0.0);
   std::vector<double> f(mLocal);
@@ -152,8 +110,7 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
   std::iota(active.begin(), active.end(), 0);
   bool everShrunk = false;
   std::size_t startIter = 0;
-  long long shrinkEngaged = -1;    ///< iteration the first shrink committed
-  long long rowBcastsSkipped = 0;  ///< elected-row broadcasts served by cache
+  long long shrinkEngaged = -1;  ///< iteration the first shrink committed
 
   ckpt::CheckpointStore* store = ctx.config.checkpoints;
   const std::string solverName = "solver.r" + std::to_string(rank);
@@ -195,10 +152,8 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
         everShrunk = chosen->everShrunk;
         startIter = chosen->iteration;
         ++board.checkpointsLoaded[urank];
-        // Re-engage the elected-row cache where the interrupted run had
-        // it. The cache itself is deliberately not checkpointed —
-        // rebuilding it from scratch changes only communication volume,
-        // never the trajectory.
+        // The engagement iteration is a per-run statistic: a resumed
+        // shrunk run reports its resume point.
         if (shrinking && everShrunk) {
           shrinkEngaged = static_cast<long long>(startIter);
         }
@@ -212,28 +167,23 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
           ? opts.maxIterations
           : static_cast<std::size_t>(100 * globalM + 10000);
 
-  std::vector<float> xHigh(n), xLow(n);
   double bHigh = 0.0, bLow = 0.0;
   long long iters = static_cast<long long>(startIter);
-  ElectedRowCache rowCache;
-
-  // z-space images of the elected pair (low-rank backend only) and the
-  // fixed-order dot over them. Identical on every rank: the z-map is
-  // deterministic in the broadcast bytes.
-  const std::size_t zRank = lowrankOn ? lrFactor->rank() : 0;
-  std::vector<double> zHigh(zRank), zLow(zRank);
-  const auto zdotVec = [](std::span<const double> a,
-                          std::span<const double> b) {
-    double s = 0.0;
-    for (std::size_t k = 0; k < a.size(); ++k) s += a[k] * b[k];
-    return s;
-  };
+  PairWorkspace ws(prob);
+  // The row store changes bytes, never iterates, and is deliberately not
+  // checkpointed: a resume rebuilds it empty and only the communication
+  // volume differs.
+  std::optional<GlobalRowStore> rowStore;
+  if (shrinking) rowStore.emplace(n, opts.cacheBytes);
 
   // Rebuild the gradient of shrunk-out rows and reactivate everything.
   // Collective (one allgatherv round shipping the global support vectors);
   // callers gate it on `everShrunk`, which is derived from allreduced
   // values and therefore identical on every rank — never on the local
-  // active size, which may legitimately differ.
+  // active size, which may legitimately differ. One column per gathered
+  // support vector over the stale rows, against the SAME kernel the
+  // iterations used: mixing exact rows into a low-rank trajectory would
+  // desynchronize f from the alphas that produced it.
   auto unshrink = [&] {
     std::vector<std::size_t> nzIdx;
     for (std::size_t i = 0; i < mLocal; ++i) {
@@ -254,64 +204,27 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
 
     std::vector<bool> isActive(mLocal, false);
     for (std::size_t i : active) isActive[i] = true;
+    std::vector<std::size_t> stale;
+    for (std::size_t i = 0; i < mLocal; ++i) {
+      if (isActive[i]) continue;
+      stale.push_back(i);
+      f[i] = -double(local.label(i));
+    }
     const std::span<const float> rows(allRows);
-    if (lowrankOn) {
-      // Rebuild against the SAME K̃ the iterations used: map every gathered
-      // support vector into z-space once, then each stale gradient is a
-      // sum of z-dots. Mixing exact rows into an approximate trajectory
-      // would desynchronize f from the alphas that produced it.
-      const std::size_t r = lrFactor->rank();
-      std::vector<double> zAll(allCoefs.size() * r);
-      for (std::size_t j = 0; j < allCoefs.size(); ++j) {
-        lrFactor->map(kern, rows.subspan(j * n, n), allDots[j],
-                      std::span<double>(zAll).subspan(j * r, r));
+    std::vector<double> col(mLocal);
+    for (std::size_t j = 0; j < allCoefs.size(); ++j) {
+      const std::span<const float> x = rows.subspan(j * n, n);
+      if (lowrankOn) {
+        // ws.zHigh is free between pair steps.
+        lrFactor->map(kern, x, allDots[j], ws.zHigh);
+        for (std::size_t i : stale) col[i] = lrFactor->zdot(i, ws.zHigh);
+      } else {
+        ws.columns.fillColumn(x, allDots[j], stale, col);
       }
-      for (std::size_t i = 0; i < mLocal; ++i) {
-        if (isActive[i]) continue;
-        double fi = -double(local.label(i));
-        for (std::size_t j = 0; j < allCoefs.size(); ++j) {
-          fi += allCoefs[j] *
-                lrFactor->zdot(i, std::span<const double>(zAll)
-                                      .subspan(j * r, r));
-        }
-        f[i] = fi;
-      }
-    } else {
-      for (std::size_t i = 0; i < mLocal; ++i) {
-        if (isActive[i]) continue;
-        double fi = -double(local.label(i));
-        for (std::size_t j = 0; j < allCoefs.size(); ++j) {
-          fi += allCoefs[j] *
-                kern.evalWith(local, i, rows.subspan(j * n, n), allDots[j]);
-        }
-        f[i] = fi;
-      }
+      for (std::size_t i : stale) f[i] += allCoefs[j] * col[i];
     }
     active.resize(mLocal);
     std::iota(active.begin(), active.end(), 0);
-  };
-
-  // Fetch an elected sample: through the replicated cache once shrinking
-  // engaged, by owner broadcast otherwise. Hit/miss decisions replicate
-  // exactly, so the skipped broadcasts stay collective-safe.
-  auto fetchElected = [&](long long key, int owner, std::size_t li,
-                          ElectedMeta& meta, std::vector<float>& x,
-                          bool cacheOn) {
-    if (cacheOn) {
-      if (ElectedRowCache::Entry* hit = rowCache.find(key)) {
-        meta = hit->meta;
-        x = hit->row;
-        ++rowBcastsSkipped;
-        return;
-      }
-    }
-    if (rank == owner) {
-      meta = {alpha[li], local.selfDot(li), double(local.label(li))};
-      local.copyRowDense(li, x);
-    }
-    comm.bcast(meta, owner);
-    comm.bcast(x, owner);
-    if (cacheOn) rowCache.insert(key, meta, x);
   };
 
   obs::Lane* lane = comm.traceLane();
@@ -340,31 +253,10 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
       comm.faultCheckpoint("solve");
     }
 
-    // 1. Local scan for the maximal violating pair over the active rows,
-    // against the per-class boxes (weighted problems shrink or stretch
-    // each class's side of the box independently).
-    double localHigh = kGlobalInf, localLow = -kGlobalInf;
-    long long localHighIdx = -1, localLowIdx = -1;
-    for (std::size_t i : active) {
-      const std::int8_t y = local.label(i);
-      const double a = alpha[i];
-      const double ci = prob.boxOf(i);
-      if (globalInHighSet(y, a, ci, boundEps) && f[i] < localHigh) {
-        localHigh = f[i];
-        localHighIdx = rank * kRankStride + static_cast<long long>(i);
-      }
-      if (globalInLowSet(y, a, ci, boundEps) && f[i] > localLow) {
-        localLow = f[i];
-        localLowIdx = rank * kRankStride + static_cast<long long>(i);
-      }
-    }
-
-    // 2. Global election.
-    const net::Comm::ValIdx high = comm.allreduceMinloc(localHigh, localHighIdx);
-    const net::Comm::ValIdx low = comm.allreduceMaxloc(localLow, localLowIdx);
-    bHigh = high.value;
-    bLow = low.value;
-    if (bLow <= bHigh + 2.0 * tau) {
+    const PairStepResult step =
+        globalPairStep(comm, prob, active, alpha, f, ws, bHigh, bLow,
+                       rowStore ? &*rowStore : nullptr);
+    if (step == PairStepResult::Converged) {
       // Converged over the (possibly shrunk) active set. The shrink rules
       // are heuristics: rebuild the full problem and re-check before
       // declaring victory. One reconstruction per convergence attempt.
@@ -375,65 +267,12 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
       }
       break;
     }
-
-    // Both thresholds are finite past the convergence check (an empty
-    // candidate set leaves one at +-inf, which takes the branch above).
-    if (lane != nullptr && it % kProgressInterval == 0) {
-      lane->progress(virtualNow(comm), static_cast<std::int64_t>(it),
-                     static_cast<std::int64_t>(active.size()), bLow - bHigh,
-                     0.0);
-    }
-
-    const int ownerHigh = static_cast<int>(high.index / kRankStride);
-    const int ownerLow = static_cast<int>(low.index / kRankStride);
-    const auto localHighI = static_cast<std::size_t>(high.index % kRankStride);
-    const auto localLowI = static_cast<std::size_t>(low.index % kRankStride);
-
-    // 3. Ship (or recall) the elected samples.
-    const bool cacheOn = shrinking && shrinkEngaged >= 0;
-    ElectedMeta metaHigh{}, metaLow{};
-    fetchElected(high.index, ownerHigh, localHighI, metaHigh, xHigh, cacheOn);
-    fetchElected(low.index, ownerLow, localLowI, metaLow, xLow, cacheOn);
-
-    // Every rank computes the identical two-variable step (eqns. 6-7),
-    // clipped to the per-class boxes. Low-rank: eta is computed in z-space
-    // so it matches the K̃ the gradient updates use — K̃ is PSD, so eta
-    // stays non-negative and the usual floor applies.
-    double kHH, kLL, kHL;
-    if (lowrankOn) {
-      lrFactor->map(kern, xHigh, metaHigh.selfDot, zHigh);
-      lrFactor->map(kern, xLow, metaLow.selfDot, zLow);
-      kHH = zdotVec(zHigh, zHigh);
-      kLL = zdotVec(zLow, zLow);
-      kHL = zdotVec(zHigh, zLow);
-    } else {
-      kHH = kern.evalVectors(xHigh, metaHigh.selfDot, xHigh, metaHigh.selfDot);
-      kLL = kern.evalVectors(xLow, metaLow.selfDot, xLow, metaLow.selfDot);
-      kHL = kern.evalVectors(xHigh, metaHigh.selfDot, xLow, metaLow.selfDot);
-    }
-    double eta = kHH + kLL - 2.0 * kHL;
-    if (eta < 1e-12) eta = 1e-12;
-
-    const double cHigh = prob.boxFor(metaHigh.y);
-    const double cLow = prob.boxFor(metaLow.y);
-    const double s = metaHigh.y * metaLow.y;
-    double lo, hi;
-    if (s < 0.0) {
-      lo = std::max(0.0, metaLow.alpha - metaHigh.alpha);
-      hi = std::min(cLow, cHigh + metaLow.alpha - metaHigh.alpha);
-    } else {
-      lo = std::max(0.0, metaHigh.alpha + metaLow.alpha - cHigh);
-      hi = std::min(cLow, metaHigh.alpha + metaLow.alpha);
-    }
-    double aLowNew = metaLow.alpha + metaLow.y * (bHigh - bLow) / eta;
-    aLowNew = std::clamp(aLowNew, lo, hi);
-    const double dLow = aLowNew - metaLow.alpha;
-    if (std::abs(dLow) < 1e-14) {
-      // Degenerate step: the maximal violating pair is pinned and cannot
-      // move. While shrunk this can be an artifact of the shrunk set (the
-      // sample that would free the pair was shrunk away): restore the full
-      // problem and retry once before giving up. Both the bail and the
-      // retry derive from broadcast values — every rank takes them together.
+    if (step == PairStepResult::Degenerate) {
+      // The maximal violating pair is pinned and cannot move. While shrunk
+      // this can be an artifact of the shrunk set (the sample that would
+      // free the pair was shrunk away): restore the full problem and retry
+      // once before giving up. Both the bail and the retry derive from
+      // broadcast values — every rank takes them together.
       if (everShrunk && !degenerateRetried) {
         unshrink();
         everShrunk = false;
@@ -442,42 +281,16 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
       }
       break;
     }
-    const double dHigh = -s * dLow;
-
-    // Snap to the per-class box against accumulated floating-point drift.
-    // Every rank computes the identical snapped alphas; the owners commit
-    // and the cache (replicated) tracks both keys.
-    double aHighNew = metaHigh.alpha + dHigh;
-    aLowNew = metaLow.alpha + dLow;
-    if (aLowNew < boundEps) aLowNew = 0.0;
-    if (aLowNew > cLow - boundEps) aLowNew = cLow;
-    if (aHighNew < boundEps) aHighNew = 0.0;
-    if (aHighNew > cHigh - boundEps) aHighNew = cHigh;
-    if (rank == ownerHigh) alpha[localHighI] = aHighNew;
-    if (rank == ownerLow) alpha[localLowI] = aLowNew;
-    rowCache.updateAlpha(high.index, aHighNew);
-    rowCache.updateAlpha(low.index, aLowNew);
-
-    // 4. Local gradient update (eqn. 5) over the owned active rows: the
-    // 2mn/P term of eqn. (9), cut to the surviving fraction once shrunk.
-    const double coefHigh = dHigh * metaHigh.y;
-    const double coefLow = dLow * metaLow.y;
-    if (lowrankOn) {
-      // The m·r/P replacement for the 2mn/P term: two z-dots per owned
-      // active row instead of two n-wide kernel evaluations.
-      for (std::size_t i : active) {
-        f[i] += coefHigh * lrFactor->zdot(i, zHigh) +
-                coefLow * lrFactor->zdot(i, zLow);
-      }
-    } else {
-      for (std::size_t i : active) {
-        f[i] += coefHigh * kern.evalWith(local, i, xHigh, metaHigh.selfDot) +
-                coefLow * kern.evalWith(local, i, xLow, metaLow.selfDot);
-      }
+    // Both thresholds are finite after a step (an empty candidate set
+    // leaves one at +-inf, which reads as converged).
+    if (lane != nullptr && it % kProgressInterval == 0) {
+      lane->progress(virtualNow(comm), static_cast<std::int64_t>(it),
+                     static_cast<std::int64_t>(active.size()), bLow - bHigh,
+                     0.0);
     }
     ++iters;
 
-    // 5. Periodic shrink pass (DisSmoShrink only): agree on global
+    // Periodic shrink pass (DisSmoShrink only): agree on global
     // thresholds over the post-update gradient, filter locally with the
     // serial solver's keep() rules, then commit only on a globally agreed
     // decision — the commit condition compares allreduced counts, so the
@@ -569,7 +382,7 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
   board.iterations[urank] = iters;
   board.svs[urank] = static_cast<long long>(svIdx.size());
   board.shrinkEngagedIter[urank] = shrinkEngaged;
-  board.rowBcastsSkipped[urank] = rowBcastsSkipped;
+  board.rowBcastsSkipped[urank] = rowStore ? rowStore->hits() : 0;
 }
 
 }  // namespace casvm::core::detail

@@ -1,13 +1,16 @@
 #pragma once
 
-// Shared primitives of the global methods (Dis-SMO, Dis-SMO + shrinking,
+// Shared machinery of the global methods (Dis-SMO, Dis-SMO + shrinking,
 // PBM): the (rank, local index) election encoding, the elected-sample
 // metadata that travels with each broadcast, the per-class box-membership
 // predicates mirroring src/solver/smo.cpp, the distributed finite-bias
-// fallback, and the global maximal-violating-pair step PBM reuses for its
-// cross-block correction iterations. Everything here is collective-safe by
-// construction: every decision derives from allreduce results, so all ranks
-// take identical branches.
+// fallback, the replicated row store, and globalPairStep — the one
+// Dis-SMO iteration. runDisSmo loops over it under its own snapshot,
+// shrink and unshrink policy; PBM runs it as its cross-block correction.
+// Every exact kernel column K(local rows, x) the global methods compute
+// comes from the kernel layer's ExactRowSource::fillColumn. Everything here
+// is collective-safe by construction: every decision derives from
+// allreduce or broadcast results, so all ranks take identical branches.
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +21,8 @@
 
 #include "casvm/data/dataset.hpp"
 #include "casvm/kernel/kernel.hpp"
+#include "casvm/kernel/row_source.hpp"
+#include "casvm/lowrank/nystrom.hpp"
 #include "casvm/net/comm.hpp"
 
 namespace casvm::core::detail {
@@ -51,7 +56,8 @@ inline bool globalInLowSet(std::int8_t y, double alpha, double ci,
 }
 
 /// The one global dual problem the ranks cooperate on: the local block,
-/// the kernel, and the per-class boxes.
+/// the kernel, the per-class boxes and, under the Nyström backend, the
+/// factor whose K̃ = ZZᵀ replaces the kernel in every step.
 struct GlobalDual {
   const data::Dataset& local;
   const kernel::Kernel& kern;
@@ -59,6 +65,7 @@ struct GlobalDual {
   double cNeg;
   double boundEps;
   double tau;
+  const lowrank::NystromFactor* lowrank = nullptr;
 
   double boxOf(std::size_t i) const {
     return local.label(i) == 1 ? cPos : cNeg;
@@ -99,7 +106,7 @@ inline void ensureFiniteThresholds(net::Comm& comm,
 /// norm and label never change during training, so once a sample has
 /// crossed the wire every rank keeps a copy and skips all future transfers
 /// of it: PBM's round sync ships only samples the store has not seen, and
-/// a pair-correction election of a stored sample costs no broadcast at all.
+/// a pair-step election of a stored sample costs no broadcast at all.
 /// The store also mirrors each stored sample's CURRENT alpha — every alpha
 /// write is either a two-variable pair step or a beta-scaled line-search
 /// step, both computed bitwise-identically on every rank from collective
@@ -107,12 +114,15 @@ inline void ensureFiniteThresholds(net::Comm& comm,
 /// updateAlpha() and the mirror never goes stale. Insertions only ever
 /// process broadcast or allgathered payloads in their collective order,
 /// which keeps the store bitwise-identical across ranks and makes
-/// contains()/fetchElected() collective-safe branch conditions. When full
-/// (kMaxRows, identical everywhere) inserts become no-ops and the affected
+/// contains()/recall() collective-safe branch conditions. The store holds
+/// at most `budgetBytes` of rows (with their three metadata words); when
+/// full (identically everywhere) inserts become no-ops and the affected
 /// samples simply keep paying the transfer.
 class GlobalRowStore {
  public:
-  explicit GlobalRowStore(std::size_t n) : n_(n) {}
+  GlobalRowStore(std::size_t n, std::size_t budgetBytes)
+      : n_(n),
+        maxRows_(budgetBytes / (n * sizeof(float) + 3 * sizeof(double))) {}
 
   bool contains(long long key) const { return index_.count(key) != 0; }
 
@@ -129,7 +139,7 @@ class GlobalRowStore {
   /// Serve an election from the mirror: copy the row into `out`, fill the
   /// metadata (current alpha, self-dot, label) and count the avoided
   /// broadcast pair. False and untouched outputs on miss.
-  bool fetchElected(long long key, std::span<float> out, ElectedMeta& meta) {
+  bool recall(long long key, std::span<float> out, ElectedMeta& meta) {
     const auto it = index_.find(key);
     if (it == index_.end()) return false;
     std::copy_n(rows_.data() + it->second * n_, n_, out.data());
@@ -149,7 +159,7 @@ class GlobalRowStore {
 
   void insert(long long key, std::span<const float> x, double selfDot,
               double y, double alpha) {
-    if (index_.size() >= kMaxRows || index_.count(key) != 0) return;
+    if (index_.size() >= maxRows_ || index_.count(key) != 0) return;
     index_.emplace(key, dots_.size());
     rows_.insert(rows_.end(), x.begin(), x.end());
     dots_.push_back(selfDot);
@@ -164,12 +174,12 @@ class GlobalRowStore {
     if (it != index_.end()) alphas_[it->second] = alpha;
   }
 
-  /// Row broadcasts avoided by fetchElected() hits (reported per rank).
+  /// Row broadcasts avoided by recall() hits (reported per rank).
   long long hits() const { return hits_; }
 
  private:
-  static constexpr std::size_t kMaxRows = 1u << 20;
   std::size_t n_;
+  std::size_t maxRows_;
   std::unordered_map<long long, std::size_t> index_;  ///< key -> slot
   std::vector<float> rows_;  ///< slot-major flat feature storage
   std::vector<double> dots_;
@@ -178,38 +188,91 @@ class GlobalRowStore {
   long long hits_ = 0;
 };
 
+/// Per-rank scratch of globalPairStep, sized once per solve: the elected
+/// rows, their kernel columns over the local block (exact backend) or
+/// their z-images (Nyström backend), and the exact column source, whose
+/// tiled copy of the block is built on its first full fill. The callers'
+/// own column fills (Dis-SMO's unshrink, PBM's line search) share
+/// `columns`.
+struct PairWorkspace {
+  explicit PairWorkspace(const GlobalDual& p)
+      : columns(p.kern, p.local),
+        xHigh(p.local.cols()),
+        xLow(p.local.cols()),
+        colHigh(p.lowrank != nullptr ? 0 : p.local.rows()),
+        colLow(colHigh.size()),
+        zHigh(p.lowrank != nullptr ? p.lowrank->rank() : 0),
+        zLow(zHigh.size()) {}
+
+  kernel::ExactRowSource columns;
+  std::vector<float> xHigh, xLow;
+  std::vector<double> colHigh, colLow;
+  std::vector<double> zHigh, zLow;
+};
+
+/// Fixed-order dot of two z-images (identical on every rank).
+inline double zdotVectors(std::span<const double> a,
+                          std::span<const double> b) {
+  double s = 0.0;
+  for (std::size_t k = 0; k < a.size(); ++k) s += a[k] * b[k];
+  return s;
+}
+
+/// Ship the elected sample `index` to every rank into `x`: recalled from
+/// the replicated store when it holds the row (no broadcast), otherwise
+/// broadcast by its owner and then mirrored into the store.
+inline ElectedMeta shipElected(net::Comm& comm, const GlobalDual& p,
+                               const std::vector<double>& alpha,
+                               long long index, std::vector<float>& x,
+                               GlobalRowStore* store) {
+  ElectedMeta meta{};
+  if (store != nullptr && store->recall(index, x, meta)) return meta;
+  const int owner = static_cast<int>(index / kRankStride);
+  if (comm.rank() == owner) {
+    const auto i = static_cast<std::size_t>(index % kRankStride);
+    meta = {alpha[i], p.local.selfDot(i), double(p.local.label(i))};
+    p.local.copyRowDense(i, x);
+  }
+  comm.bcast(meta, owner);
+  comm.bcast(x, owner);
+  if (store != nullptr) {
+    store->insert(index, x, meta.selfDot, meta.y, meta.alpha);
+  }
+  return meta;
+}
+
 enum class PairStepResult {
   Stepped,     ///< one two-variable step was applied everywhere
   Converged,   ///< global bLow <= bHigh + 2*tau
   Degenerate,  ///< the elected pair is pinned and cannot move
 };
 
-/// One global maximal-violating-pair step over ALL local rows (no
-/// shrinking): local scan, MINLOC/MAXLOC election, elected-sample
-/// broadcasts, the identical two-variable step on every rank, and the
-/// local gradient update. This is one Dis-SMO iteration; PBM runs it as
-/// its cross-block correction, which moves equality-constraint mass
-/// between blocks (the per-block solves can't). `bHigh`/`bLow` are left
-/// holding the election thresholds, so the caller's convergence state and
-/// final bias always reflect the latest global scan. With a `store` an
-/// election of a mirrored sample costs no broadcast at all (row, label and
-/// self-dot are immutable; the mirrored alpha is kept current by the
-/// replicated updateAlpha calls below), and first-time samples are
-/// inserted right after their broadcast.
+/// One Dis-SMO iteration over the rank's `active` rows (ascending): local
+/// scan, MINLOC/MAXLOC election, the elected samples shipped to every
+/// rank, the identical two-variable step (eqns. 6-7) on every rank, and
+/// the local gradient update (eqn. 5) over `active`. PBM passes all rows:
+/// its pair corrections move equality-constraint mass between blocks,
+/// which the per-block solves can't. `bHigh`/`bLow` are left holding the
+/// election thresholds, so the caller's convergence state and final bias
+/// always reflect the latest global scan; Converged and Degenerate return
+/// before any alpha or gradient moves. With a `store` an election of a
+/// mirrored sample costs no broadcast at all (row, label and self-dot are
+/// immutable; the mirrored alpha is kept current by the replicated
+/// updateAlpha calls below), and first-time samples are inserted right
+/// after their broadcast. Under the Nyström backend eta and the gradient
+/// terms are z-dots, so they match the K̃ every rank trains on.
 inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
+                                     std::span<const std::size_t> active,
                                      std::vector<double>& alpha,
                                      std::vector<double>& f,
-                                     std::vector<float>& xHigh,
-                                     std::vector<float>& xLow,
-                                     double& bHigh, double& bLow,
-                                     GlobalRowStore* store = nullptr) {
+                                     PairWorkspace& ws, double& bHigh,
+                                     double& bLow, GlobalRowStore* store) {
   const int rank = comm.rank();
   const data::Dataset& local = p.local;
-  const std::size_t mLocal = local.rows();
 
   double localHigh = kGlobalInf, localLow = -kGlobalInf;
   long long localHighIdx = -1, localLowIdx = -1;
-  for (std::size_t i = 0; i < mLocal; ++i) {
+  for (std::size_t i : active) {
     const std::int8_t y = local.label(i);
     const double a = alpha[i];
     const double ci = p.boxOf(i);
@@ -229,45 +292,28 @@ inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
   bLow = low.value;
   if (bLow <= bHigh + 2.0 * p.tau) return PairStepResult::Converged;
 
-  const int ownerHigh = static_cast<int>(high.index / kRankStride);
-  const int ownerLow = static_cast<int>(low.index / kRankStride);
-  const auto localHighI = static_cast<std::size_t>(high.index % kRankStride);
-  const auto localLowI = static_cast<std::size_t>(low.index % kRankStride);
+  const ElectedMeta metaHigh =
+      shipElected(comm, p, alpha, high.index, ws.xHigh, store);
+  const ElectedMeta metaLow =
+      shipElected(comm, p, alpha, low.index, ws.xLow, store);
 
-  ElectedMeta metaHigh{}, metaLow{};
-  if (store == nullptr || !store->fetchElected(high.index, xHigh, metaHigh)) {
-    if (rank == ownerHigh) {
-      metaHigh = {alpha[localHighI], local.selfDot(localHighI),
-                  double(local.label(localHighI))};
-      local.copyRowDense(localHighI, xHigh);
-    }
-    comm.bcast(metaHigh, ownerHigh);
-    comm.bcast(xHigh, ownerHigh);
-    if (store != nullptr) {
-      store->insert(high.index, xHigh, metaHigh.selfDot, metaHigh.y,
-                    metaHigh.alpha);
-    }
+  // K̃ is PSD, so the low-rank eta stays non-negative like the exact one
+  // and the usual floor applies.
+  double kHH, kLL, kHL;
+  if (p.lowrank != nullptr) {
+    p.lowrank->map(p.kern, ws.xHigh, metaHigh.selfDot, ws.zHigh);
+    p.lowrank->map(p.kern, ws.xLow, metaLow.selfDot, ws.zLow);
+    kHH = zdotVectors(ws.zHigh, ws.zHigh);
+    kLL = zdotVectors(ws.zLow, ws.zLow);
+    kHL = zdotVectors(ws.zHigh, ws.zLow);
+  } else {
+    kHH = p.kern.evalVectors(ws.xHigh, metaHigh.selfDot, ws.xHigh,
+                             metaHigh.selfDot);
+    kLL = p.kern.evalVectors(ws.xLow, metaLow.selfDot, ws.xLow,
+                             metaLow.selfDot);
+    kHL = p.kern.evalVectors(ws.xHigh, metaHigh.selfDot, ws.xLow,
+                             metaLow.selfDot);
   }
-  if (store == nullptr || !store->fetchElected(low.index, xLow, metaLow)) {
-    if (rank == ownerLow) {
-      metaLow = {alpha[localLowI], local.selfDot(localLowI),
-                 double(local.label(localLowI))};
-      local.copyRowDense(localLowI, xLow);
-    }
-    comm.bcast(metaLow, ownerLow);
-    comm.bcast(xLow, ownerLow);
-    if (store != nullptr) {
-      store->insert(low.index, xLow, metaLow.selfDot, metaLow.y,
-                    metaLow.alpha);
-    }
-  }
-
-  const double kHH =
-      p.kern.evalVectors(xHigh, metaHigh.selfDot, xHigh, metaHigh.selfDot);
-  const double kLL =
-      p.kern.evalVectors(xLow, metaLow.selfDot, xLow, metaLow.selfDot);
-  const double kHL =
-      p.kern.evalVectors(xHigh, metaHigh.selfDot, xLow, metaLow.selfDot);
   double eta = kHH + kLL - 2.0 * kHL;
   if (eta < 1e-12) eta = 1e-12;
 
@@ -288,24 +334,44 @@ inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
   if (std::abs(dLow) < 1e-14) return PairStepResult::Degenerate;
   const double dHigh = -s * dLow;
 
+  // Snap to the per-class box against accumulated floating-point drift.
   // Every rank computes the identical snapped alphas; the owners commit.
   double aHighNew = metaHigh.alpha + dHigh;
   if (aLowNew < p.boundEps) aLowNew = 0.0;
   if (aLowNew > cLow - p.boundEps) aLowNew = cLow;
   if (aHighNew < p.boundEps) aHighNew = 0.0;
   if (aHighNew > cHigh - p.boundEps) aHighNew = cHigh;
-  if (rank == ownerHigh) alpha[localHighI] = aHighNew;
-  if (rank == ownerLow) alpha[localLowI] = aLowNew;
+  if (rank == high.index / kRankStride) {
+    alpha[static_cast<std::size_t>(high.index % kRankStride)] = aHighNew;
+  }
+  if (rank == low.index / kRankStride) {
+    alpha[static_cast<std::size_t>(low.index % kRankStride)] = aLowNew;
+  }
   if (store != nullptr) {
     store->updateAlpha(high.index, aHighNew);
     store->updateAlpha(low.index, aLowNew);
   }
 
+  // Gradient update over the owned active rows: the 2mn/P term of eqn.
+  // (9), cut to the surviving fraction once shrunk. Both columns are
+  // filled before the update, which adds the terms in the same order as a
+  // per-row evaluation would.
   const double coefHigh = dHigh * metaHigh.y;
   const double coefLow = dLow * metaLow.y;
-  for (std::size_t i = 0; i < mLocal; ++i) {
-    f[i] += coefHigh * p.kern.evalWith(local, i, xHigh, metaHigh.selfDot) +
-            coefLow * p.kern.evalWith(local, i, xLow, metaLow.selfDot);
+  if (p.lowrank != nullptr) {
+    // The m·r/P replacement: two z-dots per row instead of two n-wide
+    // kernel evaluations.
+    const lowrank::NystromFactor& lr = *p.lowrank;
+    const std::span<const double> zHigh(ws.zHigh), zLow(ws.zLow);
+    for (std::size_t i : active) {
+      f[i] += coefHigh * lr.zdot(i, zHigh) + coefLow * lr.zdot(i, zLow);
+    }
+  } else {
+    ws.columns.fillColumn(ws.xHigh, metaHigh.selfDot, active, ws.colHigh);
+    ws.columns.fillColumn(ws.xLow, metaLow.selfDot, active, ws.colLow);
+    for (std::size_t i : active) {
+      f[i] += coefHigh * ws.colHigh[i] + coefLow * ws.colLow[i];
+    }
   }
   return PairStepResult::Stepped;
 }

@@ -33,7 +33,7 @@ void markTrainEnd(net::Comm& comm, const MethodContext& ctx);
 
 /// Dis-SMO and its adaptive-shrinking variant (DisSmoShrink): one global
 /// SMO solve in lock-step collectives, with periodic globally-agreed
-/// shrink passes and an elected-row broadcast cache in the shrink variant.
+/// shrink passes and a replicated row store in the shrink variant.
 void runDisSmo(net::Comm& comm, const MethodContext& ctx);
 /// Parallel Block Minimization: per-rank warm-started block solves joined
 /// by a global line search each round, plus pair-correction iterations.

@@ -28,9 +28,11 @@
 //
 // Block solves cannot move mass across blocks (each preserves its local
 // equality sum), so each round finishes with a few global
-// maximal-violating-pair corrections — plain Dis-SMO iterations — and a
-// pure pair-correction tail polishes to the global KKT conditions after
-// the rounds are spent.
+// maximal-violating-pair corrections — globalPairStep, the same Dis-SMO
+// iteration runDisSmo loops over — and a pure pair-correction tail
+// polishes to the global KKT conditions after the rounds are spent. The
+// line search's gradient refresh and the pair steps take their kernel
+// columns from the kernel layer (ExactRowSource::fillColumn).
 
 #include <algorithm>
 #include <cmath>
@@ -132,7 +134,6 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   const int rounds = std::max(1, ctx.config.pbmRounds);
   const int pairCap = std::max(0, ctx.config.pbmPairIterations);
 
-  std::vector<float> xHigh(n), xLow(n);
   double bHigh = 0.0, bLow = 0.0;
   bool converged = false;
   bool sawThresholds = false;
@@ -140,7 +141,11 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   // Replicated immutable-row cache shared by the round sync and the pair
   // corrections. Deliberately not checkpointed: a resume rebuilds it empty
   // and only the communication volume differs, never the iterates.
-  GlobalRowStore rowStore(n);
+  GlobalRowStore rowStore(n, opts.cacheBytes);
+  PairWorkspace ws(prob);
+  std::vector<std::size_t> allRows(mLocal);  // the pair steps never shrink
+  std::iota(allRows.begin(), allRows.end(), 0);
+  std::vector<double> col(mLocal);
 
   obs::Lane* lane = comm.traceLane();
   std::optional<PhaseSpan> solvePhase;
@@ -307,13 +312,12 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
       // Gradient refresh over ALL owned rows from the gathered global
       // direction, with the raw beta-scaled coefficients (the eps-level
       // snap above is deliberately not folded in — same policy as the
-      // serial solver's gradient update).
-      for (std::size_t i = 0; i < mLocal; ++i) {
-        double fi = f[i];
-        for (std::size_t j = 0; j < sGlobal; ++j) {
-          fi += beta * allCoefs[j] * kern.evalWith(local, i, rowOf(j), rowDot[j]);
-        }
-        f[i] = fi;
+      // serial solver's gradient update). One kernel column per changed
+      // sample; each f[i] still adds its terms in ascending j.
+      for (std::size_t j = 0; j < sGlobal; ++j) {
+        ws.columns.fillColumn(rowOf(j), rowDot[j], allRows, col);
+        const double c = beta * allCoefs[j];
+        for (std::size_t i = 0; i < mLocal; ++i) f[i] += c * col[i];
       }
     }
 
@@ -331,7 +335,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
     // give up.
     for (int p = 0; p < pairCap; ++p) {
       const PairStepResult step = globalPairStep(
-          comm, prob, alpha, f, xHigh, xLow, bHigh, bLow, &rowStore);
+          comm, prob, allRows, alpha, f, ws, bHigh, bLow, &rowStore);
       sawThresholds = true;
       if (step == PairStepResult::Converged) {
         converged = true;
@@ -347,7 +351,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   // global iteration budget.
   while (!converged && static_cast<std::size_t>(pairIters) < maxIters) {
     const PairStepResult step = globalPairStep(
-        comm, prob, alpha, f, xHigh, xLow, bHigh, bLow, &rowStore);
+        comm, prob, allRows, alpha, f, ws, bHigh, bLow, &rowStore);
     sawThresholds = true;
     if (step == PairStepResult::Converged) {
       converged = true;

@@ -250,7 +250,15 @@ void NystromFactor::map(const kernel::Kernel& kern, std::span<const float> x,
   }
 }
 
-double NystromFactor::zdot(std::size_t i, std::span<const double> z) const {
+// Cache-line aligned: the serial accumulation loop below is the hot loop
+// of the Nyström Dis-SMO gradient, and its speed depends on placement.
+// In one GCC 12 Release build the loop straddled two 64-byte lines and ran
+// that solve 20-40% slower on a 4-core Xeon than with the function start
+// aligned. The attribute only fixes where the function starts; where the
+// loop lands inside it is the compiler's, and no other compiler was
+// measured.
+[[gnu::aligned(64)]] double NystromFactor::zdot(
+    std::size_t i, std::span<const double> z) const {
   CASVM_CHECK(i < m_, "nystrom zdot row out of range");
   CASVM_CHECK(z.size() == r_, "nystrom zdot: vector has wrong length");
   const std::size_t block = i / kernel::tile::kRows;

@@ -29,8 +29,8 @@ double predictedCommBytes(core::Method method, const CommModelParams& q) {
     case core::Method::DisSmoShrink:
       // Same election scalars every iteration, but the elected-row
       // payload (the 4mn term: I ~ m iterations x 2 rows x n words)
-      // shrinks to the surviving fraction sigma once the replicated cache
-      // engages: Theta(26Ip + 2pm + 4mn*sigma).
+      // shrinks to the store-miss fraction sigma, since the replicated
+      // row store absorbs re-elections: Theta(26Ip + 2pm + 4mn*sigma).
       return w * (26.0 * I * p + 2.0 * p * m + 4.0 * m * n * sigma +
                   landmarkWords);
     case core::Method::Pbm:

@@ -140,8 +140,8 @@ ModeledTime modeledTrainTime(core::Method method,
     case core::Method::DisSmoShrink: {
       // Dis-SMO with adaptive shrinking: elections still happen every
       // iteration, but after shrinking engages the gradient update runs
-      // over the surviving active fraction and the replicated elected-row
-      // cache absorbs most sample broadcasts. Model both with a fixed
+      // over the surviving active fraction and the replicated row store
+      // absorbs most sample broadcasts. Model both with a fixed
       // surviving fraction of one half, averaged over the run.
       constexpr double sigma = 0.5;
       const double iters = smoIters(cal, m, false);

@@ -59,7 +59,7 @@ std::vector<std::byte> Model::pack() const {
   auto append = [&out](const void* data, std::size_t bytes) {
     const std::size_t off = out.size();
     out.resize(off + bytes);
-    std::memcpy(out.data() + off, data, bytes);
+    if (bytes > 0) std::memcpy(out.data() + off, data, bytes);
   };
   // KernelParams has internal padding whose bytes are indeterminate; pack a
   // zeroed copy written member by member so identical models always pack to
@@ -83,7 +83,7 @@ std::vector<std::byte> Model::pack() const {
 Model Model::unpack(std::span<const std::byte> bytes) {
   auto read = [&bytes](void* data, std::size_t count) {
     CASVM_CHECK(bytes.size() >= count, "model unpack: truncated");
-    std::memcpy(data, bytes.data(), count);
+    if (count > 0) std::memcpy(data, bytes.data(), count);
     bytes = bytes.subspan(count);
   };
   Model m;

@@ -80,6 +80,13 @@ struct ResumeCase {
   bool nystrom = false;   ///< run with the low-rank solver backend
 };
 
+/// gtest puts the printed parameter into each case's ctest name; its
+/// default byte dump would carry the two string pointers, which move with
+/// address-space randomization, so print the injected fault instead.
+void PrintTo(const ResumeCase& rc, std::ostream* os) {
+  *os << rc.faultSpec << (rc.nystrom ? " nystrom" : "");
+}
+
 class ResumeEquivalenceTest : public ::testing::TestWithParam<ResumeCase> {};
 
 std::string resumeCaseName(const ::testing::TestParamInfo<ResumeCase>& info) {
@@ -174,7 +181,7 @@ INSTANTIATE_TEST_SUITE_P(
                    "solve2"},
         // Global methods: every rank snapshots in lock-step, so a resume
         // re-enters the synchronized loop at a common iteration; the
-        // elected-row cache is rebuilt, changing only the traffic.
+        // replicated row store is rebuilt, changing only the traffic.
         ResumeCase{Method::DisSmo, true, "crash:rank=1,phase=solve,nth=2",
                    "solve2"},
         ResumeCase{Method::DisSmo, false, "crash:rank=2,phase=solve,nth=1",

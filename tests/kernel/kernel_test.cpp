@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "casvm/data/synth.hpp"
+#include "casvm/kernel/row_source.hpp"
 #include "casvm/support/error.hpp"
+#include "kernel/kernel_params_printer.hpp"
 
 namespace casvm::kernel {
 namespace {
@@ -209,6 +213,57 @@ TEST_P(KernelRowPropertyTest, DiagonalBitwiseMatchesEval) {
     k.diagonal(*ds, diag);
     for (std::size_t j = 0; j < ds->rows(); ++j) {
       EXPECT_EQ(diag[j], k.eval(*ds, j, j)) << "j=" << j;
+    }
+  }
+}
+
+/// Kernel columns against external vectors (the global methods' gradient
+/// updates): the tiled rowWith and both branches of fillColumn — tiled full
+/// fill and per-row partial fill — must reproduce per-row evalWith bit for
+/// bit, for x taken from every row (empty CSR rows included) and for one
+/// vector outside the set.
+TEST_P(KernelRowPropertyTest, ColumnFillsBitwiseMatchEvalWith) {
+  const Kernel k(GetParam());
+  for (const data::Dataset* ds : {&dense_, &sparse_}) {
+    const std::size_t m = ds->rows();
+    const std::size_t n = ds->cols();
+    std::vector<std::vector<float>> xs(m + 1, std::vector<float>(n));
+    for (std::size_t i = 0; i < m; ++i) ds->copyRowDense(i, xs[i]);
+    for (std::size_t c = 0; c < n; ++c) {
+      xs[m][c] = 0.375f * static_cast<float>(c) - 1.125f;
+    }
+
+    std::vector<std::size_t> all(m);
+    std::iota(all.begin(), all.end(), 0);
+    const std::vector<std::size_t> few = {1, 4, 5};
+    ExactRowSource source(k, *ds);
+    const bool dense = ds->storage() == data::Storage::Dense;
+    ASSERT_EQ(source.preferFullFill(all.size()), dense);
+    ASSERT_FALSE(source.preferFullFill(few.size()));
+
+    RowWorkspace ws;
+    for (std::size_t t = 0; t < xs.size(); ++t) {
+      const std::vector<float>& x = xs[t];
+      double xDot = 0.0;
+      for (float v : x) xDot += double(v) * double(v);
+      std::vector<double> expected(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        expected[j] = k.evalWith(*ds, j, x, xDot);
+      }
+
+      std::vector<double> tiled(m);
+      k.rowWith(*ds, x, xDot, tiled, ws);
+      std::vector<double> full(m, -7.5);
+      source.fillColumn(x, xDot, all, full);
+      std::vector<double> partial(m, -7.5);
+      source.fillColumn(x, xDot, few, partial);
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(tiled[j], expected[j]) << "rowWith x=" << t << " j=" << j;
+        EXPECT_EQ(full[j], expected[j]) << "full x=" << t << " j=" << j;
+        const bool inFew = std::find(few.begin(), few.end(), j) != few.end();
+        EXPECT_EQ(partial[j], inFew ? expected[j] : -7.5)
+            << "partial x=" << t << " j=" << j;
+      }
     }
   }
 }

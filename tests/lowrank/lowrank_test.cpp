@@ -337,11 +337,17 @@ TEST(NystromTest, RankDeficientLandmarksAreTruncatedNotInverted) {
 // Accuracy vs exact: 4 kernels × dense/CSR through the solver's RowSource
 // ---------------------------------------------------------------------------
 
+/// gtest prints the parameter as a byte dump into each case's ctest name,
+/// so the tag is held inline rather than as a pointer (whose value moves
+/// with address-space randomization) and sized so the struct has no
+/// padding bytes either: the names are the same on every test discovery.
 struct AccuracyCase {
-  const char* kernelTag;
+  char kernelTag[15];
   bool sparse;
   double maxDelta;  ///< allowed held-out accuracy loss vs the exact solve
 };
+static_assert(sizeof(AccuracyCase) == 15 + sizeof(bool) + sizeof(double),
+              "AccuracyCase must have no padding");
 
 kernel::KernelParams kernelFor(const std::string& tag) {
   if (tag == "linear") return kernel::KernelParams::linear();

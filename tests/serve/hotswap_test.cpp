@@ -24,6 +24,18 @@
 namespace casvm::serve {
 namespace {
 
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAddressSanitizer = true;
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+
 solver::Model trainBase(std::uint64_t seed = 5) {
   const auto train = data::generateTwoGaussians(120, 6, 4.0, seed);
   solver::SolverOptions opts;
@@ -140,7 +152,21 @@ TEST(HotSwapTest, TwentyPublishesUnderLoadStayBitwiseCorrect) {
   std::atomic<bool> stop{false};
   std::thread producer([&] {
     std::size_t i = 0;
+    std::size_t oldest = 0;  // inflight[oldest..i) may still be queued
     while (!stop.load(std::memory_order_relaxed)) {
+      // AddressSanitizer builds score an order of magnitude slower than
+      // this loop submits, so there the producer keeps at most half the
+      // queue outstanding; otherwise it overflows the queue with no swap
+      // involved. The shed check below then holds by construction, and
+      // only the uninstrumented builds test that a swap sheds nothing.
+      if (kAddressSanitizer && i - oldest >= config.queueCapacity / 2) {
+        std::future<ServeReply>* head = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          head = &inflight[oldest++].second;
+        }
+        head->wait();  // only this thread appends, so `head` stays valid
+      }
       const std::size_t q = i++ % queries.size();
       auto f = engine.submit(queries[q]);
       {

@@ -5,6 +5,7 @@
 #include "casvm/data/registry.hpp"
 #include "casvm/solver/smo.hpp"
 #include "casvm/support/error.hpp"
+#include "kernel/kernel_params_printer.hpp"
 
 namespace casvm::solver {
 namespace {
