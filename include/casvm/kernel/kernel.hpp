@@ -156,4 +156,14 @@ class Kernel {
   KernelParams params_;
 };
 
+/// out[j] = ||xj - x||^2 for every row j of `ds`, against an external dense
+/// vector x with precomputed ||x||^2, as ds.selfDot(j) + xSelfDot - 2 dot
+/// with the dots from the linear kernel's tiled rowWith(). Bitwise-identical
+/// to ds.squaredDistanceTo(j, x, xSelfDot), and to ds.squaredDistance(j, i)
+/// when x is row i densified and xSelfDot is ds.selfDot(i). The k-means and
+/// k-means++ scans (clustering, landmark selection) run on it.
+void squaredDistances(const data::Dataset& ds, std::span<const float> x,
+                      double xSelfDot, std::span<double> out,
+                      RowWorkspace& ws);
+
 }  // namespace casvm::kernel

@@ -8,6 +8,14 @@
 /// of frequently re-selected working-set members without materializing the
 /// m x m kernel matrix (LIBSVM uses the same strategy).
 ///
+/// Rows are stored as float, as LIBSVM's Qfloat cache stores them: the
+/// source fills each row in double, the cache rounds every value once, on
+/// store, and a byte budget holds twice the rows a double cache would.
+/// That rounding is the one kernel-value precision every solver trains
+/// on: code that computes kernel values outside the cache and must agree
+/// with a cached solve (the global methods' fresh columns and pair-step
+/// eta) passes them through asCached().
+///
 /// Rows are produced by a RowSource (see row_source.hpp): the exact kernel
 /// by default, or a low-rank approximation with the same row interface.
 ///
@@ -40,14 +48,23 @@
 
 namespace casvm::kernel {
 
+/// Stored precision of a cached kernel value.
+using CacheValue = float;
+
+/// `k` rounded as the row cache stores it, widened back to double.
+inline double asCached(double k) {
+  return static_cast<double>(static_cast<CacheValue>(k));
+}
+
 /// Caches rows of the kernel matrix of one dataset.
 /// Not thread-safe; each solver instance owns its cache.
 class RowCache {
  public:
   /// Cache over the exact kernel of `ds`. `budgetBytes` bounds the cached
-  /// data (each row is rows()*8 bytes); at least TWO row slots are always
-  /// granted, because SMO holds spans to the high and low rows of one
-  /// iteration simultaneously.
+  /// data (each row is rows()*sizeof(CacheValue) = rows()*4 bytes); at
+  /// least TWO row slots are always granted, because SMO holds spans to the
+  /// high and low rows of one iteration simultaneously. One double row of
+  /// fill scratch sits outside the budget.
   RowCache(const Kernel& kernel, const data::Dataset& ds,
            std::size_t budgetBytes);
 
@@ -55,19 +72,19 @@ class RowCache {
   /// must outlive the cache.
   RowCache(RowSource& source, std::size_t budgetBytes);
 
-  /// Kernel row i (length = dataset rows); computed on miss, LRU-evicted.
-  /// The span stays valid until its row is evicted; pinned rows are never
-  /// evicted. A cached partial fill of row i is upgraded to a full row
-  /// (counted as a miss).
-  std::span<const double> row(std::size_t i);
+  /// Kernel row i (length = dataset rows), each value rounded to
+  /// CacheValue; computed on miss, LRU-evicted. The span stays valid until
+  /// its row is evicted; pinned rows are never evicted. A cached partial
+  /// fill of row i is upgraded to a full row (counted as a miss).
+  std::span<const CacheValue> row(std::size_t i);
 
   /// Kernel row i for reads restricted to `active` (ascending solver
   /// active-set indices). On a miss only the active entries are computed;
   /// entries outside `active` are unspecified. Valid until eviction or
   /// invalidatePartial(); `active` must be a subset of the index set the
   /// row was last filled with (guaranteed while the solver only shrinks).
-  std::span<const double> row(std::size_t i,
-                              std::span<const std::size_t> active);
+  std::span<const CacheValue> row(std::size_t i,
+                                  std::span<const std::size_t> active);
 
   /// Pin row i (must be currently cached): excluded from eviction until
   /// unpinned. Pins nest.
@@ -99,7 +116,7 @@ class RowCache {
  private:
   struct Slot {
     std::size_t rowIndex;
-    std::vector<double> values;
+    std::vector<CacheValue> values;
     int pins = 0;
     bool partial = false;
     std::uint64_t generation = 0;
@@ -110,10 +127,16 @@ class RowCache {
   /// indexed under i and moved to the front of the LRU list.
   Slot& claimSlot(std::size_t i);
 
+  /// Fill row i into `slot` through the double scratch, rounding every
+  /// entry (or, with `active`, only the active entries) once on store.
+  void fill(Slot& slot, std::size_t i);
+  void fill(Slot& slot, std::size_t i, std::span<const std::size_t> active);
+
   /// Backing storage for the legacy (Kernel, Dataset) constructor.
   std::unique_ptr<ExactRowSource> ownedExact_;
   RowSource* src_;
   std::size_t capacityRows_;
+  std::vector<double> scratch_;  ///< one row in the source's double precision
   std::list<Slot> lru_;  // front = most recent
   std::unordered_map<std::size_t, std::list<Slot>::iterator> index_;
   std::size_t hits_ = 0;

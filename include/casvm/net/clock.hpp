@@ -33,6 +33,7 @@ class VirtualClock {
   void addCompute(double seconds);
 
   /// Advance the clock to `t` if `t` is later than now (message arrival).
+  /// Afterwards now() >= t: a message is never received before it arrived.
   void advanceTo(double t);
 
   /// Scale sampled CPU time by `scale` (>= 1). Used by fault injection to
@@ -40,8 +41,12 @@ class VirtualClock {
   /// virtual clock while the real work stays the same.
   void setComputeScale(double scale);
 
-  /// Virtual now = compute + comm (+ any waiting advanced over).
-  double now() const { return computeSeconds_ + commSeconds_ + skew_; }
+  /// Virtual now = compute + comm (+ any waiting advanced over), never
+  /// below the latest arrival time advanced to.
+  double now() const {
+    const double sum = computeSeconds_ + commSeconds_ + skew_;
+    return sum > arrived_ ? sum : arrived_;
+  }
 
   double computeSeconds() const { return computeSeconds_; }
   double commSeconds() const { return commSeconds_ + skew_; }
@@ -56,6 +61,10 @@ class VirtualClock {
   /// Time spent waiting on peers (arrival timestamps later than local now).
   /// Reported as communication time: it is time the rank was not computing.
   double skew_ = 0.0;
+  /// Latest arrival time advanceTo() moved to. Re-summing the three
+  /// components after a wait can round an ulp short of it; now() reads
+  /// this instead, so a receive never completes before its arrival.
+  double arrived_ = 0.0;
   double lastCpuSample_ = 0.0;
   double computeScale_ = 1.0;
   bool started_ = false;

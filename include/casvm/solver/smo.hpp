@@ -56,10 +56,11 @@ struct SolverOptions {
   double C = 1.0;               ///< box constraint (eqn. 2)
   double tolerance = 1e-3;      ///< KKT tolerance tau
   std::size_t maxIterations = 0;  ///< 0 = auto (100*m + 10000)
-  /// Kernel row cache budget. The global methods also bound their
-  /// replicated row store (dis-smo-shrink's and PBM's) by it, per rank: a
-  /// PBM rank holds up to this much in its block solver's row cache plus
-  /// this much in the store.
+  /// Kernel row cache budget. Cached rows are float (kernel::CacheValue),
+  /// so it holds cacheBytes / (4 * rows) rows. The global methods also
+  /// bound their replicated row store (dis-smo-shrink's and PBM's) by it,
+  /// per rank: a PBM rank holds up to this much in its block solver's row
+  /// cache plus this much in the store.
   std::size_t cacheBytes = 64ull << 20;
   Selection selection = Selection::FirstOrder;
   /// Per-class box scaling: positive samples get C * positiveWeight,
@@ -115,7 +116,11 @@ struct SolverResult {
   std::vector<double> alpha;   ///< full-length alpha (by training row)
   std::size_t iterations = 0;
   bool converged = false;
-  double objective = 0.0;      ///< dual objective F(alpha) (eqn. 1)
+  /// Dual objective F(alpha) (eqn. 1) over the kernel matrix the solver
+  /// trained on: every entry rounded as the row cache stores it
+  /// (kernel::asCached). F on the exact kernel at the same alpha differs
+  /// by at most 2^-25 * sum_ij |alpha_i alpha_j K_ij|.
+  double objective = 0.0;
   double seconds = 0.0;        ///< wall time spent in solve()
   std::size_t kernelRowsComputed = 0;  ///< cache misses (full rows)
   std::size_t kernelRowHits = 0;       ///< cache hits

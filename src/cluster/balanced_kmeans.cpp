@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "casvm/kernel/kernel.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::cluster {
@@ -76,11 +77,12 @@ std::size_t rebalance(const data::Dataset& ds, Partition& partition,
     for (float v : partition.centers[c]) centerSelf[c] += double(v) * double(v);
   }
   std::vector<std::vector<double>> dist(m, std::vector<double>(p));
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t c = 0; c < p; ++c) {
-      dist[i][c] =
-          ds.squaredDistanceTo(i, partition.centers[c], centerSelf[c]);
-    }
+  kernel::RowWorkspace ws;
+  std::vector<double> column(m);
+  for (std::size_t c = 0; c < p; ++c) {
+    kernel::squaredDistances(ds, partition.centers[c], centerSelf[c], column,
+                             ws);
+    for (std::size_t i = 0; i < m; ++i) dist[i][c] = column[i];
   }
 
   std::size_t moves = 0;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "casvm/kernel/kernel.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/rng.hpp"
 
@@ -10,17 +11,24 @@ namespace casvm::cluster {
 
 namespace {
 
-/// Nearest center to row i, using precomputed center squared norms.
-int nearest(const data::Dataset& ds, std::size_t i,
-            const std::vector<std::vector<float>>& centers,
-            const std::vector<double>& centerSelf) {
-  int best = 0;
-  double bestDist = std::numeric_limits<double>::infinity();
+/// Nearest center to every row, using precomputed center squared norms:
+/// one tiled distance column per center. Centers are visited in ascending
+/// order with a strict <, so a tie keeps the lowest index.
+std::vector<int> nearestCenters(const data::Dataset& ds,
+                                const std::vector<std::vector<float>>& centers,
+                                const std::vector<double>& centerSelf,
+                                kernel::RowWorkspace& ws) {
+  const std::size_t m = ds.rows();
+  std::vector<int> best(m, 0);
+  std::vector<double> bestDist(m, std::numeric_limits<double>::infinity());
+  std::vector<double> d(m);
   for (std::size_t c = 0; c < centers.size(); ++c) {
-    const double d = ds.squaredDistanceTo(i, centers[c], centerSelf[c]);
-    if (d < bestDist) {
-      bestDist = d;
-      best = static_cast<int>(c);
+    kernel::squaredDistances(ds, centers[c], centerSelf[c], d, ws);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (d[i] < bestDist[i]) {
+        bestDist[i] = d[i];
+        best[i] = static_cast<int>(c);
+      }
     }
   }
   return best;
@@ -36,7 +44,8 @@ std::vector<double> selfDots(const std::vector<std::vector<float>>& centers) {
 
 std::vector<std::vector<float>> initialCenters(const data::Dataset& ds,
                                                int k, std::uint64_t seed,
-                                               bool plusPlus) {
+                                               bool plusPlus,
+                                               kernel::RowWorkspace& ws) {
   Rng rng(seed);
   std::vector<std::vector<float>> centers(
       static_cast<std::size_t>(k), std::vector<float>(ds.cols(), 0.0f));
@@ -54,14 +63,16 @@ std::vector<std::vector<float>> initialCenters(const data::Dataset& ds,
   // sampling can produce.
   std::vector<double> minDist(ds.rows(),
                               std::numeric_limits<double>::infinity());
+  std::vector<double> d(ds.rows());
   std::size_t pick = static_cast<std::size_t>(rng.below(ds.rows()));
   for (int c = 0; c < k; ++c) {
-    ds.copyRowDense(pick, centers[static_cast<std::size_t>(c)]);
+    std::vector<float>& center = centers[static_cast<std::size_t>(c)];
+    ds.copyRowDense(pick, center);
     if (c + 1 == k) break;
+    kernel::squaredDistances(ds, center, ds.selfDot(pick), d, ws);
     double total = 0.0;
     for (std::size_t i = 0; i < ds.rows(); ++i) {
-      const double d = ds.squaredDistance(i, pick);
-      if (d < minDist[i]) minDist[i] = d;
+      if (d[i] < minDist[i]) minDist[i] = d[i];
       total += minDist[i];
     }
     double target = rng.uniform() * total;
@@ -94,24 +105,25 @@ double partitionSse(const data::Dataset& ds, const Partition& partition) {
 
 /// One Lloyd run from one seed.
 KMeansResult kmeansSingle(const data::Dataset& ds,
-                          const KMeansOptions& options, std::uint64_t seed) {
+                          const KMeansOptions& options, std::uint64_t seed,
+                          kernel::RowWorkspace& ws) {
   const int k = options.clusters;
   const std::size_t m = ds.rows();
   const std::size_t n = ds.cols();
 
   std::vector<std::vector<float>> centers =
-      initialCenters(ds, k, seed, options.plusPlusInit);
+      initialCenters(ds, k, seed, options.plusPlusInit, ws);
   std::vector<int> assign(m, -1);
 
   KMeansResult result;
   for (std::size_t loop = 0; loop < options.maxLoops; ++loop) {
     ++result.loops;
-    const std::vector<double> centerSelf = selfDots(centers);
+    const std::vector<int> nearest =
+        nearestCenters(ds, centers, selfDots(centers), ws);
     std::size_t changed = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      const int c = nearest(ds, i, centers, centerSelf);
-      if (c != assign[i]) {
-        assign[i] = c;
+      if (nearest[i] != assign[i]) {
+        assign[i] = nearest[i];
         ++changed;
       }
     }
@@ -151,10 +163,11 @@ KMeansResult kmeans(const data::Dataset& ds, const KMeansOptions& options) {
   CASVM_CHECK(ds.rows() >= static_cast<std::size_t>(options.clusters),
               "fewer samples than clusters");
   CASVM_CHECK(options.restarts >= 1, "restarts must be at least 1");
-  KMeansResult best = kmeansSingle(ds, options, options.seed);
+  kernel::RowWorkspace ws;
+  KMeansResult best = kmeansSingle(ds, options, options.seed, ws);
   for (int r = 1; r < options.restarts; ++r) {
-    KMeansResult candidate =
-        kmeansSingle(ds, options, options.seed + static_cast<std::uint64_t>(r));
+    KMeansResult candidate = kmeansSingle(
+        ds, options, options.seed + static_cast<std::uint64_t>(r), ws);
     if (candidate.sse < best.sse) best = std::move(candidate);
   }
   return best;
@@ -173,12 +186,13 @@ KMeansResult kmeansDistributed(net::Comm& comm, const data::Dataset& local,
 
   // Rank 0 seeds the centers from its own block and broadcasts them
   // (Algorithm 4 lines 1-4 use the same root-seeded scheme).
+  kernel::RowWorkspace ws;
   std::vector<float> flatCenters(static_cast<std::size_t>(k) * n, 0.0f);
   if (comm.rank() == 0) {
     CASVM_CHECK(localRows >= static_cast<std::size_t>(k),
                 "rank 0 needs at least k local samples to seed centers");
     const std::vector<std::vector<float>> init =
-        initialCenters(local, k, options.seed, options.plusPlusInit);
+        initialCenters(local, k, options.seed, options.plusPlusInit, ws);
     for (std::size_t c = 0; c < init.size(); ++c) {
       std::copy(init[c].begin(), init[c].end(),
                 flatCenters.begin() + static_cast<std::ptrdiff_t>(c * n));
@@ -201,12 +215,12 @@ KMeansResult kmeansDistributed(net::Comm& comm, const data::Dataset& local,
   KMeansResult result;
   for (std::size_t loop = 0; loop < options.maxLoops; ++loop) {
     ++result.loops;
-    const std::vector<double> centerSelf = selfDots(centers);
+    const std::vector<int> nearest =
+        nearestCenters(local, centers, selfDots(centers), ws);
     long long changed = 0;
     for (std::size_t i = 0; i < localRows; ++i) {
-      const int c = nearest(local, i, centers, centerSelf);
-      if (c != assign[i]) {
-        assign[i] = c;
+      if (nearest[i] != assign[i]) {
+        assign[i] = nearest[i];
         ++changed;
       }
     }

@@ -219,7 +219,7 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
         lrFactor->map(kern, x, allDots[j], ws.zHigh);
         for (std::size_t i : stale) col[i] = lrFactor->zdot(i, ws.zHigh);
       } else {
-        ws.columns.fillColumn(x, allDots[j], stale, col);
+        ws.fillColumn(x, allDots[j], stale, col);
       }
       for (std::size_t i : stale) f[i] += allCoefs[j] * col[i];
     }

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 
+#include "casvm/serve/compiled_ensemble.hpp"
 #include "casvm/support/atomic_file.hpp"
 #include "casvm/support/error.hpp"
 
@@ -62,12 +63,11 @@ double DistributedModel::decisionFor(const data::Dataset& ds,
 }
 
 double DistributedModel::accuracy(const data::Dataset& testSet) const {
-  CASVM_CHECK(testSet.rows() > 0, "empty test set");
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < testSet.rows(); ++i) {
-    correct += (predictFor(testSet, i) == testSet.label(i));
-  }
-  return static_cast<double>(correct) / static_cast<double>(testSet.rows());
+  // Batch path: routing and scoring through the compiled model, whose
+  // decisions are bitwise-identical to decisionFor.
+  serve::BatchScratch scratch;
+  return serve::CompiledDistributedModel::compile(*this).accuracy(testSet,
+                                                                 scratch);
 }
 
 std::vector<std::byte> DistributedModel::pack() const {

@@ -8,7 +8,11 @@
 // Dis-SMO iteration. runDisSmo loops over it under its own snapshot,
 // shrink and unshrink policy; PBM runs it as its cross-block correction.
 // Every exact kernel column K(local rows, x) the global methods compute
-// comes from the kernel layer's ExactRowSource::fillColumn. Everything here
+// comes from the kernel layer's ExactRowSource::fillColumn, and every exact
+// kernel value they step on is rounded as the serial solver's row cache
+// stores it (kernel::asCached), so P = 1 Dis-SMO walks the serial solver's
+// trajectory. The Nyström z-dots are computed fresh each step, never
+// cached, and stay double. Everything here
 // is collective-safe by construction: every decision derives from
 // allreduce or broadcast results, so all ranks take identical branches.
 
@@ -21,6 +25,7 @@
 
 #include "casvm/data/dataset.hpp"
 #include "casvm/kernel/kernel.hpp"
+#include "casvm/kernel/row_cache.hpp"
 #include "casvm/kernel/row_source.hpp"
 #include "casvm/lowrank/nystrom.hpp"
 #include "casvm/net/comm.hpp"
@@ -193,21 +198,32 @@ class GlobalRowStore {
 /// their z-images (Nyström backend), and the exact column source, whose
 /// tiled copy of the block is built on its first full fill. The callers'
 /// own column fills (Dis-SMO's unshrink, PBM's line search) share
-/// `columns`.
-struct PairWorkspace {
+/// fillColumn().
+class PairWorkspace {
+ public:
   explicit PairWorkspace(const GlobalDual& p)
-      : columns(p.kern, p.local),
-        xHigh(p.local.cols()),
+      : xHigh(p.local.cols()),
         xLow(p.local.cols()),
         colHigh(p.lowrank != nullptr ? 0 : p.local.rows()),
         colLow(colHigh.size()),
         zHigh(p.lowrank != nullptr ? p.lowrank->rank() : 0),
-        zLow(zHigh.size()) {}
+        zLow(zHigh.size()),
+        columns_(p.kern, p.local) {}
 
-  kernel::ExactRowSource columns;
+  /// out[i] = K(local row i, x) for i in `rows` (ascending), rounded as
+  /// the row cache stores it; entries outside `rows` are unspecified.
+  void fillColumn(std::span<const float> x, double xSelfDot,
+                  std::span<const std::size_t> rows, std::span<double> out) {
+    columns_.fillColumn(x, xSelfDot, rows, out);
+    for (std::size_t i : rows) out[i] = kernel::asCached(out[i]);
+  }
+
   std::vector<float> xHigh, xLow;
   std::vector<double> colHigh, colLow;
   std::vector<double> zHigh, zLow;
+
+ private:
+  kernel::ExactRowSource columns_;
 };
 
 /// Fixed-order dot of two z-images (identical on every rank).
@@ -259,8 +275,10 @@ enum class PairStepResult {
 /// mirrored sample costs no broadcast at all (row, label and self-dot are
 /// immutable; the mirrored alpha is kept current by the replicated
 /// updateAlpha calls below), and first-time samples are inserted right
-/// after their broadcast. Under the Nyström backend eta and the gradient
-/// terms are z-dots, so they match the K̃ every rank trains on.
+/// after their broadcast. Under the exact backend eta and both columns are
+/// rounded as the serial solver's row cache rounds them; under the
+/// Nyström backend they are z-dots, so they match the K̃ every rank trains
+/// on.
 inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
                                      std::span<const std::size_t> active,
                                      std::vector<double>& alpha,
@@ -307,12 +325,12 @@ inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
     kLL = zdotVectors(ws.zLow, ws.zLow);
     kHL = zdotVectors(ws.zHigh, ws.zLow);
   } else {
-    kHH = p.kern.evalVectors(ws.xHigh, metaHigh.selfDot, ws.xHigh,
-                             metaHigh.selfDot);
-    kLL = p.kern.evalVectors(ws.xLow, metaLow.selfDot, ws.xLow,
-                             metaLow.selfDot);
-    kHL = p.kern.evalVectors(ws.xHigh, metaHigh.selfDot, ws.xLow,
-                             metaLow.selfDot);
+    kHH = kernel::asCached(p.kern.evalVectors(ws.xHigh, metaHigh.selfDot,
+                                              ws.xHigh, metaHigh.selfDot));
+    kLL = kernel::asCached(p.kern.evalVectors(ws.xLow, metaLow.selfDot,
+                                              ws.xLow, metaLow.selfDot));
+    kHL = kernel::asCached(p.kern.evalVectors(ws.xHigh, metaHigh.selfDot,
+                                              ws.xLow, metaLow.selfDot));
   }
   double eta = kHH + kLL - 2.0 * kHL;
   if (eta < 1e-12) eta = 1e-12;
@@ -367,8 +385,8 @@ inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
       f[i] += coefHigh * lr.zdot(i, zHigh) + coefLow * lr.zdot(i, zLow);
     }
   } else {
-    ws.columns.fillColumn(ws.xHigh, metaHigh.selfDot, active, ws.colHigh);
-    ws.columns.fillColumn(ws.xLow, metaLow.selfDot, active, ws.colLow);
+    ws.fillColumn(ws.xHigh, metaHigh.selfDot, active, ws.colHigh);
+    ws.fillColumn(ws.xLow, metaLow.selfDot, active, ws.colLow);
     for (std::size_t i : active) {
       f[i] += coefHigh * ws.colHigh[i] + coefLow * ws.colLow[i];
     }

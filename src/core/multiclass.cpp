@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 
+#include "casvm/serve/compiled_ensemble.hpp"
 #include "casvm/support/error.hpp"
 #include "methods.hpp"
 
@@ -50,13 +51,11 @@ int MulticlassModel::predictFor(const data::Dataset& ds,
 
 double MulticlassModel::accuracy(const data::Dataset& ds,
                                  const std::vector<int>& labels) const {
-  CASVM_CHECK(ds.rows() == labels.size(), "label count mismatch");
-  CASVM_CHECK(ds.rows() > 0, "empty test set");
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < ds.rows(); ++i) {
-    correct += (predictFor(ds, i) == labels[i]);
-  }
-  return static_cast<double>(correct) / static_cast<double>(ds.rows());
+  // Batch path: one-vs-one voting through the compiled model, whose
+  // predictions are identical to predictFor, tie-breaks included.
+  serve::BatchScratch scratch;
+  return serve::CompiledMulticlassModel::compile(*this).accuracy(ds, labels,
+                                                                scratch);
 }
 
 std::vector<std::byte> MulticlassModel::pack() const {

@@ -32,7 +32,9 @@
 // iteration runDisSmo loops over — and a pure pair-correction tail
 // polishes to the global KKT conditions after the rounds are spent. The
 // line search's gradient refresh and the pair steps take their kernel
-// columns from the kernel layer (ExactRowSource::fillColumn).
+// columns from the kernel layer (ExactRowSource::fillColumn), rounded as
+// the block solver's row cache rounds them; the curvature h stays on the
+// exact kernel.
 
 #include <algorithm>
 #include <cmath>
@@ -315,7 +317,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
       // serial solver's gradient update). One kernel column per changed
       // sample; each f[i] still adds its terms in ascending j.
       for (std::size_t j = 0; j < sGlobal; ++j) {
-        ws.columns.fillColumn(rowOf(j), rowDot[j], allRows, col);
+        ws.fillColumn(rowOf(j), rowDot[j], allRows, col);
         const double c = beta * allCoefs[j];
         for (std::size_t i = 0; i < mLocal; ++i) f[i] += c * col[i];
       }

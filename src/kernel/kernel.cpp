@@ -372,6 +372,16 @@ void Kernel::diagonal(const data::Dataset& ds, std::span<double> out) const {
   }
 }
 
+void squaredDistances(const data::Dataset& ds, std::span<const float> x,
+                      double xSelfDot, std::span<double> out,
+                      RowWorkspace& ws) {
+  Kernel(KernelParams::linear()).rowWith(ds, x, xSelfDot, out, ws);
+  // Same operand order as Dataset::squaredDistanceTo.
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = ds.selfDot(j) + xSelfDot - 2.0 * out[j];
+  }
+}
+
 double Kernel::flopsPerEval(const data::Dataset& ds) const {
   // Dominated by the dot product: ~2 flops per stored nonzero per row pair.
   const double avgNnzPerRow =

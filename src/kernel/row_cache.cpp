@@ -7,22 +7,29 @@
 
 namespace casvm::kernel {
 
+namespace {
+
+/// Rows that fit `budgetBytes`, with the two-slot floor: callers may hold
+/// spans to two rows at once (SMO).
+std::size_t capacityFor(std::size_t rows, std::size_t budgetBytes) {
+  const std::size_t rowBytes =
+      std::max<std::size_t>(1, rows) * sizeof(CacheValue);
+  return std::max<std::size_t>(2, budgetBytes / rowBytes);
+}
+
+}  // namespace
+
 RowCache::RowCache(const Kernel& kernel, const data::Dataset& ds,
                    std::size_t budgetBytes)
     : ownedExact_(std::make_unique<ExactRowSource>(kernel, ds)),
-      src_(ownedExact_.get()) {
-  const std::size_t rowBytes =
-      std::max<std::size_t>(1, src_->rows()) * sizeof(double);
-  // Two-slot floor: callers may hold spans to two rows at once (SMO).
-  capacityRows_ = std::max<std::size_t>(2, budgetBytes / rowBytes);
-}
+      src_(ownedExact_.get()),
+      capacityRows_(capacityFor(src_->rows(), budgetBytes)),
+      scratch_(src_->rows()) {}
 
 RowCache::RowCache(RowSource& source, std::size_t budgetBytes)
-    : src_(&source) {
-  const std::size_t rowBytes =
-      std::max<std::size_t>(1, src_->rows()) * sizeof(double);
-  capacityRows_ = std::max<std::size_t>(2, budgetBytes / rowBytes);
-}
+    : src_(&source),
+      capacityRows_(capacityFor(src_->rows(), budgetBytes)),
+      scratch_(src_->rows()) {}
 
 RowCache::Slot& RowCache::claimSlot(std::size_t i) {
   if (lru_.size() >= capacityRows_) {
@@ -43,12 +50,37 @@ RowCache::Slot& RowCache::claimSlot(std::size_t i) {
     // pins and the two-slot capacity floor, but stay safe): grow past the
     // budget for this fill rather than corrupt a live span.
   }
-  lru_.push_front(Slot{i, std::vector<double>(src_->rows()), 0, false, 0});
+  lru_.push_front(
+      Slot{i, std::vector<CacheValue>(src_->rows()), 0, false, 0});
   index_[i] = lru_.begin();
   return lru_.front();
 }
 
-std::span<const double> RowCache::row(std::size_t i) {
+void RowCache::fill(Slot& slot, std::size_t i) {
+  src_->fillRow(i, scratch_);
+  std::transform(scratch_.begin(), scratch_.end(), slot.values.begin(),
+                 [](double v) { return static_cast<CacheValue>(v); });
+  slot.partial = false;
+  slot.generation = nextGeneration_++;
+}
+
+void RowCache::fill(Slot& slot, std::size_t i,
+                    std::span<const std::size_t> active) {
+#ifndef CASVM_NO_ASSERT
+  // Poison the untouched entries so a read outside `active` trips tests
+  // instead of returning a stale previous row.
+  std::fill(slot.values.begin(), slot.values.end(),
+            std::numeric_limits<CacheValue>::quiet_NaN());
+#endif
+  src_->fillRowSubset(i, active, scratch_);
+  for (std::size_t j : active) {
+    slot.values[j] = static_cast<CacheValue>(scratch_[j]);
+  }
+  slot.partial = true;
+  slot.generation = nextGeneration_++;
+}
+
+std::span<const CacheValue> RowCache::row(std::size_t i) {
   CASVM_CHECK(i < src_->rows(), "kernel row out of range");
   if (auto it = index_.find(i); it != index_.end()) {
     Slot& slot = *it->second;
@@ -59,21 +91,17 @@ std::span<const double> RowCache::row(std::size_t i) {
     }
     // A partial fill cannot serve a full-row read: upgrade in place.
     ++misses_;
-    src_->fillRow(i, slot.values);
-    slot.partial = false;
-    slot.generation = nextGeneration_++;
+    fill(slot, i);
     return slot.values;
   }
   ++misses_;
   Slot& slot = claimSlot(i);
-  src_->fillRow(i, slot.values);
-  slot.partial = false;
-  slot.generation = nextGeneration_++;
+  fill(slot, i);
   return slot.values;
 }
 
-std::span<const double> RowCache::row(std::size_t i,
-                                      std::span<const std::size_t> active) {
+std::span<const CacheValue> RowCache::row(
+    std::size_t i, std::span<const std::size_t> active) {
   CASVM_CHECK(i < src_->rows(), "kernel row out of range");
   if (auto it = index_.find(i); it != index_.end()) {
     // Full rows serve any index set; a partial fill serves subsets of the
@@ -84,26 +112,15 @@ std::span<const double> RowCache::row(std::size_t i,
     return it->second->values;
   }
   ++misses_;
+  Slot& slot = claimSlot(i);
   // The source knows whether its full-row fill (e.g. the dense tiled
   // micro-kernel) beats a scalar subset fill of this many entries.
   if (src_->preferFullFill(active.size())) {
-    Slot& slot = claimSlot(i);
-    src_->fillRow(i, slot.values);
-    slot.partial = false;
-    slot.generation = nextGeneration_++;
-    return slot.values;
+    fill(slot, i);
+  } else {
+    ++partialFills_;
+    fill(slot, i, active);
   }
-  ++partialFills_;
-  Slot& slot = claimSlot(i);
-#ifndef CASVM_NO_ASSERT
-  // Poison the untouched entries so a read outside `active` trips tests
-  // instead of returning a stale previous row.
-  std::fill(slot.values.begin(), slot.values.end(),
-            std::numeric_limits<double>::quiet_NaN());
-#endif
-  src_->fillRowSubset(i, active, slot.values);
-  slot.partial = true;
-  slot.generation = nextGeneration_++;
   return slot.values;
 }
 

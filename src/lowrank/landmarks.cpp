@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "casvm/kernel/kernel.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/rng.hpp"
 
@@ -36,13 +37,22 @@ std::vector<std::size_t> selectKmeansPP(const data::Dataset& ds,
   chosen.reserve(count);
   chosen.push_back(static_cast<std::size_t>(rng.below(m)));
 
+  // d2[j]: squared distance of row j to landmark c, one tiled column.
+  kernel::RowWorkspace ws;
+  std::vector<float> x(ds.cols());
+  std::vector<double> d2(m);
+  const auto distancesTo = [&](std::size_t c) {
+    ds.copyRowDense(c, x);
+    kernel::squaredDistances(ds, x, ds.selfDot(c), d2, ws);
+  };
+
   // minD2[j]: squared distance of row j to the nearest chosen landmark.
   std::vector<double> minD2(m);
   double total = 0.0;
+  distancesTo(chosen[0]);
   for (std::size_t j = 0; j < m; ++j) {
-    const double d2 = std::max(0.0, ds.squaredDistance(j, chosen[0]));
-    minD2[j] = d2;
-    total += d2;
+    minD2[j] = std::max(0.0, d2[j]);
+    total += minD2[j];
   }
 
   while (chosen.size() < count) {
@@ -82,11 +92,12 @@ std::vector<std::size_t> selectKmeansPP(const data::Dataset& ds,
       if (next == m) break;  // count > distinct rows; return what we have
     }
     chosen.push_back(next);
+    distancesTo(next);
     for (std::size_t j = 0; j < m; ++j) {
-      const double d2 = std::max(0.0, ds.squaredDistance(j, next));
-      if (d2 < minD2[j]) {
-        total -= minD2[j] - d2;
-        minD2[j] = d2;
+      const double d = std::max(0.0, d2[j]);
+      if (d < minD2[j]) {
+        total -= minD2[j] - d;
+        minD2[j] = d;
       }
     }
   }

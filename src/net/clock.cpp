@@ -28,7 +28,9 @@ void VirtualClock::addCompute(double seconds) { computeSeconds_ += seconds; }
 
 void VirtualClock::advanceTo(double t) {
   const double current = now();
-  if (t > current) skew_ += t - current;
+  if (t <= current) return;
+  skew_ += t - current;
+  arrived_ = t;
 }
 
 }  // namespace casvm::net

@@ -81,9 +81,12 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
 
   // Kernel diagonal, computed once. The second-order working-set selection
   // reads K_jj for every candidate on every iteration; without this it
-  // costs a full dot product each time.
+  // costs a full dot product each time. Rounded like the cached rows, so
+  // selection and the step read one kernel matrix: the gain's eta for the
+  // chosen j is the step's eta.
   std::vector<double> diag(m);
   src->fillDiagonal(diag);
+  for (double& d : diag) d = kernel::asCached(d);
 
   auto boxOf = [&](std::size_t i) {
     return ds.label(i) == 1 ? cPos : cNeg;
@@ -120,8 +123,8 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     for (std::size_t j = 0; j < m; ++j) {
       if (alpha[j] == 0.0) continue;
       const double coef = alpha[j] * double(ds.label(j));
-      const std::span<const double> kj = cache.row(j);
-      for (std::size_t i = 0; i < m; ++i) f[i] += coef * kj[i];
+      const std::span<const kernel::CacheValue> kj = cache.row(j);
+      for (std::size_t i = 0; i < m; ++i) f[i] += coef * double(kj[i]);
     }
   }
 
@@ -163,9 +166,9 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     for (std::size_t j = 0; j < m; ++j) {
       if (alpha[j] == 0.0) continue;
       const double coef = alpha[j] * double(ds.label(j));
-      const std::span<const double> kj = cache.row(j);
+      const std::span<const kernel::CacheValue> kj = cache.row(j);
       for (std::size_t i = 0; i < m; ++i) {
-        if (!isActive[i]) f[i] += coef * kj[i];
+        if (!isActive[i]) f[i] += coef * double(kj[i]);
       }
     }
     active.resize(m);
@@ -238,7 +241,7 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
           lookups > 0.0 ? hits / lookups : 0.0);
     }
 
-    const std::span<const double> rowHigh = fetchRow(iHigh);
+    const std::span<const kernel::CacheValue> rowHigh = fetchRow(iHigh);
     // Pin the rows backing the spans held across this iteration, so the
     // second fetch (and any refill) can never recycle their storage.
     cache.pin(iHigh);
@@ -255,7 +258,7 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
         if (!inLowSet(ds.label(j), alpha[j], boxOf(j), boundEps)) continue;
         const double diff = f[j] - bHigh;
         if (diff <= 2.0 * tau) continue;
-        double eta = kHigh + diag[j] - 2.0 * rowHigh[j];
+        double eta = kHigh + diag[j] - 2.0 * double(rowHigh[j]);
         if (eta < kEtaFloor) eta = kEtaFloor;
         const double gain = diff * diff / eta;
         if (gain > bestGain) {
@@ -266,7 +269,7 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
       if (bestJ < m) iLow = bestJ;
     }
 
-    const std::span<const double> rowLow = fetchRow(iLow);
+    const std::span<const kernel::CacheValue> rowLow = fetchRow(iLow);
     cache.pin(iLow);
     const std::uint64_t genLow = cache.generation(iLow);
 
@@ -278,7 +281,8 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     const double fLow = f[iLow];
 
     // Two-variable analytic step (eqns. 6-7), clipped to the per-class box.
-    double eta = rowHigh[iHigh] + rowLow[iLow] - 2.0 * rowHigh[iLow];
+    double eta = double(rowHigh[iHigh]) + double(rowLow[iLow]) -
+                 2.0 * double(rowHigh[iLow]);
     if (eta < kEtaFloor) eta = kEtaFloor;
 
     const double s = double(yHigh) * double(yLow);
@@ -332,7 +336,7 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     const double coefHigh = dHigh * double(yHigh);
     const double coefLow = dLow * double(yLow);
     for (std::size_t k : active) {
-      f[k] += coefHigh * rowHigh[k] + coefLow * rowLow[k];
+      f[k] += coefHigh * double(rowHigh[k]) + coefLow * double(rowLow[k]);
     }
     cache.unpin(iHigh);
     cache.unpin(iLow);

@@ -124,32 +124,35 @@ INSTANTIATE_TEST_SUITE_P(
       return kernelName(info.param.type);
     });
 
+/// 45 dense rows: two full 16-row tile blocks plus a ragged 13-row tail.
+data::Dataset raggedDense() {
+  data::MixtureSpec spec;
+  spec.samples = 45;
+  spec.features = 9;
+  spec.clusters = 3;
+  spec.seed = 17;
+  return data::generateMixture(spec);
+}
+
+/// Hand-built CSR with empty rows (0, 3 and the last).
+data::Dataset sparseWithEmptyRows() {
+  const std::size_t cols = 6;
+  std::vector<std::size_t> rowPtr = {0, 0, 2, 5, 5, 7, 9, 9};
+  std::vector<std::uint32_t> colIdx = {1, 4, 0, 2, 5, 1, 3, 0, 5};
+  std::vector<float> values = {0.5f, -1.25f, 2.0f, 0.75f, -0.5f,
+                               1.5f, -2.0f,  0.25f, 1.0f};
+  std::vector<std::int8_t> labels = {1, -1, 1, -1, 1, -1, 1};
+  return data::Dataset::fromSparse(cols, std::move(rowPtr), std::move(colIdx),
+                                   std::move(values), std::move(labels));
+}
+
 /// The blocked row fills promise *bitwise* identity with per-element eval
 /// (the SMO overhaul relies on it to keep iteration counts unchanged), so
 /// these properties compare with EXPECT_EQ, not a tolerance.
 class KernelRowPropertyTest : public ::testing::TestWithParam<KernelParams> {
  protected:
-  /// 45 rows: two full 16-row tile blocks plus a ragged 13-row tail.
-  data::Dataset dense_ = [] {
-    data::MixtureSpec spec;
-    spec.samples = 45;
-    spec.features = 9;
-    spec.clusters = 3;
-    spec.seed = 17;
-    return data::generateMixture(spec);
-  }();
-  /// Hand-built CSR with empty rows (0, 3 and the last).
-  data::Dataset sparse_ = [] {
-    const std::size_t cols = 6;
-    std::vector<std::size_t> rowPtr = {0, 0, 2, 5, 5, 7, 9, 9};
-    std::vector<std::uint32_t> colIdx = {1, 4, 0, 2, 5, 1, 3, 0, 5};
-    std::vector<float> values = {0.5f, -1.25f, 2.0f, 0.75f, -0.5f,
-                                 1.5f, -2.0f,  0.25f, 1.0f};
-    std::vector<std::int8_t> labels = {1, -1, 1, -1, 1, -1, 1};
-    return data::Dataset::fromSparse(cols, std::move(rowPtr),
-                                     std::move(colIdx), std::move(values),
-                                     std::move(labels));
-  }();
+  data::Dataset dense_ = raggedDense();
+  data::Dataset sparse_ = sparseWithEmptyRows();
 };
 
 TEST_P(KernelRowPropertyTest, DenseRowBitwiseMatchesEval) {
@@ -293,6 +296,42 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<KernelParams>& info) {
       return kernelName(info.param.type);
     });
+
+/// The k-means, k-means++ and landmark scans take their distances from the
+/// tiled helper, so landmarks and partitions stay put only if it matches
+/// Dataset::squaredDistanceTo bit for bit, and Dataset::squaredDistance
+/// when x is a densified row — for x from every row (empty CSR rows
+/// included) and for one vector outside the set.
+TEST(SquaredDistancesTest, BitwiseMatchDatasetDistances) {
+  for (const data::Dataset& ds : {raggedDense(), sparseWithEmptyRows()}) {
+    const std::size_t m = ds.rows();
+    const std::size_t n = ds.cols();
+    RowWorkspace ws;
+    std::vector<float> x(n);
+    std::vector<double> out(m);
+    for (std::size_t i = 0; i <= m; ++i) {
+      double xDot = 0.0;
+      if (i < m) {
+        ds.copyRowDense(i, x);
+        xDot = ds.selfDot(i);
+      } else {
+        for (std::size_t c = 0; c < n; ++c) {
+          x[c] = 0.375f * static_cast<float>(c) - 1.125f;
+          xDot += double(x[c]) * double(x[c]);
+        }
+      }
+      squaredDistances(ds, x, xDot, out, ws);
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(out[j], ds.squaredDistanceTo(j, x, xDot))
+            << "x=" << i << " j=" << j;
+        if (i < m) {
+          EXPECT_EQ(out[j], ds.squaredDistance(j, i))
+              << "x=" << i << " j=" << j;
+        }
+      }
+    }
+  }
+}
 
 TEST(KernelGaussianTest, BoundedInUnitInterval) {
   data::MixtureSpec spec;

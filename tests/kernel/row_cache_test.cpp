@@ -23,7 +23,7 @@ TEST(RowCacheTest, ValuesMatchDirectEvaluation) {
   const auto row = cache.row(3);
   ASSERT_EQ(row.size(), ds.rows());
   for (std::size_t j = 0; j < ds.rows(); ++j) {
-    EXPECT_DOUBLE_EQ(row[j], k.eval(ds, 3, j));
+    EXPECT_EQ(row[j], static_cast<float>(k.eval(ds, 3, j)));
   }
 }
 
@@ -43,7 +43,7 @@ TEST(RowCacheTest, EvictsLeastRecentlyUsed) {
   const auto ds = makeData();
   const Kernel k(KernelParams::gaussian(0.4));
   // Budget for exactly two rows.
-  RowCache cache(k, ds, 2 * ds.rows() * sizeof(double));
+  RowCache cache(k, ds, 2 * ds.rows() * sizeof(float));
   ASSERT_EQ(cache.capacityRows(), 2u);
   cache.row(0);  // miss
   cache.row(1);  // miss
@@ -58,14 +58,27 @@ TEST(RowCacheTest, EvictsLeastRecentlyUsed) {
 TEST(RowCacheTest, EvictedRowRecomputedCorrectly) {
   const auto ds = makeData(10);
   const Kernel k(KernelParams::linear());
-  RowCache cache(k, ds, 2 * ds.rows() * sizeof(double));  // two rows
+  RowCache cache(k, ds, 2 * ds.rows() * sizeof(float));  // two rows
   cache.row(0);
   cache.row(1);
   cache.row(2);  // evicts row 0
   const auto row0 = cache.row(0);
   for (std::size_t j = 0; j < ds.rows(); ++j) {
-    EXPECT_DOUBLE_EQ(row0[j], k.eval(ds, 0, j));
+    EXPECT_EQ(row0[j], static_cast<float>(k.eval(ds, 0, j)));
   }
+}
+
+TEST(RowCacheTest, ByteBudgetHoldsTwiceTheRowsOfADoubleCache) {
+  // Rows are stored as float: the bytes of four double rows hold eight,
+  // and all eight stay resident.
+  const auto ds = makeData();
+  const Kernel k(KernelParams::gaussian(0.4));
+  RowCache cache(k, ds, 4 * ds.rows() * sizeof(double));
+  ASSERT_EQ(cache.capacityRows(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) (void)cache.row(i);
+  for (std::size_t i = 0; i < 8; ++i) (void)cache.row(i);
+  EXPECT_EQ(cache.misses(), 8u);
+  EXPECT_EQ(cache.hits(), 8u);
 }
 
 TEST(RowCacheTest, TinyBudgetStillGrantsTwoRows) {
@@ -94,7 +107,7 @@ TEST(RowCacheTest, PinnedRowsSurviveEvictionPressure) {
   // vector, even when every budgeted slot is pinned.
   const auto ds = makeData(12);
   const Kernel k(KernelParams::gaussian(0.4));
-  RowCache cache(k, ds, 2 * ds.rows() * sizeof(double));
+  RowCache cache(k, ds, 2 * ds.rows() * sizeof(float));
   ASSERT_EQ(cache.capacityRows(), 2u);
   const auto rowA = cache.row(0);
   cache.pin(0);
@@ -109,8 +122,8 @@ TEST(RowCacheTest, PinnedRowsSurviveEvictionPressure) {
   cache.checkLive(0, genA);
   cache.checkLive(1, genB);
   for (std::size_t j = 0; j < ds.rows(); ++j) {
-    EXPECT_DOUBLE_EQ(rowA[j], k.eval(ds, 0, j));
-    EXPECT_DOUBLE_EQ(rowB[j], k.eval(ds, 1, j));
+    EXPECT_EQ(rowA[j], static_cast<float>(k.eval(ds, 0, j)));
+    EXPECT_EQ(rowB[j], static_cast<float>(k.eval(ds, 1, j)));
   }
   cache.unpin(0);
   cache.unpin(1);
@@ -134,7 +147,7 @@ TEST(RowCacheTest, PinsNest) {
 TEST(RowCacheTest, GenerationDetectsEviction) {
   const auto ds = makeData(10);
   const Kernel k(KernelParams::linear());
-  RowCache cache(k, ds, 2 * ds.rows() * sizeof(double));
+  RowCache cache(k, ds, 2 * ds.rows() * sizeof(float));
   (void)cache.row(0);
   const auto gen = cache.generation(0);
   ASSERT_NE(gen, 0u);
@@ -158,7 +171,7 @@ TEST(RowCacheTest, PartialFillComputesActiveEntriesOnly) {
   const auto row = cache.row(3, active);
   EXPECT_EQ(cache.partialFills(), 1u);
   for (std::size_t j : active) {
-    EXPECT_DOUBLE_EQ(row[j], k.eval(ds, 3, j));
+    EXPECT_EQ(row[j], static_cast<float>(k.eval(ds, 3, j)));
   }
   // A shrunk active set (subset of the fill set) is served from the same
   // partial slot.
@@ -180,7 +193,7 @@ TEST(RowCacheTest, FullReadUpgradesPartialFill) {
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
   for (std::size_t j = 0; j < ds.rows(); ++j) {
-    EXPECT_DOUBLE_EQ(full[j], k.eval(ds, 3, j));
+    EXPECT_EQ(full[j], static_cast<float>(k.eval(ds, 3, j)));
   }
 }
 
@@ -200,7 +213,7 @@ TEST(RowCacheTest, InvalidatePartialDropsOnlyPartialRows) {
   const std::vector<std::size_t> grown = {0, 1, 2, 3, 4, 5, 6, 7};
   const auto row = cache.row(5, grown);
   for (std::size_t j : grown) {
-    EXPECT_DOUBLE_EQ(row[j], k.eval(ds, 5, j));
+    EXPECT_EQ(row[j], static_cast<float>(k.eval(ds, 5, j)));
   }
 }
 

@@ -378,20 +378,54 @@ TEST(FaultInjectionTest, ProbabilisticDropIsSeedDeterministic) {
 }
 
 TEST(FaultInjectionTest, DelayedMessageChargesReceiverWaitTime) {
-  // +50ms virtual latency on 0->1: the receiver's comm time must absorb
-  // the wait (arrival-time propagation), dwarfing the undelayed baseline.
+  // +50ms virtual latency on 0->1: the receive completes no earlier than
+  // the message arrives (arrival-time propagation), so the receiver's
+  // clock reaches the sender's send time plus the delay, and the wait is
+  // charged as comm time, dwarfing the undelayed baseline. The receiver's
+  // comm time alone can fall a hair under 0.05 s: its thread may have used
+  // more CPU than the sender's before the exchange.
+  struct Timing {
+    RunStats stats;
+    double sentAt = 0.0;
+    double receivedAt = 0.0;
+  };
   const auto run = [](const std::string& spec) {
     Engine engine(2);
     engine.setFaultPlan(FaultPlan::parse(spec));
-    return engine.run([](Comm& c) {
-      if (c.rank() == 0) c.send(1, 7);
-      else (void)c.recv<int>(0);
+    Timing t;
+    t.stats = engine.run([&t](Comm& c) {
+      if (c.rank() == 0) {
+        c.send(1, 7);
+        t.sentAt = c.clock().now();
+      } else {
+        (void)c.recv<int>(0);
+        t.receivedAt = c.clock().now();
+      }
     });
+    return t;
   };
-  const RunStats slow = run("delay:src=0,dst=1,seconds=0.05");
-  const RunStats fast = run("");
-  EXPECT_GE(slow.commSeconds[1], 0.05);
-  EXPECT_LT(fast.commSeconds[1], 0.05);
+  const Timing slow = run("delay:src=0,dst=1,seconds=0.05");
+  const Timing fast = run("");
+  EXPECT_GE(slow.receivedAt, slow.sentAt + 0.05);
+  EXPECT_GT(slow.stats.commSeconds[1], fast.stats.commSeconds[1]);
+  EXPECT_LT(fast.stats.commSeconds[1], 0.05);
+}
+
+TEST(VirtualClockTest, AdvanceToReachesTheArrivalTime) {
+  // compute + comm + wait re-summed after advancing rounds one ulp short
+  // of these arrival times; the clock must still read at least the arrival.
+  const double cases[][3] = {
+      {0.0047459380568556355, 2.6993950415948051e-05, 0.052860418153531812},
+      {0.0088842031245570923, 3.7060545027006268e-05, 0.050384381506781629},
+  };
+  for (const auto& [compute, comm, arrival] : cases) {
+    VirtualClock clock;
+    clock.addCompute(compute);
+    clock.addComm(comm);
+    clock.advanceTo(arrival);
+    EXPECT_GE(clock.now(), arrival);
+    EXPECT_EQ(clock.computeSeconds(), compute);
+  }
 }
 
 TEST(FaultInjectionTest, SlowRankScalesComputeOnVirtualClock) {
