@@ -103,8 +103,10 @@ void writeJson(const Options& opts, const std::vector<Record>& records) {
                  r.result.iterations, r.result.converged ? "true" : "false");
     std::fprintf(f, "\"objective\": %.12g, \"wall_seconds\": %.6f, ",
                  r.result.objective, r.result.seconds);
-    std::fprintf(f, "\"kernel_rows_computed\": %zu, \"cache_hits\": %zu, ",
-                 r.result.kernelRowsComputed, r.result.kernelRowHits);
+    std::fprintf(f, "\"kernel_rows_computed\": %zu, ",
+                 r.result.kernelRowsComputed);
+    std::fprintf(f, "\"kernel_rows_paired\": %zu, \"cache_hits\": %zu, ",
+                 r.result.kernelRowsPaired, r.result.kernelRowHits);
     std::fprintf(f, "\"cache_hit_rate\": %.4f}%s\n", hitRate(r.result),
                  i + 1 < records.size() ? "," : "");
   }

@@ -69,7 +69,7 @@ class RowWorkspace {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> tiles_;    ///< dense: ceil(m/16) blocks of cols*16 floats
-  std::vector<double> xd_;      ///< dense: row i widened to double
+  std::vector<double> xd_;      ///< dense: up to two queries widened to double
   std::vector<float> scatter_;  ///< sparse: dense copy of row i
 };
 
@@ -110,6 +110,13 @@ class Kernel {
   void row(const data::Dataset& ds, std::size_t i, std::span<double> out,
            RowWorkspace& ws) const;
 
+  /// Rows i and j in one call, bit for bit row(ds, i, outI, ws) and
+  /// row(ds, j, outJ, ws): dense fills stream the workspace's tiles once
+  /// for both rows (tile::dot2Fn), sparse fills run one after the other.
+  void rows(const data::Dataset& ds, std::size_t i, std::size_t j,
+            std::span<double> outI, std::span<double> outJ,
+            RowWorkspace& ws) const;
+
   /// Fill out[j] = K(xi, xj) for j in `subset` only; entries of `out`
   /// outside `subset` are left untouched. Lets the solver's row cache
   /// refill evicted rows over the active set while shrinking instead of
@@ -132,6 +139,13 @@ class Kernel {
   void rowWith(const data::Dataset& ds, std::span<const float> x,
                double xSelfDot, std::span<double> out, RowWorkspace& ws) const;
 
+  /// Two columns in one call, bit for bit rowWith() of x0 into out0 and of
+  /// x1 into out1: dense fills stream the tiles once for both vectors.
+  void rowsWith(const data::Dataset& ds, std::span<const float> x0,
+                double x0SelfDot, std::span<const float> x1, double x1SelfDot,
+                std::span<double> out0, std::span<double> out1,
+                RowWorkspace& ws) const;
+
   /// Fill out[j] = K(xj, xj) for all j from the dataset's cached squared
   /// norms — no dot products. The SMO second-order working-set selection
   /// reads the kernel diagonal for every candidate on every iteration;
@@ -146,8 +160,9 @@ class Kernel {
   double fromDot(double dot, double selfI, double selfJ) const;
 
   /// Apply the kernel transform in place over a row of raw dot products
-  /// (one KernelType dispatch per row, not per element).
-  void transformRow(const data::Dataset& ds, std::size_t i,
+  /// against a query with squared norm `selfX` (one KernelType dispatch
+  /// per row, not per element).
+  void transformRow(const data::Dataset& ds, double selfX,
                     std::span<double> out) const;
   void transformSubset(const data::Dataset& ds, std::size_t i,
                        std::span<const std::size_t> subset,

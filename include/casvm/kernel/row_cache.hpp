@@ -20,9 +20,10 @@
 /// by default, or a low-rank approximation with the same row interface.
 ///
 /// Pinning contract: the solver holds spans to at most two rows of one
-/// iteration simultaneously. It pins each row right after fetching it and
-/// unpins both before the next fetch; a pinned row is never evicted, so an
-/// eviction can never recycle a live span's backing vector. In debug builds
+/// iteration simultaneously. It pins each row right after fetching it (or
+/// fetches both pinned with rows()) and unpins both before the next fetch;
+/// a pinned row is never evicted, so an eviction can never recycle a live
+/// span's backing vector. In debug builds
 /// every fill also bumps a per-slot generation counter, and checkLive()
 /// asserts that a captured (row, generation) pair is still the cached one —
 /// turning silent use-after-evict bugs into immediate failures.
@@ -33,6 +34,13 @@
 /// are invalidated wholesale by invalidatePartial() when the active set
 /// grows back (unshrink), because a partial row is only valid for index
 /// sets that are subsets of the one it was filled with.
+///
+/// When an iteration knows both its rows before reading either (SMO's
+/// first-order selection), rows() fetches them together: if both miss and
+/// both take full fills, the source computes them in one fillRows pass,
+/// which streams its data once for two rows. The cache decides only when
+/// a row is computed, never its values, so a pair fetch leaves the same
+/// rows, counts and generations as two single fetches.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,6 +48,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "casvm/data/dataset.hpp"
@@ -63,8 +72,8 @@ class RowCache {
   /// Cache over the exact kernel of `ds`. `budgetBytes` bounds the cached
   /// data (each row is rows()*sizeof(CacheValue) = rows()*4 bytes); at
   /// least TWO row slots are always granted, because SMO holds spans to the
-  /// high and low rows of one iteration simultaneously. One double row of
-  /// fill scratch sits outside the budget.
+  /// high and low rows of one iteration simultaneously. Two double rows of
+  /// fill scratch sit outside the budget.
   RowCache(const Kernel& kernel, const data::Dataset& ds,
            std::size_t budgetBytes);
 
@@ -85,6 +94,20 @@ class RowCache {
   /// row was last filled with (guaranteed while the solver only shrinks).
   std::span<const CacheValue> row(std::size_t i,
                                   std::span<const std::size_t> active);
+
+  using RowPair =
+      std::pair<std::span<const CacheValue>, std::span<const CacheValue>>;
+
+  /// Rows i and j, both pinned on return (the caller unpins both). Hits,
+  /// misses, LRU order, pins and generations are exactly those of
+  /// row(i); pin(i); row(j); pin(j), but two misses that both take a full
+  /// fill are filled in one RowSource::fillRows pass.
+  RowPair rows(std::size_t i, std::size_t j);
+
+  /// rows() under the active-set rules of row(i, active): partial fills
+  /// stay one row each.
+  RowPair rows(std::size_t i, std::size_t j,
+               std::span<const std::size_t> active);
 
   /// Pin row i (must be currently cached): excluded from eviction until
   /// unpinned. Pins nest.
@@ -112,6 +135,8 @@ class RowCache {
   std::size_t pinnedRows() const { return pinned_; }
   /// Misses served by a partial (active-set-only) fill.
   std::size_t partialFills() const { return partialFills_; }
+  /// Misses served by a two-row fill (two per fillRows pass).
+  std::size_t pairedFills() const { return pairedFills_; }
 
  private:
   struct Slot {
@@ -122,26 +147,47 @@ class RowCache {
     std::uint64_t generation = 0;
   };
 
+  /// What a looked-up slot still needs before it can be read.
+  enum class Need : std::uint8_t { Nothing, Full, Partial };
+  struct Lookup {
+    Slot* slot;
+    Need need;
+  };
+
+  /// The bookkeeping of reading row i (`active` null for a full-row read):
+  /// hit/miss counts, the LRU move and, on a miss, a claimed slot already
+  /// marked with the fill it will hold. The fill itself is left to the
+  /// caller, so a pair fetch can run two of them in one pass.
+  Lookup lookup(std::size_t i, const std::span<const std::size_t>* active);
+
+  /// Run the fill lookup() left for row i, if any: a full row, or only
+  /// the active entries, each value rounded once on store.
+  void complete(const Lookup& found, std::size_t i,
+                const std::span<const std::size_t>* active);
+  RowPair fetchPair(std::size_t i, std::size_t j,
+                    const std::span<const std::size_t>* active);
+
   /// Slot to (re)fill for a miss on row i: the least-recently-used unpinned
   /// slot when at capacity, a fresh slot otherwise. The returned slot is
   /// indexed under i and moved to the front of the LRU list.
   Slot& claimSlot(std::size_t i);
 
-  /// Fill row i into `slot` through the double scratch, rounding every
-  /// entry (or, with `active`, only the active entries) once on store.
-  void fill(Slot& slot, std::size_t i);
-  void fill(Slot& slot, std::size_t i, std::span<const std::size_t> active);
+  /// Scratch row k (0 or 1) in the source's double precision.
+  std::span<double> scratch(std::size_t k);
+  /// Round a full double row into `slot`, once per value, on store.
+  void store(Slot& slot, std::span<const double> row);
 
   /// Backing storage for the legacy (Kernel, Dataset) constructor.
   std::unique_ptr<ExactRowSource> ownedExact_;
   RowSource* src_;
   std::size_t capacityRows_;
-  std::vector<double> scratch_;  ///< one row in the source's double precision
+  std::vector<double> scratch_;  ///< two rows in the source's double precision
   std::list<Slot> lru_;  // front = most recent
   std::unordered_map<std::size_t, std::list<Slot>::iterator> index_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t partialFills_ = 0;
+  std::size_t pairedFills_ = 0;
   std::size_t pinned_ = 0;
   std::uint64_t nextGeneration_ = 1;
 };

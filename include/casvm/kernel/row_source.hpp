@@ -14,6 +14,8 @@
 ///  - fillRow(i, out)[j], fillRowSubset(i, active, out)[j in active] and
 ///    fillDiagonal(out)[i==j] agree bitwise for the same (i, j) — a row
 ///    refilled partially after a full fill must reproduce the same values;
+///  - fillRows(i, j, ...) is bitwise fillRow(i, ...) then fillRow(j, ...):
+///    it may only decide how the two rows are computed, never their values;
 ///  - fills are deterministic: the same i always produces the same row.
 
 #include <cstddef>
@@ -35,6 +37,12 @@ class RowSource {
 
   /// out[j] = K(i, j) for all j; out.size() == rows().
   virtual void fillRow(std::size_t i, std::span<double> out) = 0;
+
+  /// Rows i and j in one pass over the source's data (the SMO iteration's
+  /// two rows when both miss the cache); outI and outJ each have rows()
+  /// entries.
+  virtual void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
+                        std::span<double> outJ) = 0;
 
   /// out[j] = K(i, j) for j in `active` only (ascending indices); entries
   /// outside `active` are left untouched.
@@ -63,6 +71,10 @@ class ExactRowSource final : public RowSource {
   std::size_t rows() const override { return ds_.rows(); }
   void fillRow(std::size_t i, std::span<double> out) override {
     kernel_.row(ds_, i, out, workspace_);
+  }
+  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
+                std::span<double> outJ) override {
+    kernel_.rows(ds_, i, j, outI, outJ, workspace_);
   }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {
@@ -93,6 +105,21 @@ class ExactRowSource final : public RowSource {
       return;
     }
     for (std::size_t j : rows) out[j] = kernel_.evalWith(ds_, j, x, xSelfDot);
+  }
+
+  /// Two columns under the same rule, bit for bit fillColumn() of x0 into
+  /// out0 and of x1 into out1; a full fill streams the tiles once for both.
+  void fillColumns(std::span<const float> x0, double x0SelfDot,
+                   std::span<const float> x1, double x1SelfDot,
+                   std::span<const std::size_t> rows, std::span<double> out0,
+                   std::span<double> out1) {
+    if (preferFullFill(rows.size())) {
+      kernel_.rowsWith(ds_, x0, x0SelfDot, x1, x1SelfDot, out0, out1,
+                       workspace_);
+      return;
+    }
+    fillColumn(x0, x0SelfDot, rows, out0);
+    fillColumn(x1, x1SelfDot, rows, out1);
   }
 
  private:

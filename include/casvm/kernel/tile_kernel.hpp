@@ -12,6 +12,10 @@
 /// a single double, so the sums are bitwise-identical to Dataset::dot /
 /// Dataset::dotWith against the same row bytes (multiplies and adds are
 /// kept separate; no FMA contraction).
+///
+/// A two-query pass computes two such outputs per sweep, so the tiles are
+/// streamed once for two rows; each output keeps its own serial sum, so it
+/// is bitwise-equal to a one-query pass.
 
 #include <cstddef>
 #include <vector>
@@ -38,8 +42,22 @@ void pack(const data::Dataset& ds, std::vector<float>& tiles);
 using DotFn = void (*)(const float* tiles, const double* xd, std::size_t m,
                        std::size_t n, double* out);
 
-/// Runtime-dispatched implementation (AVX2 when the CPU supports it,
+/// Two queries in one sweep: out0 is the DotFn pass of x0 and out1 that
+/// of x1, bit for bit.
+using Dot2Fn = void (*)(const float* tiles, const double* x0,
+                        const double* x1, std::size_t m, std::size_t n,
+                        double* out0, double* out1);
+
+/// Runtime-dispatched implementations (AVX2 when the CPU supports it,
 /// portable otherwise). Both produce bitwise-identical sums.
 DotFn dotFn();
+Dot2Fn dot2Fn();
+
+/// The portable passes: what dotFn() and dot2Fn() fall back to without
+/// AVX2, and the reference the dispatched passes are tested against.
+void dotPortable(const float* tiles, const double* xd, std::size_t m,
+                 std::size_t n, double* out);
+void dot2Portable(const float* tiles, const double* x0, const double* x1,
+                  std::size_t m, std::size_t n, double* out0, double* out1);
 
 }  // namespace casvm::kernel::tile

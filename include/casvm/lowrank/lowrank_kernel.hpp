@@ -30,6 +30,10 @@ class LowRankKernel final : public kernel::RowSource {
   void fillRow(std::size_t i, std::span<double> out) override {
     factor_.fillRow(i, out);
   }
+  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
+                std::span<double> outJ) override {
+    factor_.fillRows(i, j, outI, outJ);
+  }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {
     factor_.fillRowSubset(i, active, out);

@@ -69,6 +69,9 @@ class NystromFactor {
   // K̃(i,j) == K̃(j,i) bitwise: every entry is the same serial ascending-k
   // double accumulation over the float z-rows of i and j.
   void fillRow(std::size_t i, std::span<double> out);
+  /// Rows i and j in one two-query tile pass; bitwise two fillRow calls.
+  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
+                std::span<double> outJ);
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out);
   void fillDiagonal(std::span<double> out);
@@ -96,10 +99,11 @@ class NystromFactor {
   std::vector<double> w_;
   /// Z in 16-row k-major float tiles (blockCount(m) * r * 16 floats).
   std::vector<float> tiles_;
-  /// Widened z-row scratch for fills (length r).
+  /// Widened z-row scratch for fills: two rows of length r.
   std::vector<double> xd_;
 
-  void widenRow(std::size_t i);
+  /// Widen z-row i into xd_[slot * r ..].
+  void widenRow(std::size_t i, std::size_t slot = 0);
 };
 
 /// Eigendecomposition of a symmetric s×s matrix by deterministic cyclic

@@ -123,6 +123,9 @@ struct SolverResult {
   double objective = 0.0;
   double seconds = 0.0;        ///< wall time spent in solve()
   std::size_t kernelRowsComputed = 0;  ///< cache misses (full rows)
+  /// Of kernelRowsComputed, rows filled two per pass (an iteration whose
+  /// two rows both missed; first-order selection only).
+  std::size_t kernelRowsPaired = 0;
   std::size_t kernelRowHits = 0;       ///< cache hits
 };
 

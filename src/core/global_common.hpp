@@ -8,7 +8,8 @@
 // Dis-SMO iteration. runDisSmo loops over it under its own snapshot,
 // shrink and unshrink policy; PBM runs it as its cross-block correction.
 // Every exact kernel column K(local rows, x) the global methods compute
-// comes from the kernel layer's ExactRowSource::fillColumn, and every exact
+// comes from the kernel layer's ExactRowSource::fillColumn (the pair
+// step's two columns from fillColumns, in one pass), and every exact
 // kernel value they step on is rounded as the serial solver's row cache
 // stores it (kernel::asCached), so P = 1 Dis-SMO walks the serial solver's
 // trajectory. The Nyström z-dots are computed fresh each step, never
@@ -218,6 +219,19 @@ class PairWorkspace {
     for (std::size_t i : rows) out[i] = kernel::asCached(out[i]);
   }
 
+  /// The pair step's two columns, colHigh from xHigh and colLow from xLow,
+  /// bitwise two fillColumn() calls: a full fill streams the block's
+  /// tiles once for both.
+  void fillPairColumns(double highSelfDot, double lowSelfDot,
+                       std::span<const std::size_t> rows) {
+    columns_.fillColumns(xHigh, highSelfDot, xLow, lowSelfDot, rows, colHigh,
+                         colLow);
+    for (std::size_t i : rows) {
+      colHigh[i] = kernel::asCached(colHigh[i]);
+      colLow[i] = kernel::asCached(colLow[i]);
+    }
+  }
+
   std::vector<float> xHigh, xLow;
   std::vector<double> colHigh, colLow;
   std::vector<double> zHigh, zLow;
@@ -385,8 +399,7 @@ inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
       f[i] += coefHigh * lr.zdot(i, zHigh) + coefLow * lr.zdot(i, zLow);
     }
   } else {
-    ws.fillColumn(ws.xHigh, metaHigh.selfDot, active, ws.colHigh);
-    ws.fillColumn(ws.xLow, metaLow.selfDot, active, ws.colLow);
+    ws.fillPairColumns(metaHigh.selfDot, metaLow.selfDot, active);
     for (std::size_t i : active) {
       f[i] += coefHigh * ws.colHigh[i] + coefLow * ws.colLow[i];
     }

@@ -171,14 +171,14 @@ void RowWorkspace::bind(const data::Dataset& ds) {
   cols_ = ds.cols();
   if (ds.storage() == data::Storage::Dense) {
     tile::pack(ds, tiles_);
-    xd_.resize(cols_);
+    xd_.resize(2 * cols_);
   } else {
     tiles_.clear();
     xd_.clear();
   }
 }
 
-void Kernel::transformRow(const data::Dataset& ds, std::size_t i,
+void Kernel::transformRow(const data::Dataset& ds, double selfX,
                           std::span<double> out) const {
   // Kernel transform over the whole row: one type dispatch per row.
   const std::size_t m = ds.rows();
@@ -190,14 +190,15 @@ void Kernel::transformRow(const data::Dataset& ds, std::size_t i,
         out[j] = std::pow(params_.a * out[j] + params_.r, params_.degree);
       }
       break;
-    case KernelType::Gaussian: {
-      const double selfI = ds.selfDot(i);
+    case KernelType::Gaussian:
+      // eval adds the two self-dots in this order and evalWith (row j
+      // first) in the other; IEEE addition is commutative, so this one
+      // transform matches both bit for bit.
       for (std::size_t j = 0; j < m; ++j) {
-        const double d2 = selfI + ds.selfDot(j) - 2.0 * out[j];
+        const double d2 = selfX + ds.selfDot(j) - 2.0 * out[j];
         out[j] = std::exp(-params_.gamma * (d2 > 0.0 ? d2 : 0.0));
       }
       break;
-    }
     case KernelType::Sigmoid:
       for (std::size_t j = 0; j < m; ++j) {
         out[j] = std::tanh(params_.a * out[j] + params_.r);
@@ -214,22 +215,32 @@ void Kernel::row(const data::Dataset& ds, std::size_t i,
   } else {
     sparseDotRow(ds, i, out, sparseScatterScratch());
   }
-  transformRow(ds, i, out);
+  transformRow(ds, ds.selfDot(i), out);
 }
 
+// A dense row is the column against the row's own bytes.
 void Kernel::row(const data::Dataset& ds, std::size_t i, std::span<double> out,
                  RowWorkspace& ws) const {
+  if (ds.storage() == data::Storage::Dense) {
+    rowWith(ds, ds.denseRow(i), ds.selfDot(i), out, ws);
+    return;
+  }
   CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
   ws.bind(ds);
+  sparseDotRow(ds, i, out, ws.scatter_);
+  transformRow(ds, ds.selfDot(i), out);
+}
+
+void Kernel::rows(const data::Dataset& ds, std::size_t i, std::size_t j,
+                  std::span<double> outI, std::span<double> outJ,
+                  RowWorkspace& ws) const {
   if (ds.storage() == data::Storage::Dense) {
-    const std::span<const float> xi = ds.denseRow(i);
-    for (std::size_t k = 0; k < ws.cols_; ++k) ws.xd_[k] = double(xi[k]);
-    tile::dotFn()(ws.tiles_.data(), ws.xd_.data(), ws.rows_, ws.cols_,
-                  out.data());
-  } else {
-    sparseDotRow(ds, i, out, ws.scatter_);
+    rowsWith(ds, ds.denseRow(i), ds.selfDot(i), ds.denseRow(j), ds.selfDot(j),
+             outI, outJ, ws);
+    return;
   }
-  transformRow(ds, i, out);
+  row(ds, i, outI, ws);
+  row(ds, j, outJ, ws);
 }
 
 void Kernel::transformSubset(const data::Dataset& ds, std::size_t i,
@@ -314,36 +325,40 @@ void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,
   CASVM_CHECK(out.size() == ds.rows(), "kernel column output has wrong length");
   CASVM_CHECK(x.size() == ds.cols(), "external vector has wrong length");
   ws.bind(ds);
-  const std::size_t m = ds.rows();
   if (ds.storage() == data::Storage::Dense) {
-    for (std::size_t k = 0; k < ws.cols_; ++k) ws.xd_[k] = double(x[k]);
+    std::copy(x.begin(), x.end(), ws.xd_.begin());
     tile::dotFn()(ws.tiles_.data(), ws.xd_.data(), ws.rows_, ws.cols_,
                   out.data());
   } else {
-    for (std::size_t j = 0; j < m; ++j) out[j] = ds.dotWith(j, x);
+    for (std::size_t j = 0; j < ds.rows(); ++j) out[j] = ds.dotWith(j, x);
   }
-  // Transform with the external vector's self-dot on the x side; same
-  // per-row dispatch shape as transformRow.
-  switch (params_.type) {
-    case KernelType::Linear:
-      break;
-    case KernelType::Polynomial:
-      for (std::size_t j = 0; j < m; ++j) {
-        out[j] = std::pow(params_.a * out[j] + params_.r, params_.degree);
-      }
-      break;
-    case KernelType::Gaussian:
-      for (std::size_t j = 0; j < m; ++j) {
-        const double d2 = ds.selfDot(j) + xSelfDot - 2.0 * out[j];
-        out[j] = std::exp(-params_.gamma * (d2 > 0.0 ? d2 : 0.0));
-      }
-      break;
-    case KernelType::Sigmoid:
-      for (std::size_t j = 0; j < m; ++j) {
-        out[j] = std::tanh(params_.a * out[j] + params_.r);
-      }
-      break;
+  transformRow(ds, xSelfDot, out);
+}
+
+void Kernel::rowsWith(const data::Dataset& ds, std::span<const float> x0,
+                      double x0SelfDot, std::span<const float> x1,
+                      double x1SelfDot, std::span<double> out0,
+                      std::span<double> out1, RowWorkspace& ws) const {
+  CASVM_CHECK(out0.size() == ds.rows() && out1.size() == ds.rows(),
+              "kernel column output has wrong length");
+  CASVM_CHECK(x0.size() == ds.cols() && x1.size() == ds.cols(),
+              "external vector has wrong length");
+  ws.bind(ds);
+  if (ds.storage() == data::Storage::Dense) {
+    double* xd0 = ws.xd_.data();
+    double* xd1 = xd0 + ws.cols_;
+    std::copy(x0.begin(), x0.end(), xd0);
+    std::copy(x1.begin(), x1.end(), xd1);
+    tile::dot2Fn()(ws.tiles_.data(), xd0, xd1, ws.rows_, ws.cols_,
+                   out0.data(), out1.data());
+  } else {
+    for (std::size_t j = 0; j < ds.rows(); ++j) {
+      out0[j] = ds.dotWith(j, x0);
+      out1[j] = ds.dotWith(j, x1);
+    }
   }
+  transformRow(ds, x0SelfDot, out0);
+  transformRow(ds, x1SelfDot, out1);
 }
 
 void Kernel::diagonal(const data::Dataset& ds, std::span<double> out) const {

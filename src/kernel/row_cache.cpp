@@ -24,12 +24,12 @@ RowCache::RowCache(const Kernel& kernel, const data::Dataset& ds,
     : ownedExact_(std::make_unique<ExactRowSource>(kernel, ds)),
       src_(ownedExact_.get()),
       capacityRows_(capacityFor(src_->rows(), budgetBytes)),
-      scratch_(src_->rows()) {}
+      scratch_(2 * src_->rows()) {}
 
 RowCache::RowCache(RowSource& source, std::size_t budgetBytes)
     : src_(&source),
       capacityRows_(capacityFor(src_->rows(), budgetBytes)),
-      scratch_(src_->rows()) {}
+      scratch_(2 * src_->rows()) {}
 
 RowCache::Slot& RowCache::claimSlot(std::size_t i) {
   if (lru_.size() >= capacityRows_) {
@@ -56,72 +56,112 @@ RowCache::Slot& RowCache::claimSlot(std::size_t i) {
   return lru_.front();
 }
 
-void RowCache::fill(Slot& slot, std::size_t i) {
-  src_->fillRow(i, scratch_);
-  std::transform(scratch_.begin(), scratch_.end(), slot.values.begin(),
+std::span<double> RowCache::scratch(std::size_t k) {
+  const std::size_t m = src_->rows();
+  return {scratch_.data() + k * m, m};
+}
+
+void RowCache::store(Slot& slot, std::span<const double> row) {
+  std::transform(row.begin(), row.end(), slot.values.begin(),
                  [](double v) { return static_cast<CacheValue>(v); });
-  slot.partial = false;
   slot.generation = nextGeneration_++;
 }
 
-void RowCache::fill(Slot& slot, std::size_t i,
-                    std::span<const std::size_t> active) {
+RowCache::Lookup RowCache::lookup(std::size_t i,
+                                  const std::span<const std::size_t>* active) {
+  CASVM_CHECK(i < src_->rows(), "kernel row out of range");
+  Need need = Need::Full;
+  Slot* slot = nullptr;
+  if (auto it = index_.find(i); it != index_.end()) {
+    slot = &*it->second;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    // Full rows serve any read. A partial fill serves active-set reads,
+    // which are subsets of the set it was computed with while the solver
+    // only shrinks (invalidatePartial() handles the grow-back); a
+    // full-row read upgrades it in place, as a miss.
+    if (!slot->partial || active != nullptr) {
+      ++hits_;
+      return {slot, Need::Nothing};
+    }
+  } else {
+    slot = &claimSlot(i);
+    // The source knows whether its full-row fill (e.g. the dense tiled
+    // micro-kernel) beats a scalar subset fill of this many entries.
+    if (active != nullptr && !src_->preferFullFill(active->size())) {
+      need = Need::Partial;
+      ++partialFills_;
+    }
+  }
+  ++misses_;
+  // Marked now, so a second lookup of row i before the fill sees the row
+  // the fill will leave.
+  slot->partial = need == Need::Partial;
+  return {slot, need};
+}
+
+void RowCache::complete(const Lookup& found, std::size_t i,
+                        const std::span<const std::size_t>* active) {
+  const std::span<double> row = scratch(0);
+  if (found.need == Need::Full) {
+    src_->fillRow(i, row);
+    store(*found.slot, row);
+    return;
+  }
+  if (found.need == Need::Nothing) return;
+  Slot& slot = *found.slot;
 #ifndef CASVM_NO_ASSERT
   // Poison the untouched entries so a read outside `active` trips tests
   // instead of returning a stale previous row.
   std::fill(slot.values.begin(), slot.values.end(),
             std::numeric_limits<CacheValue>::quiet_NaN());
 #endif
-  src_->fillRowSubset(i, active, scratch_);
-  for (std::size_t j : active) {
-    slot.values[j] = static_cast<CacheValue>(scratch_[j]);
+  src_->fillRowSubset(i, *active, row);
+  for (std::size_t j : *active) {
+    slot.values[j] = static_cast<CacheValue>(row[j]);
   }
-  slot.partial = true;
   slot.generation = nextGeneration_++;
 }
 
 std::span<const CacheValue> RowCache::row(std::size_t i) {
-  CASVM_CHECK(i < src_->rows(), "kernel row out of range");
-  if (auto it = index_.find(i); it != index_.end()) {
-    Slot& slot = *it->second;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    if (!slot.partial) {
-      ++hits_;
-      return slot.values;
-    }
-    // A partial fill cannot serve a full-row read: upgrade in place.
-    ++misses_;
-    fill(slot, i);
-    return slot.values;
-  }
-  ++misses_;
-  Slot& slot = claimSlot(i);
-  fill(slot, i);
-  return slot.values;
+  const Lookup found = lookup(i, nullptr);
+  complete(found, i, nullptr);
+  return found.slot->values;
 }
 
 std::span<const CacheValue> RowCache::row(
     std::size_t i, std::span<const std::size_t> active) {
-  CASVM_CHECK(i < src_->rows(), "kernel row out of range");
-  if (auto it = index_.find(i); it != index_.end()) {
-    // Full rows serve any index set; a partial fill serves subsets of the
-    // set it was computed with, which holds while the active set only
-    // shrinks (invalidatePartial() handles the grow-back).
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->values;
-  }
-  ++misses_;
-  Slot& slot = claimSlot(i);
-  // The source knows whether its full-row fill (e.g. the dense tiled
-  // micro-kernel) beats a scalar subset fill of this many entries.
-  if (src_->preferFullFill(active.size())) {
-    fill(slot, i);
+  const Lookup found = lookup(i, &active);
+  complete(found, i, &active);
+  return found.slot->values;
+}
+
+RowCache::RowPair RowCache::fetchPair(
+    std::size_t i, std::size_t j, const std::span<const std::size_t>* active) {
+  // Pinning i before looking up j keeps j's claim off i's slot, exactly
+  // as the single-fetch sequence does.
+  const Lookup first = lookup(i, active);
+  pin(i);
+  const Lookup second = lookup(j, active);
+  pin(j);
+  if (first.need == Need::Full && second.need == Need::Full) {
+    src_->fillRows(i, j, scratch(0), scratch(1));
+    store(*first.slot, scratch(0));
+    store(*second.slot, scratch(1));
+    pairedFills_ += 2;
   } else {
-    ++partialFills_;
-    fill(slot, i, active);
+    complete(first, i, active);
+    complete(second, j, active);
   }
-  return slot.values;
+  return {first.slot->values, second.slot->values};
+}
+
+RowCache::RowPair RowCache::rows(std::size_t i, std::size_t j) {
+  return fetchPair(i, j, nullptr);
+}
+
+RowCache::RowPair RowCache::rows(std::size_t i, std::size_t j,
+                                 std::span<const std::size_t> active) {
+  return fetchPair(i, j, &active);
 }
 
 void RowCache::pin(std::size_t i) {

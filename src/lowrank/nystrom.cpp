@@ -178,16 +178,16 @@ NystromFactor NystromFactor::buildWithLandmarks(const kernel::Kernel& kern,
           static_cast<float>(zd[j * rr + k]);
     }
   }
-  f.xd_.resize(rr);
+  f.xd_.resize(2 * rr);
   return f;
 }
 
-void NystromFactor::widenRow(std::size_t i) {
+void NystromFactor::widenRow(std::size_t i, std::size_t slot) {
   const std::size_t block = i / kernel::tile::kRows;
   const std::size_t lane = i % kernel::tile::kRows;
+  double* xd = xd_.data() + slot * r_;
   for (std::size_t k = 0; k < r_; ++k) {
-    xd_[k] =
-        double(tiles_[(block * r_ + k) * kernel::tile::kRows + lane]);
+    xd[k] = double(tiles_[(block * r_ + k) * kernel::tile::kRows + lane]);
   }
 }
 
@@ -196,6 +196,17 @@ void NystromFactor::fillRow(std::size_t i, std::span<double> out) {
   CASVM_CHECK(out.size() == m_, "nystrom row output has wrong length");
   widenRow(i);
   kernel::tile::dotFn()(tiles_.data(), xd_.data(), m_, r_, out.data());
+}
+
+void NystromFactor::fillRows(std::size_t i, std::size_t j,
+                             std::span<double> outI, std::span<double> outJ) {
+  CASVM_CHECK(i < m_ && j < m_, "nystrom row out of range");
+  CASVM_CHECK(outI.size() == m_ && outJ.size() == m_,
+              "nystrom row output has wrong length");
+  widenRow(i, 0);
+  widenRow(j, 1);
+  kernel::tile::dot2Fn()(tiles_.data(), xd_.data(), xd_.data() + r_, m_, r_,
+                         outI.data(), outJ.data());
 }
 
 void NystromFactor::fillRowSubset(std::size_t i,
@@ -339,7 +350,7 @@ NystromFactor NystromFactor::decode(std::span<const std::byte> bytes) {
       bytes, at,
       kernel::tile::blockCount(f.m_) * f.r_ * kernel::tile::kRows);
   CASVM_CHECK(at == bytes.size(), "nystrom decode: trailing bytes");
-  f.xd_.resize(f.r_);
+  f.xd_.resize(2 * f.r_);
   return f;
 }
 

@@ -1,6 +1,9 @@
 #include "casvm/net/supervisor.hpp"
 
 #include <fcntl.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -74,6 +77,12 @@ void Supervisor::spawn(const ChildMain& child, int rank, int attempt) {
   // Heartbeat grace starts at the spawn, not at the previous incarnation's
   // last beat.
   transport_.beatNow(rank);
+#if defined(__GLIBC__)
+  // Return the parent's freed heap pages (e.g. row caches of an in-process
+  // solve that ran before) to the kernel, so the worker does not start
+  // with them resident.
+  ::malloc_trim(0);
+#endif
   const pid_t pid = ::fork();
   CASVM_CHECK(pid >= 0,
               std::string("supervisor: fork failed: ") + std::strerror(errno));

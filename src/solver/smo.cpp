@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "casvm/kernel/row_cache.hpp"
 #include "casvm/obs/trace.hpp"
@@ -150,6 +151,11 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
                ? cache.row(i, std::span<const std::size_t>(active))
                : cache.row(i);
   };
+  auto fetchRows = [&](std::size_t i, std::size_t j) {
+    return active.size() < m
+               ? cache.rows(i, j, std::span<const std::size_t>(active))
+               : cache.rows(i, j);
+  };
 
   // Rebuild f entries of shrunk-out samples from the nonzero alphas, then
   // reactivate everything. Called before convergence can be declared.
@@ -241,13 +247,16 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
           lookups > 0.0 ? hits / lookups : 0.0);
     }
 
-    const std::span<const kernel::CacheValue> rowHigh = fetchRow(iHigh);
-    // Pin the rows backing the spans held across this iteration, so the
-    // second fetch (and any refill) can never recycle their storage.
-    cache.pin(iHigh);
-    const std::uint64_t genHigh = cache.generation(iHigh);
-
-    if (options_.selection == Selection::SecondOrder) {
+    // The rows backing the spans held across this iteration are pinned,
+    // so the second fetch (and any refill) can never recycle their
+    // storage. First-order selection has picked both rows already: fetch
+    // them together, and two misses fill in one pass.
+    std::span<const kernel::CacheValue> rowHigh, rowLow;
+    if (options_.selection == Selection::FirstOrder) {
+      std::tie(rowHigh, rowLow) = fetchRows(iHigh, iLow);
+    } else {
+      rowHigh = fetchRow(iHigh);
+      cache.pin(iHigh);
       // Re-pick iLow to maximize the guaranteed objective decrease
       // (b_high - f_j)^2 / eta_j among violating candidates. K_jj comes
       // from the precomputed diagonal (bitwise-identical to eval(ds,j,j)).
@@ -267,10 +276,10 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
         }
       }
       if (bestJ < m) iLow = bestJ;
+      rowLow = fetchRow(iLow);
+      cache.pin(iLow);
     }
-
-    const std::span<const kernel::CacheValue> rowLow = fetchRow(iLow);
-    cache.pin(iLow);
+    const std::uint64_t genHigh = cache.generation(iHigh);
     const std::uint64_t genLow = cache.generation(iLow);
 
     const std::int8_t yHigh = ds.label(iHigh);
@@ -442,6 +451,7 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
   result.objective = objective;
   result.seconds = timer.seconds();
   result.kernelRowsComputed = cache.misses();
+  result.kernelRowsPaired = cache.pairedFills();
   result.kernelRowHits = cache.hits();
   return result;
 }

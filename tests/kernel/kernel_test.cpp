@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 
 #include "casvm/data/synth.hpp"
 #include "casvm/kernel/row_source.hpp"
+#include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
 #include "kernel/kernel_params_printer.hpp"
 
@@ -271,6 +273,67 @@ TEST_P(KernelRowPropertyTest, ColumnFillsBitwiseMatchEvalWith) {
   }
 }
 
+/// A pair fill may only decide how its two rows are computed: the rows
+/// are bitwise the single fills, for pairs across tile blocks, inside one
+/// block, in the ragged tail, reversed and equal.
+TEST_P(KernelRowPropertyTest, PairRowFillsBitwiseMatchSingleFills) {
+  const Kernel k(GetParam());
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, 44}, {16, 3}, {31, 32}, {40, 41}, {5, 5}};
+  for (const data::Dataset* ds : {&dense_, &sparse_}) {
+    const std::size_t m = ds->rows();
+    ExactRowSource source(k, *ds);
+    std::vector<double> rowI(m), rowJ(m), pairI(m), pairJ(m);
+    for (auto [i, j] : pairs) {
+      i %= m;
+      j %= m;
+      source.fillRow(i, rowI);
+      source.fillRow(j, rowJ);
+      source.fillRows(i, j, pairI, pairJ);
+      for (std::size_t c = 0; c < m; ++c) {
+        EXPECT_EQ(pairI[c], rowI[c]) << "i=" << i << " j=" << j << " c=" << c;
+        EXPECT_EQ(pairJ[c], rowJ[c]) << "i=" << i << " j=" << j << " c=" << c;
+        EXPECT_EQ(pairI[c], k.eval(*ds, i, c)) << "i=" << i << " c=" << c;
+      }
+    }
+  }
+}
+
+/// The pair step's two columns: fillColumns is bitwise two fillColumn
+/// calls under both branches (tiled full fill and per-row partial fill).
+TEST_P(KernelRowPropertyTest, PairColumnFillsBitwiseMatchSingleFills) {
+  const Kernel k(GetParam());
+  for (const data::Dataset* ds : {&dense_, &sparse_}) {
+    const std::size_t m = ds->rows();
+    const std::size_t n = ds->cols();
+    std::vector<float> x0(n), x1(n);
+    ds->copyRowDense(2, x0);
+    for (std::size_t c = 0; c < n; ++c) {
+      x1[c] = 0.375f * static_cast<float>(c) - 1.125f;
+    }
+    const double x0Dot = ds->selfDot(2);
+    double x1Dot = 0.0;
+    for (float v : x1) x1Dot += double(v) * double(v);
+
+    std::vector<std::size_t> all(m);
+    std::iota(all.begin(), all.end(), 0);
+    const std::vector<std::size_t> few = {1, 4, 5};
+    ExactRowSource source(k, *ds);
+    const std::vector<std::size_t>* rowSets[] = {&all, &few};
+    for (const auto* rows : rowSets) {
+      std::vector<double> one0(m, -7.5), one1(m, -7.5);
+      source.fillColumn(x0, x0Dot, *rows, one0);
+      source.fillColumn(x1, x1Dot, *rows, one1);
+      std::vector<double> two0(m, -7.5), two1(m, -7.5);
+      source.fillColumns(x0, x0Dot, x1, x1Dot, *rows, two0, two1);
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(two0[j], one0[j]) << "rows=" << rows->size() << " j=" << j;
+        EXPECT_EQ(two1[j], one1[j]) << "rows=" << rows->size() << " j=" << j;
+      }
+    }
+  }
+}
+
 TEST_P(KernelRowPropertyTest, WorkspaceRebindsAcrossDatasets) {
   const Kernel k(GetParam());
   RowWorkspace ws;
@@ -296,6 +359,41 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<KernelParams>& info) {
       return kernelName(info.param.type);
     });
+
+/// The dispatched tile passes (AVX2 on most hosts) must reproduce the
+/// portable passes bit for bit. The row counts cover one block, a ragged
+/// block, an odd block count for the one-query two-block sweep, and
+/// ragged last blocks after one and two full ones.
+TEST(TileKernelTest, DispatchedPassesMatchPortable) {
+  const std::size_t n = 7;
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<float> u(-2.0f, 2.0f);
+  std::vector<double> x0(n), x1(n);
+  for (double& v : x0) v = u(rng);
+  for (double& v : x1) v = u(rng);
+  for (std::size_t m : {1, 15, 16, 17, 31, 32, 33, 45}) {
+    std::vector<float> tiles(tile::blockCount(m) * n * tile::kRows);
+    for (float& v : tiles) v = u(rng);
+    std::vector<double> ref0(m), ref1(m), out0(m, -7.5), out1(m, -7.5);
+    tile::dotPortable(tiles.data(), x0.data(), m, n, ref0.data());
+    tile::dotPortable(tiles.data(), x1.data(), m, n, ref1.data());
+    tile::dotFn()(tiles.data(), x0.data(), m, n, out0.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(out0[j], ref0[j]) << "one-query m=" << m << " j=" << j;
+    }
+    std::vector<double> port0(m), port1(m);
+    tile::dot2Portable(tiles.data(), x0.data(), x1.data(), m, n, port0.data(),
+                       port1.data());
+    tile::dot2Fn()(tiles.data(), x0.data(), x1.data(), m, n, out0.data(),
+                   out1.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(port0[j], ref0[j]) << "portable pair m=" << m << " j=" << j;
+      EXPECT_EQ(port1[j], ref1[j]) << "portable pair m=" << m << " j=" << j;
+      EXPECT_EQ(out0[j], ref0[j]) << "two-query m=" << m << " j=" << j;
+      EXPECT_EQ(out1[j], ref1[j]) << "two-query m=" << m << " j=" << j;
+    }
+  }
+}
 
 /// The k-means, k-means++ and landmark scans take their distances from the
 /// tiled helper, so landmarks and partitions stay put only if it matches

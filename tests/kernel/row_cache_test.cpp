@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "casvm/data/synth.hpp"
 #include "casvm/support/error.hpp"
 
@@ -15,6 +17,40 @@ data::Dataset makeData(std::size_t rows = 30) {
   spec.seed = 21;
   return data::generateMixture(spec);
 }
+
+/// Exact rows, counting the fills the cache asks for.
+class CountingSource final : public RowSource {
+ public:
+  CountingSource(const Kernel& k, const data::Dataset& ds) : exact_(k, ds) {}
+  std::size_t rows() const override { return exact_.rows(); }
+  void fillRow(std::size_t i, std::span<double> out) override {
+    ++singles;
+    exact_.fillRow(i, out);
+  }
+  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
+                std::span<double> outJ) override {
+    ++pairs;
+    exact_.fillRows(i, j, outI, outJ);
+  }
+  void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
+                     std::span<double> out) override {
+    ++subsets;
+    exact_.fillRowSubset(i, active, out);
+  }
+  void fillDiagonal(std::span<double> out) override {
+    exact_.fillDiagonal(out);
+  }
+  bool preferFullFill(std::size_t activeCount) const override {
+    return exact_.preferFullFill(activeCount);
+  }
+
+  std::size_t singles = 0;
+  std::size_t pairs = 0;
+  std::size_t subsets = 0;
+
+ private:
+  ExactRowSource exact_;
+};
 
 TEST(RowCacheTest, ValuesMatchDirectEvaluation) {
   const auto ds = makeData();
@@ -215,6 +251,130 @@ TEST(RowCacheTest, InvalidatePartialDropsOnlyPartialRows) {
   for (std::size_t j : grown) {
     EXPECT_EQ(row[j], static_cast<float>(k.eval(ds, 5, j)));
   }
+}
+
+TEST(RowCacheTest, PairFetchFillsTwoMissesInOnePass) {
+  // Large enough that `few` stays under the full-fill cutoff.
+  const auto ds = makeData(48);
+  const Kernel k(KernelParams::gaussian(0.4));
+  CountingSource src(k, ds);
+  RowCache cache(src, 1 << 20);
+  const std::vector<std::size_t> few = {1, 4, 7};
+  (void)cache.row(3, few);  // a partial slot, upgraded by the pair below
+  const auto [a, b] = cache.rows(3, 8);
+  EXPECT_EQ(src.pairs, 1u);
+  EXPECT_EQ(src.singles, 0u);
+  EXPECT_EQ(cache.pairedFills(), 2u);
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.pinnedRows(), 2u);  // both returned pinned
+  for (std::size_t j = 0; j < ds.rows(); ++j) {
+    EXPECT_EQ(a[j], static_cast<float>(k.eval(ds, 3, j))) << "j=" << j;
+    EXPECT_EQ(b[j], static_cast<float>(k.eval(ds, 8, j))) << "j=" << j;
+  }
+  cache.unpin(3);
+  cache.unpin(8);
+  (void)cache.rows(8, 3);  // both cached now
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(src.pairs, 1u);
+  cache.unpin(8);
+  cache.unpin(3);
+  EXPECT_EQ(cache.pinnedRows(), 0u);
+}
+
+TEST(RowCacheTest, PairFetchNeverRecyclesItsFirstRow) {
+  // Two slots, one pinned by the caller: the pair's second claim must not
+  // take the slot just claimed for its first row. Like two single fetches
+  // with their pins, the cache grows past its budget instead.
+  const auto ds = makeData(12);
+  const Kernel k(KernelParams::gaussian(0.4));
+  RowCache cache(k, ds, 2 * ds.rows() * sizeof(float));
+  ASSERT_EQ(cache.capacityRows(), 2u);
+  (void)cache.row(0);
+  cache.pin(0);
+  const auto [a, b] = cache.rows(1, 2);
+  EXPECT_NE(cache.generation(1), 0u);
+  EXPECT_NE(cache.generation(2), 0u);
+  EXPECT_EQ(cache.pinnedRows(), 3u);
+  for (std::size_t j = 0; j < ds.rows(); ++j) {
+    EXPECT_EQ(a[j], static_cast<float>(k.eval(ds, 1, j))) << "j=" << j;
+    EXPECT_EQ(b[j], static_cast<float>(k.eval(ds, 2, j))) << "j=" << j;
+  }
+  cache.unpin(0);
+  cache.unpin(1);
+  cache.unpin(2);
+}
+
+/// One access script replayed on two caches of three rows: pair fetches
+/// on one, the solver's single fetch-and-pin sequence on the other. After
+/// every step they must agree on counts, pins, values and every row's
+/// generation (which rows are cached, in which fill order); the eviction
+/// pressure makes the LRU order show in the steps after.
+TEST(RowCacheTest, PairFetchMatchesTwoSingleFetches) {
+  const auto ds = makeData(48);
+  const Kernel k(KernelParams::gaussian(0.4));
+  const std::size_t budget = 3 * ds.rows() * sizeof(float);
+  CountingSource src(k, ds);
+  RowCache paired(src, budget);
+  RowCache single(k, ds, budget);
+  ASSERT_EQ(paired.capacityRows(), 3u);
+  std::vector<std::size_t> all(ds.rows());
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<std::size_t> few = {0, 3, 6, 9, 10};  // partial fills
+  const std::vector<std::size_t> many(all.begin(), all.begin() + 40);
+
+  struct Step {
+    std::size_t i, j;
+    const std::vector<std::size_t>* active;  // null: full-row reads
+  };
+  const Step script[] = {
+      {0, 1, nullptr},    // both miss: one pass
+      {0, 2, nullptr},    // first hits
+      {3, 1, nullptr},    // first's claim evicts second, then both fill
+      {4, 5, nullptr},    // both miss at capacity
+      {13, 13, nullptr},  // one row twice: a miss, then a hit
+      {6, 4, &few},       // partial fills stay single
+      {6, 7, nullptr},    // partial slot upgraded beside a miss
+      {8, 9, &many},      // full fills under an active set share a pass
+      {9, 10, &few},      // hit, then a partial fill
+      {10, 11, &few},     // partial hit, partial miss
+      {2, 12, nullptr},
+      {12, 2, nullptr},
+  };
+
+  for (const Step& st : script) {
+    const auto [pi, pj] = st.active != nullptr
+                              ? paired.rows(st.i, st.j, *st.active)
+                              : paired.rows(st.i, st.j);
+    const auto si = st.active != nullptr ? single.row(st.i, *st.active)
+                                         : single.row(st.i);
+    single.pin(st.i);
+    const auto sj = st.active != nullptr ? single.row(st.j, *st.active)
+                                         : single.row(st.j);
+    single.pin(st.j);
+
+    const std::string at =
+        "step (" + std::to_string(st.i) + ", " + std::to_string(st.j) + ")";
+    EXPECT_EQ(paired.hits(), single.hits()) << at;
+    EXPECT_EQ(paired.misses(), single.misses()) << at;
+    EXPECT_EQ(paired.partialFills(), single.partialFills()) << at;
+    EXPECT_EQ(paired.pinnedRows(), single.pinnedRows()) << at;
+    for (std::size_t r = 0; r < ds.rows(); ++r) {
+      EXPECT_EQ(paired.generation(r), single.generation(r))
+          << at << " row " << r;
+    }
+    for (std::size_t c : st.active != nullptr ? *st.active : all) {
+      EXPECT_EQ(pi[c], si[c]) << at << " c=" << c;
+      EXPECT_EQ(pj[c], sj[c]) << at << " c=" << c;
+    }
+    paired.unpin(st.i);
+    paired.unpin(st.j);
+    single.unpin(st.i);
+    single.unpin(st.j);
+  }
+  EXPECT_EQ(single.pairedFills(), 0u);
+  EXPECT_EQ(paired.pairedFills(), 2 * src.pairs);
+  EXPECT_EQ(src.pairs, 6u);
 }
 
 }  // namespace

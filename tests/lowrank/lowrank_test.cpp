@@ -362,6 +362,32 @@ kernel::KernelParams kernelFor(const std::string& tag) {
   throw Error("unknown kernel tag in test");
 }
 
+/// The Nyström source's pair fill is bitwise its two single fills, for
+/// factors of all four kernels over dense and CSR data.
+TEST(NystromTest, PairFillsMatchSingleFills) {
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, 199}, {17, 16}, {150, 3}, {5, 5}};
+  for (const bool sparse : {false, true}) {
+    const data::Dataset ds = makeData(sparse, 200);
+    for (const char* tag : {"linear", "gaussian", "polynomial", "sigmoid"}) {
+      SCOPED_TRACE(std::string(tag) + (sparse ? " csr" : " dense"));
+      const kernel::Kernel kern(kernelFor(tag));
+      LowRankKernel source(buildFactor(ds, kern, 24));
+      const std::size_t m = source.rows();
+      std::vector<double> rowI(m), rowJ(m), pairI(m), pairJ(m);
+      for (const auto& [i, j] : pairs) {
+        source.fillRow(i, rowI);
+        source.fillRow(j, rowJ);
+        source.fillRows(i, j, pairI, pairJ);
+        for (std::size_t c = 0; c < m; ++c) {
+          EXPECT_EQ(pairI[c], rowI[c]) << i << "," << j << " c=" << c;
+          EXPECT_EQ(pairJ[c], rowJ[c]) << i << "," << j << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
 class LowRankAccuracyTest : public ::testing::TestWithParam<AccuracyCase> {};
 
 std::string accuracyCaseName(

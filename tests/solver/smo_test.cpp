@@ -6,6 +6,7 @@
 
 #include "casvm/data/registry.hpp"
 #include "casvm/data/synth.hpp"
+#include "casvm/kernel/row_source.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::solver {
@@ -344,6 +345,79 @@ TEST(SmoDegenerateTest, AllAlphasAtBoundBothWays) {
   const SolverResult res = SmoSolver(opts).solve(ds, pinned);
   EXPECT_TRUE(std::isfinite(res.model.bias()));
   EXPECT_TRUE(std::isfinite(res.objective));
+}
+
+/// The exact kernel with every pair fill run as two single fills: the
+/// reference the solver's pair passes must match bit for bit.
+class TwoSingleFillsSource final : public kernel::RowSource {
+ public:
+  TwoSingleFillsSource(const kernel::Kernel& k, const data::Dataset& ds)
+      : exact_(k, ds) {}
+  std::size_t rows() const override { return exact_.rows(); }
+  void fillRow(std::size_t i, std::span<double> out) override {
+    exact_.fillRow(i, out);
+  }
+  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
+                std::span<double> outJ) override {
+    exact_.fillRow(i, outI);
+    exact_.fillRow(j, outJ);
+  }
+  void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
+                     std::span<double> out) override {
+    exact_.fillRowSubset(i, active, out);
+  }
+  void fillDiagonal(std::span<double> out) override {
+    exact_.fillDiagonal(out);
+  }
+  bool preferFullFill(std::size_t activeCount) const override {
+    return exact_.preferFullFill(activeCount);
+  }
+
+ private:
+  kernel::ExactRowSource exact_;
+};
+
+TEST(SmoPairFillTest, PairPassesChangeNoBit) {
+  // A 16-row cache, so both rows of an iteration often miss together.
+  struct Case {
+    Selection selection;
+    bool shrinking;
+  };
+  const Case cases[] = {{Selection::FirstOrder, false},
+                        {Selection::FirstOrder, true},
+                        {Selection::SecondOrder, false}};
+  for (const char* name : {"toy", "webspam"}) {  // dense, CSR
+    const auto nd = data::standin(name, 0.3);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(name) + " second-order=" +
+                   std::to_string(c.selection == Selection::SecondOrder) +
+                   " shrinking=" + std::to_string(c.shrinking));
+      SolverOptions opts = gaussianOptions(nd.suggestedGamma, nd.suggestedC);
+      opts.cacheBytes = 16 * nd.train.rows() * sizeof(float);
+      opts.selection = c.selection;
+      opts.shrinking = c.shrinking;
+      opts.shrinkInterval = 100;
+      const SolverResult paired = SmoSolver(opts).solve(nd.train);
+      const kernel::Kernel kern(opts.kernel);
+      TwoSingleFillsSource reference(kern, nd.train);
+      opts.rowSource = &reference;
+      const SolverResult single = SmoSolver(opts).solve(nd.train);
+
+      EXPECT_EQ(paired.alpha, single.alpha);
+      EXPECT_EQ(paired.iterations, single.iterations);
+      EXPECT_EQ(paired.objective, single.objective);
+      EXPECT_EQ(paired.kernelRowsComputed, single.kernelRowsComputed);
+      EXPECT_EQ(paired.kernelRowHits, single.kernelRowHits);
+      EXPECT_EQ(paired.kernelRowsPaired, single.kernelRowsPaired);
+      // Second-order selection picks iLow from rowHigh: never a pair.
+      if (c.selection == Selection::FirstOrder) {
+        EXPECT_GT(paired.kernelRowsPaired, 0u);
+      } else {
+        EXPECT_EQ(paired.kernelRowsPaired, 0u);
+      }
+      EXPECT_LE(paired.kernelRowsPaired, paired.kernelRowsComputed);
+    }
+  }
 }
 
 TEST(SmoShrinkingTest, ObjectiveMatchesShrinkingOff) {
