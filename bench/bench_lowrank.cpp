@@ -8,8 +8,9 @@
 //
 // The Nyström run wins because an approximate kernel row is a tile-dot
 // over r ≤ L columns with no transcendental per entry, while the exact
-// Gaussian row pays an n-wide dot plus an exp() per entry — so the gap
-// widens with the feature count and with the row volume the solver pulls.
+// Gaussian row pays an n-wide dot plus a kernel::exp per entry (the AVX2
+// row pass, four lanes at a time) — so the gap widens with the feature
+// count and with the row volume the solver pulls.
 //
 // Options:
 //   --samples <m>        training rows (default 100000; --smoke: 4000)

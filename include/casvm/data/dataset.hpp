@@ -72,6 +72,9 @@ class Dataset {
   /// Cached ||xi||^2.
   double selfDot(std::size_t i) const { return selfDots_[i]; }
 
+  /// Every row's cached ||xi||^2, by row.
+  std::span<const double> selfDots() const { return selfDots_; }
+
   /// ||xi - xj||^2 via the cached norms.
   double squaredDistance(std::size_t i, std::size_t j) const {
     return selfDots_[i] + selfDots_[j] - 2.0 * dot(i, j);

@@ -156,14 +156,18 @@ class Kernel {
   /// Approximate flops for one kernel evaluation (used for modeling).
   double flopsPerEval(const data::Dataset& ds) const;
 
+  /// Apply the kernel transform in place to raw dot products against one
+  /// query with squared norm `selfX`: out[j] = K given out[j] = x_j . x
+  /// and selfDots[j] = ||x_j||^2, for j < selfDots.size(). One KernelType
+  /// dispatch per call; Gaussian values come from kernel::exp's row pass.
+  /// Bit for bit what eval/evalWith return for the same dot and norms —
+  /// every row fill and serving's batch scoring run through it.
+  void transformDots(std::span<const double> selfDots, double selfX,
+                     std::span<double> out) const;
+
  private:
   double fromDot(double dot, double selfI, double selfJ) const;
 
-  /// Apply the kernel transform in place over a row of raw dot products
-  /// against a query with squared norm `selfX` (one KernelType dispatch
-  /// per row, not per element).
-  void transformRow(const data::Dataset& ds, double selfX,
-                    std::span<double> out) const;
   void transformSubset(const data::Dataset& ds, std::size_t i,
                        std::span<const std::size_t> subset,
                        std::span<double> out) const;

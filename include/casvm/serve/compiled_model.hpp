@@ -17,9 +17,10 @@
 /// over ascending feature index into one double with multiplies kept
 /// separate from adds, exactly like Dataset::dot/dotWith; products at
 /// features where one side is zero contribute ±0.0, which never changes a
-/// running sum that started at +0.0. The kernel transform and the
-/// bias + sum_s alphaY[s]*K_s reduction replicate the scalar operation
-/// order element for element.
+/// running sum that started at +0.0. The kernel transform is the kernel
+/// layer's own (Kernel::transformDots over the SV self-norms, with
+/// Gaussian values from kernel::exp), and the bias + sum_s alphaY[s]*K_s
+/// reduction replicates the scalar operation order element for element.
 ///
 /// Scoring is const and thread-safe; per-call scratch is caller-owned
 /// (one BatchScratch per worker thread).
@@ -59,6 +60,7 @@ class CompiledSvSet {
   bool empty() const { return count_ == 0; }
   bool dense() const { return dense_; }
   double selfDot(std::size_t s) const { return selfDots_[s]; }
+  std::span<const double> selfDots() const { return selfDots_; }
 
   /// kval[0..size) = xs . query, where the query is row i of `ds`
   /// (densified into scratch.xd first; works for dense and sparse queries).
@@ -84,12 +86,6 @@ class CompiledSvSet {
   std::vector<std::uint32_t> colIdx_;
   std::vector<float> vals_;
 };
-
-/// Apply the kernel transform in place over raw SV dots for one query:
-/// kval[s] = K(sv_s, q) given dot(sv_s, q), ||sv_s||^2 and ||q||^2.
-/// Operation order matches kernel::Kernel::fromDot element for element.
-void transformDots(const kernel::KernelParams& params, const CompiledSvSet& svs,
-                   double querySelfDot, std::span<double> kval);
 
 /// A binary SVM model compiled for batch scoring (see file comment).
 class CompiledModel {

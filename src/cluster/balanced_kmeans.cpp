@@ -1,5 +1,6 @@
 #include "casvm/cluster/balanced_kmeans.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -14,31 +15,44 @@ std::size_t ceilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 /// Algorithm 5's migration loop over one class bucket: move the farthest
 /// sample of each over-loaded center to the nearest under-loaded center.
-/// `eligible(i)` filters the samples that belong to the bucket; `quota` is
-/// the per-center capacity for that bucket; `load` its current counts.
+/// `dist` is the m x P distance matrix, row-major; `eligible(i)` filters
+/// the samples that belong to the bucket; `quota` is the per-center
+/// capacity for that bucket; `load` its current counts.
+///
+/// Moves go only to centers below quota and never lift one past it, so an
+/// over-loaded center gains no member while it waits and only loses
+/// members while it is processed. Its eligible members are therefore
+/// sorted once, farthest first (a stable sort from ascending index, so a
+/// tie goes to the lowest index), and taken in that order: the moves and
+/// their order are those of rescanning for the farthest member before
+/// every move, in O(m log m) rather than O(moves * m).
 template <class EligibleFn>
 std::size_t rebalanceBucket(const data::Dataset& ds,
-                            const std::vector<std::vector<double>>& dist,
+                            const std::vector<double>& dist,
                             std::vector<int>& assign,
                             std::vector<std::size_t>& load,
                             const std::vector<std::size_t>& quota,
                             EligibleFn eligible) {
   const int parts = static_cast<int>(quota.size());
+  const auto p = quota.size();
   std::size_t moves = 0;
+  std::vector<std::size_t> members;
   for (int j = 0; j < parts; ++j) {
     const auto uj = static_cast<std::size_t>(j);
-    while (load[uj] > quota[uj]) {
-      // Farthest eligible sample still assigned to center j (lines 14-17).
-      double maxDist = -1.0;
-      std::size_t maxInd = ds.rows();
-      for (std::size_t i = 0; i < ds.rows(); ++i) {
-        if (assign[i] != j || !eligible(i)) continue;
-        if (dist[i][uj] > maxDist) {
-          maxDist = dist[i][uj];
-          maxInd = i;
-        }
-      }
-      CASVM_ASSERT(maxInd < ds.rows(), "over-loaded center has no samples");
+    if (load[uj] <= quota[uj]) continue;
+    // Eligible samples assigned to center j, farthest first (lines 14-17).
+    members.clear();
+    for (std::size_t i = 0; i < ds.rows(); ++i) {
+      if (assign[i] == j && eligible(i)) members.push_back(i);
+    }
+    std::stable_sort(members.begin(), members.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return dist[a * p + uj] > dist[b * p + uj];
+                     });
+    for (std::size_t next = 0; load[uj] > quota[uj]; ++next) {
+      CASVM_ASSERT(next < members.size(), "over-loaded center has no samples");
+      const std::size_t maxInd = members[next];
+      const double* di = dist.data() + maxInd * p;
 
       // Nearest under-loaded center for that sample (lines 18-24).
       double minDist = std::numeric_limits<double>::infinity();
@@ -46,8 +60,8 @@ std::size_t rebalanceBucket(const data::Dataset& ds,
       for (int c = 0; c < parts; ++c) {
         const auto uc = static_cast<std::size_t>(c);
         if (load[uc] >= quota[uc]) continue;
-        if (dist[maxInd][uc] < minDist) {
-          minDist = dist[maxInd][uc];
+        if (di[uc] < minDist) {
+          minDist = di[uc];
           minInd = c;
         }
       }
@@ -76,13 +90,13 @@ std::size_t rebalance(const data::Dataset& ds, Partition& partition,
   for (std::size_t c = 0; c < p; ++c) {
     for (float v : partition.centers[c]) centerSelf[c] += double(v) * double(v);
   }
-  std::vector<std::vector<double>> dist(m, std::vector<double>(p));
+  std::vector<double> dist(m * p);
   kernel::RowWorkspace ws;
   std::vector<double> column(m);
   for (std::size_t c = 0; c < p; ++c) {
     kernel::squaredDistances(ds, partition.centers[c], centerSelf[c], column,
                              ws);
-    for (std::size_t i = 0; i < m; ++i) dist[i][c] = column[i];
+    for (std::size_t i = 0; i < m; ++i) dist[i * p + c] = column[i];
   }
 
   std::size_t moves = 0;

@@ -62,7 +62,7 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
   const solver::SolverOptions& opts = ctx.config.solver;
   const double cPos = opts.C * opts.positiveWeight;
   const double cNeg = opts.C * opts.negativeWeight;
-  const double boundEps = kGlobalBoundSlack * std::max(cPos, cNeg);
+  const double boundEps = solver::kBoundSlack * std::max(cPos, cNeg);
   const double tau = opts.tolerance;
   const kernel::Kernel kern(opts.kernel);
   const std::size_t mLocal = local.rows();
@@ -301,10 +301,10 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
         const std::int8_t y = local.label(k);
         const double a = alpha[k];
         const double ck = prob.boxOf(k);
-        if (globalInHighSet(y, a, ck, boundEps)) {
+        if (solver::inHighSet(y, a, ck, boundEps)) {
           sHighLocal = std::min(sHighLocal, f[k]);
         }
-        if (globalInLowSet(y, a, ck, boundEps)) {
+        if (solver::inLowSet(y, a, ck, boundEps)) {
           sLowLocal = std::max(sLowLocal, f[k]);
         }
       }

@@ -2,20 +2,21 @@
 
 // Shared machinery of the global methods (Dis-SMO, Dis-SMO + shrinking,
 // PBM): the (rank, local index) election encoding, the elected-sample
-// metadata that travels with each broadcast, the per-class box-membership
-// predicates mirroring src/solver/smo.cpp, the distributed finite-bias
+// metadata that travels with each broadcast, the distributed finite-bias
 // fallback, the replicated row store, and globalPairStep — the one
 // Dis-SMO iteration. runDisSmo loops over it under its own snapshot,
 // shrink and unshrink policy; PBM runs it as its cross-block correction.
-// Every exact kernel column K(local rows, x) the global methods compute
-// comes from the kernel layer's ExactRowSource::fillColumn (the pair
-// step's two columns from fillColumns, in one pass), and every exact
-// kernel value they step on is rounded as the serial solver's row cache
-// stores it (kernel::asCached), so P = 1 Dis-SMO walks the serial solver's
-// trajectory. The Nyström z-dots are computed fresh each step, never
-// cached, and stay double. Everything here
-// is collective-safe by construction: every decision derives from
-// allreduce or broadcast results, so all ranks take identical branches.
+// The index sets and their bound slack are the serial solver's
+// (casvm/solver/working_set.hpp). Every exact kernel column
+// K(local rows, x) the global methods compute comes from the kernel
+// layer's ExactRowSource::fillColumn (the pair step's two columns from
+// fillColumns, in one pass), and every exact kernel value they step on is
+// rounded as the serial solver's row cache stores it (kernel::asCached),
+// so P = 1 Dis-SMO walks the serial solver's trajectory. The Nyström
+// z-dots are computed fresh each step, never cached, and stay double.
+// Everything here is collective-safe by construction: every decision
+// derives from allreduce or broadcast results, so all ranks take
+// identical branches.
 
 #include <algorithm>
 #include <cmath>
@@ -30,6 +31,7 @@
 #include "casvm/kernel/row_source.hpp"
 #include "casvm/lowrank/nystrom.hpp"
 #include "casvm/net/comm.hpp"
+#include "casvm/solver/working_set.hpp"
 
 namespace casvm::core::detail {
 
@@ -38,28 +40,12 @@ inline constexpr double kGlobalInf = std::numeric_limits<double>::infinity();
 /// Encodes (rank, local index) into the 63-bit index of a ValIdx reduction.
 inline constexpr long long kRankStride = 1LL << 40;
 
-/// Relative slack treating alphas within eps of a box bound as *at* the
-/// bound (same constant as the serial solver's kBoundSlack).
-inline constexpr double kGlobalBoundSlack = 1e-10;
-
 /// Metadata broadcast with each elected sample.
 struct ElectedMeta {
   double alpha;
   double selfDot;
   double y;
 };
-
-/// Membership in the high set under the per-class box `ci`.
-inline bool globalInHighSet(std::int8_t y, double alpha, double ci,
-                            double eps) {
-  return (y == 1 && alpha < ci - eps) || (y == -1 && alpha > eps);
-}
-
-/// Membership in the low set: mirror condition for the lower threshold.
-inline bool globalInLowSet(std::int8_t y, double alpha, double ci,
-                           double eps) {
-  return (y == 1 && alpha > eps) || (y == -1 && alpha < ci - eps);
-}
 
 /// The one global dual problem the ranks cooperate on: the local block,
 /// the kernel, the per-class boxes and, under the Nyström backend, the
@@ -308,11 +294,11 @@ inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
     const std::int8_t y = local.label(i);
     const double a = alpha[i];
     const double ci = p.boxOf(i);
-    if (globalInHighSet(y, a, ci, p.boundEps) && f[i] < localHigh) {
+    if (solver::inHighSet(y, a, ci, p.boundEps) && f[i] < localHigh) {
       localHigh = f[i];
       localHighIdx = rank * kRankStride + static_cast<long long>(i);
     }
-    if (globalInLowSet(y, a, ci, p.boundEps) && f[i] > localLow) {
+    if (solver::inLowSet(y, a, ci, p.boundEps) && f[i] > localLow) {
       localLow = f[i];
       localLowIdx = rank * kRankStride + static_cast<long long>(i);
     }

@@ -71,7 +71,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   const solver::SolverOptions& opts = ctx.config.solver;
   const double cPos = opts.C * opts.positiveWeight;
   const double cNeg = opts.C * opts.negativeWeight;
-  const double boundEps = kGlobalBoundSlack * std::max(cPos, cNeg);
+  const double boundEps = solver::kBoundSlack * std::max(cPos, cNeg);
   const double tau = opts.tolerance;
   const kernel::Kernel kern(opts.kernel);
   const std::size_t mLocal = local.rows();

@@ -336,7 +336,8 @@ void CompiledMulticlassModel::predictBatch(const data::Dataset& ds,
       if (!pool_.empty()) {
         // One kernel row over the deduplicated pool serves every pair.
         pool_.dotRow(ds, i, scratch.kval, scratch);
-        transformDots(params_, pool_, ds.selfDot(i), scratch.kval);
+        kernel::Kernel(params_).transformDots(pool_.selfDots(), ds.selfDot(i),
+                                              scratch.kval);
       }
       for (std::size_t p = 0; p < pairs; ++p) {
         const PairRef& ref = pairRefs_[p];

@@ -1,7 +1,6 @@
 #include "casvm/serve/compiled_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
@@ -84,32 +83,6 @@ void CompiledSvSet::dotVector(std::span<const float> x, std::span<double> kval,
   dotAgainstScratch(kval, scratch);
 }
 
-void transformDots(const kernel::KernelParams& params, const CompiledSvSet& svs,
-                   double querySelfDot, std::span<double> kval) {
-  const std::size_t m = svs.size();
-  switch (params.type) {
-    case kernel::KernelType::Linear:
-      break;
-    case kernel::KernelType::Polynomial:
-      for (std::size_t s = 0; s < m; ++s) {
-        kval[s] = std::pow(params.a * kval[s] + params.r, params.degree);
-      }
-      break;
-    case kernel::KernelType::Gaussian:
-      for (std::size_t s = 0; s < m; ++s) {
-        // Same order as Kernel::fromDot: selfI (SV) + selfJ (query) first.
-        const double d2 = svs.selfDot(s) + querySelfDot - 2.0 * kval[s];
-        kval[s] = std::exp(-params.gamma * (d2 > 0.0 ? d2 : 0.0));
-      }
-      break;
-    case kernel::KernelType::Sigmoid:
-      for (std::size_t s = 0; s < m; ++s) {
-        kval[s] = std::tanh(params.a * kval[s] + params.r);
-      }
-      break;
-  }
-}
-
 CompiledModel::CompiledModel(kernel::KernelParams params,
                              const data::Dataset& svs,
                              std::vector<double> alphaY, double bias)
@@ -139,7 +112,8 @@ void CompiledModel::decisionBatch(const data::Dataset& ds,
   for (std::size_t j = 0; j < rows.size(); ++j) {
     const std::size_t i = rows[j];
     svs_.dotRow(ds, i, scratch.kval, scratch);
-    transformDots(params_, svs_, ds.selfDot(i), scratch.kval);
+    kernel::Kernel(params_).transformDots(svs_.selfDots(), ds.selfDot(i),
+                                          scratch.kval);
     out[j] = reduce(scratch.kval);
   }
 }
@@ -154,7 +128,8 @@ void CompiledModel::decisionAll(const data::Dataset& ds, std::span<double> out,
   scratch.kval.resize(svs_.size());
   for (std::size_t i = 0; i < ds.rows(); ++i) {
     svs_.dotRow(ds, i, scratch.kval, scratch);
-    transformDots(params_, svs_, ds.selfDot(i), scratch.kval);
+    kernel::Kernel(params_).transformDots(svs_.selfDots(), ds.selfDot(i),
+                                          scratch.kval);
     out[i] = reduce(scratch.kval);
   }
 }
@@ -167,7 +142,7 @@ double CompiledModel::decision(std::span<const float> x,
   for (float v : x) xSelf += double(v) * double(v);
   scratch.kval.resize(svs_.size());
   svs_.dotVector(x, scratch.kval, scratch);
-  transformDots(params_, svs_, xSelf, scratch.kval);
+  kernel::Kernel(params_).transformDots(svs_.selfDots(), xSelf, scratch.kval);
   return reduce(scratch.kval);
 }
 

@@ -8,6 +8,7 @@
 
 #include "casvm/kernel/row_cache.hpp"
 #include "casvm/obs/trace.hpp"
+#include "casvm/solver/working_set.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/timer.hpp"
 
@@ -17,22 +18,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEtaFloor = 1e-12;
-
-/// Relative slack treating alphas within eps of a box bound as *at* the
-/// bound. Without this, an alpha at C - 1e-17 keeps its sample in the high
-/// set while leaving the two-variable step no room to move, and the solver
-/// spins on an unmovable pair.
-constexpr double kBoundSlack = 1e-10;
-
-/// Membership in the high set: can f_i still decrease the upper threshold?
-inline bool inHighSet(std::int8_t y, double alpha, double ci, double eps) {
-  return (y == 1 && alpha < ci - eps) || (y == -1 && alpha > eps);
-}
-
-/// Membership in the low set: mirror condition for the lower threshold.
-inline bool inLowSet(std::int8_t y, double alpha, double ci, double eps) {
-  return (y == 1 && alpha > eps) || (y == -1 && alpha < ci - eps);
-}
 
 }  // namespace
 
@@ -143,6 +128,20 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     startIter = options_.resumeFrom->iteration;
   }
 
+  // One high-set and one low-set membership byte per sample, kept equal to
+  // the index-set predicates for every active sample and zero for every
+  // shrunk one, so a selection is one dense pass over f (see
+  // working_set.hpp). Derived from alpha and the active set, so a resume
+  // rebuilds them and the snapshot carries nothing new.
+  std::vector<std::uint8_t> inHigh(m, 0), inLow(m, 0);
+  auto setMembership = [&](std::size_t i) {
+    const std::int8_t y = ds.label(i);
+    inHigh[i] = inHighSet(y, alpha[i], boxOf(i), boundEps);
+    inLow[i] = inLowSet(y, alpha[i], boxOf(i), boundEps);
+  };
+  for (std::size_t i : active) setMembership(i);
+  const SelectFn select = selectFn();
+
   // Kernel row fetch for the current iteration: while shrunk, evicted-row
   // refills only compute the active entries (the gradient update and the
   // selection scans never read outside the active set).
@@ -179,6 +178,7 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     }
     active.resize(m);
     std::iota(active.begin(), active.end(), 0);
+    for (std::size_t i = 0; i < m; ++i) setMembership(i);
   };
 
   std::size_t iter = startIter;
@@ -203,23 +203,12 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
       options_.snapshotSink(snap);
     }
 
-    // Working-set selection: the maximal violating pair over the active set.
-    std::size_t iHigh = m, iLow = m;
-    bHigh = kInf;
-    bLow = -kInf;
-    for (std::size_t i : active) {
-      const std::int8_t y = ds.label(i);
-      const double a = alpha[i];
-      const double ci = boxOf(i);
-      if (inHighSet(y, a, ci, boundEps) && f[i] < bHigh) {
-        bHigh = f[i];
-        iHigh = i;
-      }
-      if (inLowSet(y, a, ci, boundEps) && f[i] > bLow) {
-        bLow = f[i];
-        iLow = i;
-      }
-    }
+    // Working-set selection: the maximal violating pair over the active
+    // set (shrunk samples have no membership bytes), in one masked pass.
+    const PairPick pick = select(f.data(), inHigh.data(), inLow.data(), m);
+    std::size_t iHigh = pick.high, iLow = pick.low;
+    bHigh = pick.bHigh;
+    bLow = pick.bLow;
 
     if (iHigh == m || iLow == m || bLow <= bHigh + 2.0 * tau) {
       // Converged over the active set. If anything was shrunk away, bring
@@ -264,7 +253,7 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
       double bestGain = -kInf;
       std::size_t bestJ = m;
       for (std::size_t j : active) {
-        if (!inLowSet(ds.label(j), alpha[j], boxOf(j), boundEps)) continue;
+        if (inLow[j] == 0) continue;
         const double diff = f[j] - bHigh;
         if (diff <= 2.0 * tau) continue;
         double eta = kHigh + diag[j] - 2.0 * double(rowHigh[j]);
@@ -336,16 +325,26 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     if (aHighNew > cHigh - boundEps) aHighNew = cHigh;
     alpha[iLow] = aLowNew;
     alpha[iHigh] = aHighNew;
+    setMembership(iLow);
+    setMembership(iHigh);
 
-    // Gradient update with the two cached rows (eqn. 5), active rows only.
-    // The generation checks turn a span whose backing row was recycled — a
-    // pinning-contract violation — into an immediate assertion failure.
+    // Gradient update with the two cached rows (eqn. 5), active rows only:
+    // a dense loop over the whole problem, or over `active` while shrunk,
+    // where partial rows are valid only there. The generation checks turn
+    // a span whose backing row was recycled — a pinning-contract violation
+    // — into an immediate assertion failure.
     cache.checkLive(iHigh, genHigh);
     cache.checkLive(iLow, genLow);
     const double coefHigh = dHigh * double(yHigh);
     const double coefLow = dLow * double(yLow);
-    for (std::size_t k : active) {
-      f[k] += coefHigh * double(rowHigh[k]) + coefLow * double(rowLow[k]);
+    if (active.size() == m) {
+      for (std::size_t k = 0; k < m; ++k) {
+        f[k] += coefHigh * double(rowHigh[k]) + coefLow * double(rowLow[k]);
+      }
+    } else {
+      for (std::size_t k : active) {
+        f[k] += coefHigh * double(rowHigh[k]) + coefLow * double(rowLow[k]);
+      }
     }
     cache.unpin(iHigh);
     cache.unpin(iLow);
@@ -357,14 +356,8 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
       // bHigh/bLow are stale: filtering with them can shrink a sample the
       // update made violating, stalling convergence until the unshrink
       // rescue. Recompute the thresholds over the post-update gradient.
-      double sHigh = kInf, sLow = -kInf;
-      for (std::size_t k : active) {
-        const std::int8_t y = ds.label(k);
-        const double a = alpha[k];
-        const double ck = boxOf(k);
-        if (inHighSet(y, a, ck, boundEps)) sHigh = std::min(sHigh, f[k]);
-        if (inLowSet(y, a, ck, boundEps)) sLow = std::max(sLow, f[k]);
-      }
+      const PairPick post = select(f.data(), inHigh.data(), inLow.data(), m);
+      const double sHigh = post.bHigh, sLow = post.bLow;
       const auto keep = [&](std::size_t i) {
         const std::int8_t y = ds.label(i);
         const double a = alpha[i];
@@ -388,6 +381,13 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
         }
         // Never shrink below a workable core.
         if (stillActive.size() >= 2 && stillActive.size() < active.size()) {
+          // The samples dropped here leave both index sets.
+          for (std::size_t i : active) {
+            if (!keep(i)) {
+              inHigh[i] = 0;
+              inLow[i] = 0;
+            }
+          }
           active = std::move(stillActive);
           everShrunk = true;
         }

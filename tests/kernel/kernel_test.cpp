@@ -360,6 +360,31 @@ INSTANTIATE_TEST_SUITE_P(
       return kernelName(info.param.type);
     });
 
+/// Gaussian subset fills gather their exponents in blocks for the vector
+/// exp pass; a subset spanning several blocks, with a ragged last one,
+/// still reproduces eval bit for bit and leaves other entries alone.
+TEST(KernelSubsetTest, GaussianSubsetAcrossExpBlocksMatchesEval) {
+  data::MixtureSpec spec;
+  spec.samples = 300;
+  spec.features = 5;
+  spec.clusters = 2;
+  spec.seed = 3;
+  const data::Dataset ds = data::generateMixture(spec);
+  const Kernel k(KernelParams::gaussian(0.4));
+  std::vector<std::size_t> subset;
+  for (std::size_t j = 1; j < ds.rows(); j += 2) subset.push_back(j);
+  std::vector<double> row(ds.rows(), -7.5);
+  RowWorkspace ws;
+  k.row(ds, 5, subset, row, ws);
+  for (std::size_t j = 0; j < ds.rows(); ++j) {
+    if (j % 2 == 1) {
+      EXPECT_EQ(row[j], k.eval(ds, 5, j)) << "j=" << j;
+    } else {
+      EXPECT_EQ(row[j], -7.5) << "entry outside subset touched, j=" << j;
+    }
+  }
+}
+
 /// The dispatched tile passes (AVX2 on most hosts) must reproduce the
 /// portable passes bit for bit. The row counts cover one block, a ragged
 /// block, an odd block count for the one-query two-block sweep, and
