@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -169,7 +170,7 @@ class TraceRecorder {
   /// are re-interned into recorder-owned storage (the shard's `name`
   /// pointers belonged to another process); malformed input throws
   /// casvm::Error.
-  void absorbShard(const std::vector<std::byte>& shard);
+  void absorbShard(std::span<const std::byte> shard);
 
  private:
   /// Recorder-owned copy of `name`, deduplicated; valid for the

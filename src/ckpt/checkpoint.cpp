@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/checksum.hpp"
 
 namespace casvm::ckpt {
@@ -30,49 +31,32 @@ bool knownKind(std::uint32_t k) {
 
 std::vector<std::byte> encodeFrame(Kind kind,
                                    std::span<const std::byte> payload) {
-  std::vector<std::byte> out(kHeaderBytes + payload.size());
-  std::byte* p = out.data();
-  std::memcpy(p, kMagic, sizeof(kMagic));
-  p += sizeof(kMagic);
-  const std::uint32_t version = kFormatVersion;
-  std::memcpy(p, &version, sizeof(version));
-  p += sizeof(version);
-  const std::uint32_t k = static_cast<std::uint32_t>(kind);
-  std::memcpy(p, &k, sizeof(k));
-  p += sizeof(k);
-  const std::uint64_t size = payload.size();
-  std::memcpy(p, &size, sizeof(size));
-  p += sizeof(size);
-  const std::uint32_t crc = support::crc32(payload);
-  std::memcpy(p, &crc, sizeof(crc));
-  p += sizeof(crc);
-  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
-  return out;
+  support::ByteWriter w(kHeaderBytes + payload.size());
+  w.array(kMagic);
+  w.scalar(kFormatVersion);
+  w.scalar(static_cast<std::uint32_t>(kind));
+  w.scalar<std::uint64_t>(payload.size());
+  w.scalar(support::crc32(payload));
+  w.array(payload);
+  return w.take();
 }
 
 std::optional<Frame> decodeFrame(std::span<const std::byte> bytes) {
   if (bytes.size() < kHeaderBytes) return std::nullopt;  // short read
-  const std::byte* p = bytes.data();
-  if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) return std::nullopt;
-  p += sizeof(kMagic);
-  std::uint32_t version = 0;
-  std::memcpy(&version, p, sizeof(version));
-  p += sizeof(version);
-  if (version != kFormatVersion) return std::nullopt;
-  std::uint32_t kindRaw = 0;
-  std::memcpy(&kindRaw, p, sizeof(kindRaw));
-  p += sizeof(kindRaw);
-  if (!knownKind(kindRaw)) return std::nullopt;
-  std::uint64_t size = 0;
-  std::memcpy(&size, p, sizeof(size));
-  p += sizeof(size);
+  support::ByteReader r(bytes, "checkpoint frame");
+  const std::span<const std::byte> magic = r.view(sizeof(kMagic));
+  const auto version = r.scalar<std::uint32_t>();
+  const auto kindRaw = r.scalar<std::uint32_t>();
+  const auto size = r.scalar<std::uint64_t>();
+  const auto crc = r.scalar<std::uint32_t>();
+  const std::span<const std::byte> payload = r.rest();
   // The declared size must match the actual file length exactly: a frame
   // with trailing garbage is as suspect as a truncated one.
-  if (size != bytes.size() - kHeaderBytes) return std::nullopt;
-  std::uint32_t crc = 0;
-  std::memcpy(&crc, p, sizeof(crc));
-  const std::span<const std::byte> payload = bytes.subspan(kHeaderBytes);
-  if (support::crc32(payload) != crc) return std::nullopt;
+  if (std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0 ||
+      version != kFormatVersion || !knownKind(kindRaw) ||
+      size != payload.size() || support::crc32(payload) != crc) {
+    return std::nullopt;
+  }
   Frame frame;
   frame.kind = static_cast<Kind>(kindRaw);
   frame.payload.assign(payload.begin(), payload.end());

@@ -1,170 +1,105 @@
 #include "board_codec.hpp"
 
 #include <cstdint>
-#include <cstring>
 
 #include "casvm/ckpt/state.hpp"
-#include "casvm/support/error.hpp"
+#include "casvm/support/bytes.hpp"
 
 namespace casvm::core::detail {
 
-namespace {
-
-template <typename T>
-void putScalar(std::vector<std::byte>& out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-void putBlob(std::vector<std::byte>& out, const std::vector<std::byte>& blob) {
-  putScalar(out, static_cast<std::uint64_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-template <typename T>
-void putVec(std::vector<std::byte>& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  putScalar(out, static_cast<std::uint64_t>(v.size()));
-  const std::size_t off = out.size();
-  out.resize(off + v.size() * sizeof(T));
-  if (!v.empty()) {
-    std::memcpy(out.data() + off, v.data(), v.size() * sizeof(T));
-  }
-}
-
-struct Cursor {
-  const std::vector<std::byte>& buf;
-  std::size_t off = 0;
-
-  template <typename T>
-  T scalar() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    CASVM_CHECK(off + sizeof(T) <= buf.size(), "board slot payload truncated");
-    T v;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    off += sizeof v;
-    return v;
-  }
-
-  std::vector<std::byte> blob() {
-    const auto len = scalar<std::uint64_t>();
-    CASVM_CHECK(off + len <= buf.size(), "board slot payload truncated");
-    std::vector<std::byte> b(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                             buf.begin() +
-                                 static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    return b;
-  }
-
-  template <typename T>
-  std::vector<T> vec() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto len = scalar<std::uint64_t>();
-    CASVM_CHECK(off + len * sizeof(T) <= buf.size(),
-                "board slot payload truncated");
-    std::vector<T> v(len);
-    if (len > 0) std::memcpy(v.data(), buf.data() + off, len * sizeof(T));
-    off += len * sizeof(T);
-    return v;
-  }
-};
-
-}  // namespace
-
 std::vector<std::byte> encodeBoardSlot(const RankBoard& board, int rank) {
   const auto r = static_cast<std::size_t>(rank);
-  std::vector<std::byte> out;
+  support::ByteWriter w;
 
   // The model rides the checkpoint layer's exact sub-model codec.
   ckpt::SubModelState sub;
   sub.model = board.models[r];
   sub.iterations = board.iterations[r];
   sub.svs = board.svs[r];
-  putBlob(out, ckpt::encodeSubModel(sub));
+  w.vec(ckpt::encodeSubModel(sub));
 
-  putVec(out, board.alphas[r]);
-  putVec(out, board.centers[r]);
-  putScalar(out, board.samples[r]);
-  putScalar(out, board.positives[r]);
-  putScalar(out, board.initEndVirtual[r]);
-  putScalar(out, board.trainEndVirtual[r]);
-  putScalar(out, static_cast<std::uint64_t>(board.kmeansLoops[r]));
+  w.vec(board.alphas[r]);
+  w.vec(board.centers[r]);
+  w.scalar(board.samples[r]);
+  w.scalar(board.positives[r]);
+  w.scalar(board.initEndVirtual[r]);
+  w.scalar(board.trainEndVirtual[r]);
+  w.scalar<std::uint64_t>(board.kmeansLoops[r]);
 
   const auto& layers = board.layerRecords[r];
-  putScalar(out, static_cast<std::uint64_t>(layers.size()));
+  w.scalar<std::uint64_t>(layers.size());
   for (const RankBoard::LayerRecord& rec : layers) {
-    putScalar(out, static_cast<std::int32_t>(rec.layer));
-    putScalar(out, rec.samples);
-    putScalar(out, rec.iterations);
-    putScalar(out, rec.svs);
-    putScalar(out, rec.seconds);
+    w.scalar<std::int32_t>(rec.layer);
+    w.scalar(rec.samples);
+    w.scalar(rec.iterations);
+    w.scalar(rec.svs);
+    w.scalar(rec.seconds);
   }
 
-  putScalar(out, static_cast<std::int32_t>(board.retries[r]));
-  putScalar(out, static_cast<std::uint8_t>(board.recovered[r]));
-  putScalar(out, board.checkpointsLoaded[r]);
-  putScalar(out, board.auxIterations[r]);
-  putScalar(out, board.shrinkEngagedIter[r]);
-  putScalar(out, board.rowBcastsSkipped[r]);
+  w.scalar<std::int32_t>(board.retries[r]);
+  w.scalar<std::uint8_t>(board.recovered[r]);
+  w.scalar(board.checkpointsLoaded[r]);
+  w.scalar(board.auxIterations[r]);
+  w.scalar(board.shrinkEngagedIter[r]);
+  w.scalar(board.rowBcastsSkipped[r]);
 
   // The init/train-boundary traffic snapshot (rank 0 fills it inside the
   // instrumentation fence; everyone else ships an empty one).
-  putScalar(out, static_cast<std::int32_t>(board.initSnapshot.size));
-  putVec(out, board.initSnapshot.bytes);
-  putVec(out, board.initSnapshot.ops);
-  return out;
+  w.scalar<std::int32_t>(board.initSnapshot.size);
+  w.vec(board.initSnapshot.bytes);
+  w.vec(board.initSnapshot.ops);
+  return w.take();
 }
 
 void absorbBoardSlot(RankBoard& board, int rank,
-                     const std::vector<std::byte>& bytes) {
+                     std::span<const std::byte> bytes) {
   const auto r = static_cast<std::size_t>(rank);
-  Cursor cur{bytes};
+  support::ByteReader in(bytes, "board slot");
 
-  const ckpt::SubModelState sub = ckpt::decodeSubModel(cur.blob());
+  const ckpt::SubModelState sub = ckpt::decodeSubModel(in.bytes());
   board.models[r] = sub.model;
   board.iterations[r] = sub.iterations;
   board.svs[r] = sub.svs;
 
-  board.alphas[r] = cur.vec<double>();
-  board.centers[r] = cur.vec<float>();
-  board.samples[r] = cur.scalar<long long>();
-  board.positives[r] = cur.scalar<long long>();
-  board.initEndVirtual[r] = cur.scalar<double>();
-  board.trainEndVirtual[r] = cur.scalar<double>();
-  board.kmeansLoops[r] =
-      static_cast<std::size_t>(cur.scalar<std::uint64_t>());
+  board.alphas[r] = in.vec<double>();
+  board.centers[r] = in.vec<float>();
+  board.samples[r] = in.scalar<long long>();
+  board.positives[r] = in.scalar<long long>();
+  board.initEndVirtual[r] = in.scalar<double>();
+  board.trainEndVirtual[r] = in.scalar<double>();
+  board.kmeansLoops[r] = in.scalar<std::uint64_t>();
 
-  const auto layerCount = cur.scalar<std::uint64_t>();
+  const auto layerCount = in.scalar<std::uint64_t>();
   auto& layers = board.layerRecords[r];
   layers.clear();
-  layers.reserve(layerCount);
+  layers.reserve(in.count(layerCount, sizeof(std::int32_t) +
+                                          3 * sizeof(long long) +
+                                          sizeof(double)));
   for (std::uint64_t i = 0; i < layerCount; ++i) {
     RankBoard::LayerRecord rec;
-    rec.layer = cur.scalar<std::int32_t>();
-    rec.samples = cur.scalar<long long>();
-    rec.iterations = cur.scalar<long long>();
-    rec.svs = cur.scalar<long long>();
-    rec.seconds = cur.scalar<double>();
+    rec.layer = in.scalar<std::int32_t>();
+    rec.samples = in.scalar<long long>();
+    rec.iterations = in.scalar<long long>();
+    rec.svs = in.scalar<long long>();
+    rec.seconds = in.scalar<double>();
     layers.push_back(rec);
   }
 
-  board.retries[r] = cur.scalar<std::int32_t>();
-  board.recovered[r] = cur.scalar<std::uint8_t>();
-  board.checkpointsLoaded[r] = cur.scalar<long long>();
-  board.auxIterations[r] = cur.scalar<long long>();
-  board.shrinkEngagedIter[r] = cur.scalar<long long>();
-  board.rowBcastsSkipped[r] = cur.scalar<long long>();
+  board.retries[r] = in.scalar<std::int32_t>();
+  board.recovered[r] = in.scalar<std::uint8_t>();
+  board.checkpointsLoaded[r] = in.scalar<long long>();
+  board.auxIterations[r] = in.scalar<long long>();
+  board.shrinkEngagedIter[r] = in.scalar<long long>();
+  board.rowBcastsSkipped[r] = in.scalar<long long>();
 
   // Only absorb a non-empty snapshot: every rank's payload carries the
   // field, but only rank 0 ever filled it.
   net::TrafficSnapshot snap;
-  snap.size = cur.scalar<std::int32_t>();
-  snap.bytes = cur.vec<std::size_t>();
-  snap.ops = cur.vec<std::size_t>();
+  snap.size = in.scalar<std::int32_t>();
+  snap.bytes = in.vec<std::size_t>();
+  snap.ops = in.vec<std::size_t>();
   if (snap.size > 0) board.initSnapshot = std::move(snap);
-  CASVM_CHECK(cur.off == bytes.size(), "board slot payload has trailing bytes");
+  in.expectEnd();
 }
 
 }  // namespace casvm::core::detail

@@ -1,11 +1,10 @@
 #include "casvm/core/distributed_model.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <limits>
 
 #include "casvm/serve/compiled_ensemble.hpp"
 #include "casvm/support/atomic_file.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::core {
@@ -71,66 +70,43 @@ double DistributedModel::accuracy(const data::Dataset& testSet) const {
 }
 
 std::vector<std::byte> DistributedModel::pack() const {
-  std::vector<std::byte> out;
-  auto append = [&out](const void* data, std::size_t bytes) {
-    const std::size_t off = out.size();
-    out.resize(off + bytes);
-    std::memcpy(out.data() + off, data, bytes);
-  };
-  const std::uint64_t count = models_.size();
-  const std::uint64_t routedFlag = isRouted() ? 1 : 0;
-  append(&count, sizeof(count));
-  append(&routedFlag, sizeof(routedFlag));
-  for (const auto& m : models_) {
-    const std::vector<std::byte> bytes = m.pack();
-    const std::uint64_t len = bytes.size();
-    append(&len, sizeof(len));
-    append(bytes.data(), bytes.size());
-  }
+  support::ByteWriter w;
+  w.scalar<std::uint64_t>(models_.size());
+  w.scalar<std::uint64_t>(isRouted() ? 1 : 0);
+  for (const auto& m : models_) w.vec(m.pack());
   if (isRouted()) {
     const std::uint64_t dim = centers_.empty() ? 0 : centers_[0].size();
-    append(&dim, sizeof(dim));
+    w.scalar(dim);
     for (const auto& c : centers_) {
       CASVM_CHECK(c.size() == dim, "center dimensions differ");
-      append(c.data(), c.size() * sizeof(float));
+      w.array(c);
     }
   }
-  return out;
+  return w.take();
 }
 
 DistributedModel DistributedModel::unpack(std::span<const std::byte> bytes) {
-  auto read = [&bytes](void* data, std::size_t count) {
-    CASVM_CHECK(bytes.size() >= count, "distributed model unpack: truncated");
-    std::memcpy(data, bytes.data(), count);
-    bytes = bytes.subspan(count);
-  };
-  std::uint64_t count = 0, routedFlag = 0;
-  read(&count, sizeof(count));
-  read(&routedFlag, sizeof(routedFlag));
-  // Every sub-model needs at least its 8-byte length prefix, so a count
-  // larger than that bound is corrupt; check before reserving anything.
-  CASVM_CHECK(count <= bytes.size() / sizeof(std::uint64_t),
-              "distributed model unpack: sub-model count exceeds payload");
+  support::ByteReader r(bytes, "distributed model unpack");
+  const auto count = r.scalar<std::uint64_t>();
+  const auto routedFlag = r.scalar<std::uint64_t>();
   std::vector<solver::Model> models;
-  models.reserve(count);
+  // Every sub-model carries at least its u64 length.
+  models.reserve(r.count(count, sizeof(std::uint64_t)));
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t len = 0;
-    read(&len, sizeof(len));
-    CASVM_CHECK(bytes.size() >= len, "distributed model unpack: truncated");
-    models.push_back(solver::Model::unpack(bytes.subspan(0, len)));
-    bytes = bytes.subspan(len);
+    models.push_back(solver::Model::unpack(r.bytes()));
   }
   if (routedFlag == 0) {
-    CASVM_CHECK(count == 1, "single model must have exactly one sub-model");
+    r.check(count == 1, "single model must have exactly one sub-model");
+    r.expectEnd();
     return single(std::move(models.front()));
   }
-  std::uint64_t dim = 0;
-  read(&dim, sizeof(dim));
-  CASVM_CHECK(dim <= bytes.size() / sizeof(float),
-              "distributed model unpack: center dimension exceeds payload");
-  std::vector<std::vector<float>> centers(count, std::vector<float>(dim));
-  for (auto& c : centers) read(c.data(), dim * sizeof(float));
-  CASVM_CHECK(bytes.empty(), "distributed model unpack: trailing bytes");
+  const auto dim = r.scalar<std::uint64_t>();
+  std::vector<std::vector<float>> centers;
+  centers.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    centers.push_back(r.array<float>(dim));
+  }
+  r.expectEnd();
   return routed(std::move(models), std::move(centers));
 }
 
@@ -141,14 +117,7 @@ void DistributedModel::save(const std::string& path) const {
 }
 
 DistributedModel DistributedModel::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  CASVM_CHECK(in.good(), "cannot open model file: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  CASVM_CHECK(in.good(), "model read failed: " + path);
-  return unpack(bytes);
+  return unpack(support::readFileBytes(path));
 }
 
 }  // namespace casvm::core

@@ -1,11 +1,11 @@
 #include "casvm/core/train.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "casvm/ckpt/state.hpp"
 #include "casvm/ckpt/store.hpp"
 #include "casvm/cluster/partition.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/checksum.hpp"
 #include "casvm/support/error.hpp"
 #include "board_codec.hpp"
@@ -58,55 +58,48 @@ std::vector<data::Dataset> initialPlacement(const data::Dataset& trainSet,
   return blocks;
 }
 
-template <typename T>
-void appendScalar(std::vector<std::byte>& out, T v) {
-  std::byte raw[sizeof(T)];
-  std::memcpy(raw, &v, sizeof(T));
-  out.insert(out.end(), raw, raw + sizeof(T));
-}
-
 /// Identity hash of (config, dataset) for checkpoint-directory validation.
 /// Fields are appended individually (never whole structs, whose padding
 /// bytes are indeterminate) so the fingerprint is deterministic.
 std::uint64_t runFingerprint(const data::Dataset& trainSet,
                              const TrainConfig& config) {
-  std::vector<std::byte> bytes;
-  appendScalar(bytes, static_cast<std::uint32_t>(config.method));
-  appendScalar(bytes, static_cast<std::int64_t>(config.processes));
-  appendScalar(bytes, config.seed);
-  appendScalar(bytes, static_cast<std::uint64_t>(config.kmeansMaxLoops));
-  appendScalar(bytes, config.kmeansChangeThreshold);
-  appendScalar(bytes, static_cast<std::uint8_t>(config.raInitialDataOnRoot));
-  appendScalar(bytes, static_cast<std::int64_t>(config.cascadePasses));
-  appendScalar(bytes, static_cast<std::uint8_t>(config.treeWarmStart));
-  appendScalar(bytes, static_cast<std::uint8_t>(config.ratioBalance));
+  support::ByteWriter w;
+  w.scalar(static_cast<std::uint32_t>(config.method));
+  w.scalar(static_cast<std::int64_t>(config.processes));
+  w.scalar(config.seed);
+  w.scalar(static_cast<std::uint64_t>(config.kmeansMaxLoops));
+  w.scalar(config.kmeansChangeThreshold);
+  w.scalar(static_cast<std::uint8_t>(config.raInitialDataOnRoot));
+  w.scalar(static_cast<std::int64_t>(config.cascadePasses));
+  w.scalar(static_cast<std::uint8_t>(config.treeWarmStart));
+  w.scalar(static_cast<std::uint8_t>(config.ratioBalance));
   const solver::SolverOptions& s = config.solver;
-  appendScalar(bytes, static_cast<std::uint8_t>(s.kernel.type));
-  appendScalar(bytes, s.kernel.gamma);
-  appendScalar(bytes, s.kernel.a);
-  appendScalar(bytes, s.kernel.r);
-  appendScalar(bytes, static_cast<std::int64_t>(s.kernel.degree));
-  appendScalar(bytes, s.C);
-  appendScalar(bytes, s.tolerance);
-  appendScalar(bytes, static_cast<std::uint64_t>(s.maxIterations));
-  appendScalar(bytes, static_cast<std::uint8_t>(s.selection));
-  appendScalar(bytes, s.positiveWeight);
-  appendScalar(bytes, s.negativeWeight);
-  appendScalar(bytes, static_cast<std::uint8_t>(s.shrinking));
-  appendScalar(bytes, static_cast<std::uint64_t>(s.shrinkInterval));
-  appendScalar(bytes, static_cast<std::uint64_t>(config.checkpointEvery));
-  appendScalar(bytes, static_cast<std::int64_t>(config.pbmRounds));
-  appendScalar(bytes, static_cast<std::uint64_t>(config.pbmInnerIterations));
-  appendScalar(bytes, static_cast<std::int64_t>(config.pbmPairIterations));
-  appendScalar(bytes, static_cast<std::uint8_t>(config.solverBackend));
-  appendScalar(bytes, static_cast<std::uint64_t>(config.nystromLandmarks));
-  appendScalar(bytes, static_cast<std::uint8_t>(config.nystromStrategy));
-  appendScalar(bytes, config.nystromEigenFloor);
-  appendScalar(bytes, static_cast<std::uint64_t>(trainSet.rows()));
-  appendScalar(bytes, static_cast<std::uint64_t>(trainSet.cols()));
-  appendScalar(bytes, static_cast<std::uint64_t>(trainSet.positives()));
-  const std::uint32_t lo = support::crc32(bytes);
-  const std::uint32_t hi = support::crc32(bytes, lo);
+  w.scalar(static_cast<std::uint8_t>(s.kernel.type));
+  w.scalar(s.kernel.gamma);
+  w.scalar(s.kernel.a);
+  w.scalar(s.kernel.r);
+  w.scalar(static_cast<std::int64_t>(s.kernel.degree));
+  w.scalar(s.C);
+  w.scalar(s.tolerance);
+  w.scalar(static_cast<std::uint64_t>(s.maxIterations));
+  w.scalar(static_cast<std::uint8_t>(s.selection));
+  w.scalar(s.positiveWeight);
+  w.scalar(s.negativeWeight);
+  w.scalar(static_cast<std::uint8_t>(s.shrinking));
+  w.scalar(static_cast<std::uint64_t>(s.shrinkInterval));
+  w.scalar(static_cast<std::uint64_t>(config.checkpointEvery));
+  w.scalar(static_cast<std::int64_t>(config.pbmRounds));
+  w.scalar(static_cast<std::uint64_t>(config.pbmInnerIterations));
+  w.scalar(static_cast<std::int64_t>(config.pbmPairIterations));
+  w.scalar(static_cast<std::uint8_t>(config.solverBackend));
+  w.scalar(static_cast<std::uint64_t>(config.nystromLandmarks));
+  w.scalar(static_cast<std::uint8_t>(config.nystromStrategy));
+  w.scalar(config.nystromEigenFloor);
+  w.scalar(static_cast<std::uint64_t>(trainSet.rows()));
+  w.scalar(static_cast<std::uint64_t>(trainSet.cols()));
+  w.scalar(static_cast<std::uint64_t>(trainSet.positives()));
+  const std::uint32_t lo = support::crc32(w.view());
+  const std::uint32_t hi = support::crc32(w.view(), lo);
   return (static_cast<std::uint64_t>(hi) << 32) | lo;
 }
 

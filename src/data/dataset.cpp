@@ -1,42 +1,21 @@
 #include "casvm/data/dataset.hpp"
 
 #include <algorithm>
-#include <cstring>
 
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::data {
 
 namespace {
 
+/// Storage byte, 7 bytes of padding, then rows, cols and nnz as u64.
+constexpr std::size_t kPackHeaderBytes = 32;
+
 void checkLabels(const std::vector<std::int8_t>& labels) {
   for (std::int8_t y : labels) {
     CASVM_CHECK(y == 1 || y == -1, "labels must be +1 or -1");
   }
-}
-
-// Wire header for pack()/unpack().
-struct WireHeader {
-  std::uint8_t storage;
-  std::uint64_t rows;
-  std::uint64_t cols;
-  std::uint64_t nnz;  // only meaningful for sparse
-};
-
-template <class T>
-void appendPod(std::vector<std::byte>& out, const T* data, std::size_t count) {
-  const std::size_t bytes = count * sizeof(T);
-  const std::size_t off = out.size();
-  out.resize(off + bytes);
-  if (bytes > 0) std::memcpy(out.data() + off, data, bytes);
-}
-
-template <class T>
-void readPod(std::span<const std::byte>& in, T* data, std::size_t count) {
-  const std::size_t bytes = count * sizeof(T);
-  CASVM_CHECK(in.size() >= bytes, "unpack: truncated payload");
-  if (bytes > 0) std::memcpy(data, in.data(), bytes);
-  in = in.subspan(bytes);
 }
 
 }  // namespace
@@ -45,7 +24,11 @@ Dataset Dataset::fromDense(std::size_t cols, std::vector<float> values,
                            std::vector<std::int8_t> labels) {
   CASVM_CHECK(cols > 0 || labels.empty(),
               "non-empty dataset needs at least one feature");
-  CASVM_CHECK(values.size() == cols * labels.size(),
+  // Divide rather than multiply: a hostile cols * rows could wrap to the
+  // values' size.
+  CASVM_CHECK(labels.empty() ? values.empty()
+                             : values.size() % labels.size() == 0 &&
+                                   values.size() / labels.size() == cols,
               "values size must be rows*cols");
   checkLabels(labels);
   Dataset ds;
@@ -258,34 +241,38 @@ Dataset Dataset::relabel(Dataset ds, std::vector<std::int8_t> labels) {
 }
 
 std::vector<std::byte> Dataset::pack(std::span<const std::size_t> idx) const {
-  std::vector<std::byte> out;
-  WireHeader header{};
-  header.storage = static_cast<std::uint8_t>(storage_);
-  header.rows = idx.size();
-  header.cols = cols_;
-
-  if (storage_ == Storage::Dense) {
-    header.nnz = idx.size() * cols_;
-    appendPod(out, &header, 1);
-    for (std::size_t i : idx) appendPod(out, &labels_[i], 1);
-    for (std::size_t i : idx) {
-      appendPod(out, dense_.data() + i * cols_, cols_);
-    }
-    return out;
-  }
-
+  const bool dense = storage_ == Storage::Dense;
   std::uint64_t nnz = 0;
-  for (std::size_t i : idx) nnz += rowPtr_[i + 1] - rowPtr_[i];
-  header.nnz = nnz;
-  appendPod(out, &header, 1);
-  for (std::size_t i : idx) appendPod(out, &labels_[i], 1);
-  for (std::size_t i : idx) {
-    const std::uint64_t len = rowPtr_[i + 1] - rowPtr_[i];
-    appendPod(out, &len, 1);
-    appendPod(out, colIdx_.data() + rowPtr_[i], len);
-    appendPod(out, sparseVals_.data() + rowPtr_[i], len);
+  if (dense) {
+    nnz = idx.size() * cols_;
+  } else {
+    for (std::size_t i : idx) nnz += rowPtr_[i + 1] - rowPtr_[i];
   }
-  return out;
+  // Header, one label byte per row, then the values: dense rows as floats,
+  // sparse rows as a u64 length, column indices and values.
+  const std::size_t body =
+      dense ? nnz * sizeof(float)
+            : idx.size() * sizeof(std::uint64_t) +
+                  nnz * (sizeof(std::uint32_t) + sizeof(float));
+  support::ByteWriter w(kPackHeaderBytes + idx.size() + body);
+  // The header keeps the layout of the struct it once was, padding zeroed.
+  w.scalar(static_cast<std::uint8_t>(storage_));
+  w.zeros(7);
+  w.scalar<std::uint64_t>(idx.size());
+  w.scalar<std::uint64_t>(cols_);
+  w.scalar(nnz);
+  for (std::size_t i : idx) w.scalar(labels_[i]);
+  for (std::size_t i : idx) {
+    if (dense) {
+      w.array(std::span(dense_.data() + i * cols_, cols_));
+      continue;
+    }
+    const std::size_t len = rowPtr_[i + 1] - rowPtr_[i];
+    w.scalar<std::uint64_t>(len);
+    w.array(std::span(colIdx_.data() + rowPtr_[i], len));
+    w.array(std::span(sparseVals_.data() + rowPtr_[i], len));
+  }
+  return w.take();
 }
 
 std::vector<std::byte> Dataset::packAll() const {
@@ -295,36 +282,35 @@ std::vector<std::byte> Dataset::packAll() const {
 }
 
 Dataset Dataset::unpack(std::span<const std::byte> bytes) {
-  WireHeader header{};
-  readPod(bytes, &header, 1);
-  const std::size_t m = header.rows;
-  const std::size_t n = header.cols;
-  std::vector<std::int8_t> labels(m);
-  readPod(bytes, labels.data(), m);
+  support::ByteReader r(bytes, "dataset unpack");
+  const auto storage = r.scalar<std::uint8_t>();
+  r.skip(7);
+  const auto m = r.scalar<std::uint64_t>();
+  const auto n = r.scalar<std::uint64_t>();
+  const auto nnz = r.scalar<std::uint64_t>();
+  std::vector<std::int8_t> labels = r.array<std::int8_t>(m);
 
-  if (header.storage == static_cast<std::uint8_t>(Storage::Dense)) {
-    std::vector<float> values(m * n);
-    readPod(bytes, values.data(), m * n);
-    CASVM_CHECK(bytes.empty(), "unpack: trailing bytes");
+  if (storage == static_cast<std::uint8_t>(Storage::Dense)) {
+    std::vector<float> values = r.array<float>(r.count(m, n, sizeof(float)));
+    r.expectEnd();
     return fromDense(n, std::move(values), std::move(labels));
   }
-
+  r.check(storage == static_cast<std::uint8_t>(Storage::Sparse),
+          "unknown storage kind");
   std::vector<std::size_t> rowPtr{0};
   std::vector<std::uint32_t> colIdx;
   std::vector<float> values;
-  colIdx.reserve(header.nnz);
-  values.reserve(header.nnz);
+  // Every nonzero carries a column index and a value.
+  colIdx.reserve(r.count(nnz, sizeof(std::uint32_t) + sizeof(float)));
+  values.reserve(nnz);
   for (std::size_t i = 0; i < m; ++i) {
-    std::uint64_t len = 0;
-    readPod(bytes, &len, 1);
-    const std::size_t off = colIdx.size();
-    colIdx.resize(off + len);
-    values.resize(off + len);
-    readPod(bytes, colIdx.data() + off, len);
-    readPod(bytes, values.data() + off, len);
+    const auto len = r.scalar<std::uint64_t>();
+    r.append(colIdx, len);
+    r.append(values, len);
     rowPtr.push_back(colIdx.size());
   }
-  CASVM_CHECK(bytes.empty(), "unpack: trailing bytes");
+  r.expectEnd();
+  r.check(colIdx.size() == nnz, "nonzero count mismatch");
   return fromSparse(n, std::move(rowPtr), std::move(colIdx), std::move(values),
                     std::move(labels));
 }

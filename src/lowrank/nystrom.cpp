@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "casvm/kernel/tile_kernel.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::lowrank {
@@ -282,74 +282,37 @@ void NystromFactor::map(const kernel::Kernel& kern, std::span<const float> x,
   return acc;
 }
 
-namespace {
-
-void appendRaw(std::vector<std::byte>& out, const void* data,
-               std::size_t bytes) {
-  const std::size_t at = out.size();
-  out.resize(at + bytes);
-  std::memcpy(out.data() + at, data, bytes);
-}
-
-template <class T>
-void appendScalar(std::vector<std::byte>& out, T value) {
-  appendRaw(out, &value, sizeof(T));
-}
-
-template <class T>
-T readScalar(std::span<const std::byte> bytes, std::size_t& at) {
-  CASVM_CHECK(at + sizeof(T) <= bytes.size(),
-              "nystrom decode: truncated payload");
-  T value;
-  std::memcpy(&value, bytes.data() + at, sizeof(T));
-  at += sizeof(T);
-  return value;
-}
-
-template <class T>
-std::vector<T> readVec(std::span<const std::byte> bytes, std::size_t& at,
-                       std::size_t count) {
-  CASVM_CHECK(count <= (bytes.size() - at) / sizeof(T),
-              "nystrom decode: truncated payload");
-  std::vector<T> v(count);
-  std::memcpy(v.data(), bytes.data() + at, count * sizeof(T));
-  at += count * sizeof(T);
-  return v;
-}
-
-}  // namespace
-
 std::vector<std::byte> NystromFactor::encode() const {
-  std::vector<std::byte> out;
-  const std::uint64_t L = landmarks_.count();
-  appendScalar<std::uint64_t>(out, m_);
-  appendScalar<std::uint64_t>(out, r_);
-  appendScalar<std::uint64_t>(out, L);
-  appendScalar<std::uint64_t>(out, landmarks_.features);
-  appendRaw(out, landmarks_.rows.data(),
-            landmarks_.rows.size() * sizeof(float));
-  appendRaw(out, landmarks_.selfDots.data(),
-            landmarks_.selfDots.size() * sizeof(double));
-  appendRaw(out, w_.data(), w_.size() * sizeof(double));
-  appendRaw(out, tiles_.data(), tiles_.size() * sizeof(float));
-  return out;
+  support::ByteWriter w;
+  w.scalar<std::uint64_t>(m_);
+  w.scalar<std::uint64_t>(r_);
+  w.scalar<std::uint64_t>(landmarks_.count());
+  w.scalar<std::uint64_t>(landmarks_.features);
+  w.array(landmarks_.rows);
+  w.array(landmarks_.selfDots);
+  w.array(w_);
+  w.array(tiles_);
+  return w.take();
 }
 
 NystromFactor NystromFactor::decode(std::span<const std::byte> bytes) {
-  std::size_t at = 0;
+  support::ByteReader r(bytes, "nystrom decode");
   NystromFactor f;
-  f.m_ = readScalar<std::uint64_t>(bytes, at);
-  f.r_ = readScalar<std::uint64_t>(bytes, at);
-  const std::uint64_t L = readScalar<std::uint64_t>(bytes, at);
-  f.landmarks_.features = readScalar<std::uint64_t>(bytes, at);
-  CASVM_CHECK(f.r_ > 0 && L > 0, "nystrom decode: degenerate shape");
-  f.landmarks_.rows = readVec<float>(bytes, at, L * f.landmarks_.features);
-  f.landmarks_.selfDots = readVec<double>(bytes, at, L);
-  f.w_ = readVec<double>(bytes, at, L * f.r_);
-  f.tiles_ = readVec<float>(
-      bytes, at,
-      kernel::tile::blockCount(f.m_) * f.r_ * kernel::tile::kRows);
-  CASVM_CHECK(at == bytes.size(), "nystrom decode: trailing bytes");
+  f.m_ = r.scalar<std::uint64_t>();
+  f.r_ = r.scalar<std::uint64_t>();
+  const auto L = r.scalar<std::uint64_t>();
+  f.landmarks_.features = r.scalar<std::uint64_t>();
+  r.check(f.r_ > 0 && L > 0, "degenerate shape");
+  f.landmarks_.rows =
+      r.array<float>(r.count(L, f.landmarks_.features, sizeof(float)));
+  f.landmarks_.selfDots = r.array<double>(L);
+  f.w_ = r.array<double>(r.count(L, f.r_, sizeof(double)));
+  // blockCount(m_) without the m_ + 15 that a hostile m_ could wrap.
+  const std::uint64_t blocks =
+      f.m_ / kernel::tile::kRows + (f.m_ % kernel::tile::kRows != 0);
+  f.tiles_ = r.array<float>(
+      r.count(blocks, f.r_ * kernel::tile::kRows, sizeof(float)));
+  r.expectEnd();
   f.xd_.resize(2 * f.r_);
   return f;
 }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "casvm/net/proc_transport.hpp"
 #include "casvm/net/supervisor.hpp"
 #include "casvm/obs/trace.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/log.hpp"
 #include "casvm/support/posix.hpp"
 #include "casvm/support/timer.hpp"
@@ -271,82 +271,6 @@ RunStats Engine::runThread(const std::function<void(Comm&)>& fn) {
 
 // --- proc backend -----------------------------------------------------------
 
-namespace {
-
-// Result-frame payload codec. A worker packs its outcome into a byte
-// payload (doubles and u64-length-prefixed blobs), the supervisor parses
-// it back; every read is bounds-checked because the bytes crossed a
-// process boundary.
-
-void putF64(std::vector<std::byte>& out, double v) {
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-void putBlob(std::vector<std::byte>& out, const std::vector<std::byte>& blob) {
-  const std::uint64_t len = blob.size();
-  const std::size_t off = out.size();
-  out.resize(off + sizeof len + blob.size());
-  std::memcpy(out.data() + off, &len, sizeof len);
-  if (!blob.empty()) {
-    std::memcpy(out.data() + off + sizeof len, blob.data(), blob.size());
-  }
-}
-
-void putStr(std::vector<std::byte>& out, const std::string& s) {
-  std::vector<std::byte> blob(s.size());
-  if (!s.empty()) std::memcpy(blob.data(), s.data(), s.size());
-  putBlob(out, blob);
-}
-
-struct FrameCursor {
-  const std::vector<std::byte>& buf;
-  std::size_t off = 0;
-
-  double f64() {
-    CASVM_CHECK(off + sizeof(double) <= buf.size(),
-                "worker result frame truncated");
-    double v = 0.0;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    off += sizeof v;
-    return v;
-  }
-
-  std::vector<std::byte> blob() {
-    CASVM_CHECK(off + sizeof(std::uint64_t) <= buf.size(),
-                "worker result frame truncated");
-    std::uint64_t len = 0;
-    std::memcpy(&len, buf.data() + off, sizeof len);
-    off += sizeof len;
-    CASVM_CHECK(off + len <= buf.size(), "worker result frame truncated");
-    std::vector<std::byte> b(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                             buf.begin() +
-                                 static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    return b;
-  }
-
-  std::string str() {
-    const std::vector<std::byte> b = blob();
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-  }
-};
-
-/// One complete [type u8][len u64][payload] frame on the result pipe.
-void writeFrame(int fd, char type, const std::vector<std::byte>& payload) {
-  std::vector<std::byte> wire(1 + sizeof(std::uint64_t) + payload.size());
-  wire[0] = static_cast<std::byte>(type);
-  const std::uint64_t len = payload.size();
-  std::memcpy(wire.data() + 1, &len, sizeof len);
-  if (!payload.empty()) {
-    std::memcpy(wire.data() + 1 + sizeof len, payload.data(), payload.size());
-  }
-  support::writeFull(fd, wire.data(), wire.size());
-}
-
-}  // namespace
-
 RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
   ProcTransport transport(size_, tuning_);
   Supervisor::Options opts;
@@ -413,19 +337,25 @@ RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
       world.abortAll();
     }
 
-    std::vector<std::byte> payload;
-    if (type != 'R') putStr(payload, errorMsg);
+    // The one result frame: type (u8), payload length (u64), payload. A
+    // crashed or failed rank's payload starts with its error message; a
+    // rank that did not fail the run then sends its clock's three
+    // components, its board bytes and its trace shard.
+    support::ByteWriter payload;
+    if (type != 'R') payload.vec(errorMsg);
     if (type != 'E') {
-      putF64(payload, clock.computeSeconds());
-      putF64(payload, clock.commSeconds());
-      putF64(payload, clock.waitSeconds());
-      putBlob(payload, resultChannel_.serialize
-                           ? resultChannel_.serialize(rank)
-                           : std::vector<std::byte>{});
-      putBlob(payload, trace_ != nullptr ? localTrace.encodeShard()
-                                         : std::vector<std::byte>{});
+      payload.scalar(clock.computeSeconds());
+      payload.scalar(clock.commSeconds());
+      payload.scalar(clock.waitSeconds());
+      payload.vec(resultChannel_.serialize ? resultChannel_.serialize(rank)
+                                           : std::vector<std::byte>{});
+      payload.vec(trace_ != nullptr ? localTrace.encodeShard()
+                                    : std::vector<std::byte>{});
     }
-    writeFrame(resultFd, type, payload);
+    support::ByteWriter frame(1 + sizeof(std::uint64_t) + payload.size());
+    frame.scalar(type);
+    frame.vec(payload.view());
+    support::writeFull(resultFd, frame.view().data(), frame.size());
     transport.detachWorker();
   };
 
@@ -457,23 +387,24 @@ RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
       }
       continue;
     }
-    FrameCursor cur{o.frame.payload};
+    support::ByteReader in(o.frame.payload, "worker result frame");
     if (o.frame.type == 'E') {
-      errors[i] = cur.str();
+      errors[i] = in.str();
       failed = true;
       continue;
     }
     CASVM_CHECK(o.frame.type == 'R' || o.frame.type == 'C',
                 "worker result frame has unknown type '" +
                     std::string(1, o.frame.type) + "'");
-    if (o.frame.type == 'C') crashes[i] = RankFailure{r, cur.str()};
-    computeSeconds[i] = cur.f64();
-    commSeconds[i] = cur.f64();
-    waitSeconds[i] = cur.f64();
-    const std::vector<std::byte> board = cur.blob();
-    const std::vector<std::byte> shard = cur.blob();
+    if (o.frame.type == 'C') crashes[i] = RankFailure{r, in.str()};
+    computeSeconds[i] = in.scalar<double>();
+    commSeconds[i] = in.scalar<double>();
+    waitSeconds[i] = in.scalar<double>();
+    const std::span<const std::byte> board = in.bytes();
+    const std::span<const std::byte> shard = in.bytes();
+    in.expectEnd();
     if (resultChannel_.absorb && !board.empty()) {
-      resultChannel_.absorb(r, board);
+      resultChannel_.absorb(r, {board.begin(), board.end()});
     }
     if (trace_ != nullptr && !shard.empty()) trace_->absorbShard(shard);
   }

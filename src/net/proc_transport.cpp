@@ -7,6 +7,7 @@
 #include <cstring>
 #include <new>
 
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::net {
@@ -30,16 +31,6 @@ long long nowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void packFrameHeader(std::byte* out, std::uint64_t bytes, int tag,
-                     double arrivalVirtualTime) {
-  std::memcpy(out, &bytes, 8);
-  const std::int32_t tag32 = tag;
-  std::memcpy(out + 8, &tag32, 4);
-  const std::int32_t pad = 0;
-  std::memcpy(out + 12, &pad, 4);
-  std::memcpy(out + 16, &arrivalVirtualTime, 8);
 }
 
 }  // namespace
@@ -275,10 +266,14 @@ void ProcTransport::put(int src, int dst, int tag, Message msg) {
   CASVM_CHECK(src >= 0 && src < size_ && dst >= 0 && dst < size_,
               "put: rank out of range");
   Ring& r = ring(src, dst);
-  std::array<std::byte, kFrameHeaderBytes> header;
-  packFrameHeader(header.data(), msg.payload.size(), tag,
-                  msg.arrivalVirtualTime);
-  if (!writeChunked(r, dst, header.data(), header.size())) return;
+  // Frame header: payload bytes (u64), tag (i32), 4 zero bytes, the
+  // sender's virtual time (f64).
+  support::ByteWriter header(kFrameHeaderBytes);
+  header.scalar<std::uint64_t>(msg.payload.size());
+  header.scalar<std::int32_t>(tag);
+  header.zeros(4);
+  header.scalar(msg.arrivalVirtualTime);
+  if (!writeChunked(r, dst, header.view().data(), header.size())) return;
   writeChunked(r, dst, msg.payload.data(), msg.payload.size());
 }
 
@@ -336,11 +331,11 @@ bool ProcTransport::drainEdge(int src) {
       st.headerFill += n;
       progress = true;
       if (st.headerFill < kFrameHeaderBytes) continue;
-      std::memcpy(&st.payloadBytes, st.header.data(), 8);
-      std::int32_t tag32 = 0;
-      std::memcpy(&tag32, st.header.data() + 8, 4);
-      st.tag = tag32;
-      std::memcpy(&st.arrivalVirtualTime, st.header.data() + 16, 8);
+      support::ByteReader header(st.header, "ring frame header");
+      st.payloadBytes = header.scalar<std::uint64_t>();
+      st.tag = header.scalar<std::int32_t>();
+      header.skip(4);
+      st.arrivalVirtualTime = header.scalar<double>();
       if (st.payloadBytes > kMaxFrameBytes) {
         // Frame alignment lost (partial write from a dead incarnation the
         // supervisor didn't clear). Poison only this edge.

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "casvm/net/proc_transport.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/posix.hpp"
 
@@ -133,13 +134,13 @@ void Supervisor::drainPipe(Worker& w) {
     break;
   }
   if (w.resolved || w.buf.size() < kFrameHeader) return;
-  std::uint64_t len = 0;
-  std::memcpy(&len, w.buf.data() + 1, 8);
-  if (w.buf.size() < kFrameHeader + len) return;
-  w.frame.type = static_cast<char>(w.buf[0]);
-  w.frame.payload.assign(w.buf.begin() + kFrameHeader,
-                         w.buf.begin() + kFrameHeader +
-                             static_cast<std::ptrdiff_t>(len));
+  support::ByteReader in(w.buf, "worker result frame");
+  const auto type = in.scalar<char>();
+  const auto len = in.scalar<std::uint64_t>();
+  if (len > in.remaining()) return;  // the rest is still in the pipe
+  const std::span<const std::byte> payload = in.view(len);
+  w.frame.type = type;
+  w.frame.payload.assign(payload.begin(), payload.end());
   w.resolved = true;
   log("rank " + std::to_string(w.rank) + ": result frame '" +
       std::string(1, w.frame.type) + "' (" + std::to_string(len) + " bytes)");

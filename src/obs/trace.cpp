@@ -1,9 +1,9 @@
 #include "casvm/obs/trace.hpp"
 
 #include <cstdio>
-#include <cstring>
-#include <type_traits>
+#include <string_view>
 
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/strings.hpp"
 
@@ -123,101 +123,62 @@ std::string TraceRecorder::chromeTraceJson() const {
   return out;
 }
 
-namespace {
-
-// Tiny flat codec for trace shards: scalars are memcpy'd little-endian
-// as-stored, strings and blobs are u64-length-prefixed.
-template <class T>
-void putScalar(std::vector<std::byte>& out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &v, sizeof(T));
-}
-
-void putString(std::vector<std::byte>& out, const std::string& s) {
-  putScalar<std::uint64_t>(out, s.size());
-  const std::size_t at = out.size();
-  out.resize(at + s.size());
-  std::memcpy(out.data() + at, s.data(), s.size());
-}
-
-template <class T>
-T getScalar(const std::vector<std::byte>& in, std::size_t& at) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  CASVM_CHECK(at + sizeof(T) <= in.size(), "trace shard truncated");
-  T v;
-  std::memcpy(&v, in.data() + at, sizeof(T));
-  at += sizeof(T);
-  return v;
-}
-
-std::string getString(const std::vector<std::byte>& in, std::size_t& at) {
-  const auto len = getScalar<std::uint64_t>(in, at);
-  CASVM_CHECK(at + len <= in.size(), "trace shard truncated");
-  std::string s(reinterpret_cast<const char*>(in.data() + at), len);
-  at += len;
-  return s;
-}
-
-}  // namespace
-
 std::vector<std::byte> TraceRecorder::encodeShard() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::byte> out;
-  putScalar<std::uint64_t>(out, lanes_.size());
+  support::ByteWriter w;
+  w.scalar<std::uint64_t>(lanes_.size());
   for (const auto& lane : lanes_) {
-    putScalar<std::int32_t>(out, lane->pid());
-    putScalar<std::int32_t>(out, lane->tid());
-    putString(out, lane->name());
-    putScalar<std::uint64_t>(out, lane->events().size());
+    w.scalar<std::int32_t>(lane->pid());
+    w.scalar<std::int32_t>(lane->tid());
+    w.vec(lane->name());
+    w.scalar<std::uint64_t>(lane->events().size());
     for (const Event& e : lane->events()) {
-      putString(out, e.name);
-      putScalar<std::uint8_t>(out, static_cast<std::uint8_t>(e.cat));
-      putScalar<std::uint8_t>(out, e.instant ? 1 : 0);
-      putScalar<double>(out, e.startSeconds);
-      putScalar<double>(out, e.endSeconds);
-      putScalar<std::int64_t>(out, e.peer);
-      putScalar<std::int64_t>(out, e.bytes);
-      putScalar<std::int64_t>(out, e.detail);
-      putScalar<std::int64_t>(out, e.iter);
-      putScalar<std::int64_t>(out, e.active);
-      putScalar<double>(out, e.gap);
-      putScalar<double>(out, e.hitRate);
+      w.vec(std::string_view(e.name));
+      w.scalar(e.cat);
+      w.scalar<std::uint8_t>(e.instant ? 1 : 0);
+      w.scalar(e.startSeconds);
+      w.scalar(e.endSeconds);
+      w.scalar(e.peer);
+      w.scalar(e.bytes);
+      w.scalar(e.detail);
+      w.scalar(e.iter);
+      w.scalar(e.active);
+      w.scalar(e.gap);
+      w.scalar(e.hitRate);
     }
   }
-  return out;
+  return w.take();
 }
 
-void TraceRecorder::absorbShard(const std::vector<std::byte>& shard) {
+void TraceRecorder::absorbShard(std::span<const std::byte> shard) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t at = 0;
-  const auto laneCount = getScalar<std::uint64_t>(shard, at);
+  support::ByteReader r(shard, "trace shard");
+  const auto laneCount = r.scalar<std::uint64_t>();
   for (std::uint64_t l = 0; l < laneCount; ++l) {
-    const auto pid = getScalar<std::int32_t>(shard, at);
-    const auto tid = getScalar<std::int32_t>(shard, at);
-    std::string name = getString(shard, at);
+    const auto pid = r.scalar<std::int32_t>();
+    const auto tid = r.scalar<std::int32_t>();
+    std::string name = r.str();
     lanes_.push_back(std::make_unique<Lane>(pid, tid, std::move(name)));
     Lane& lane = *lanes_.back();
-    const auto eventCount = getScalar<std::uint64_t>(shard, at);
+    const auto eventCount = r.scalar<std::uint64_t>();
     for (std::uint64_t i = 0; i < eventCount; ++i) {
       Event e;
-      e.name = intern(getString(shard, at));
-      e.cat = static_cast<Cat>(getScalar<std::uint8_t>(shard, at));
-      e.instant = getScalar<std::uint8_t>(shard, at) != 0;
-      e.startSeconds = getScalar<double>(shard, at);
-      e.endSeconds = getScalar<double>(shard, at);
-      e.peer = getScalar<std::int64_t>(shard, at);
-      e.bytes = getScalar<std::int64_t>(shard, at);
-      e.detail = getScalar<std::int64_t>(shard, at);
-      e.iter = getScalar<std::int64_t>(shard, at);
-      e.active = getScalar<std::int64_t>(shard, at);
-      e.gap = getScalar<double>(shard, at);
-      e.hitRate = getScalar<double>(shard, at);
+      e.name = intern(r.str());
+      e.cat = r.scalar<Cat>();
+      e.instant = r.scalar<std::uint8_t>() != 0;
+      e.startSeconds = r.scalar<double>();
+      e.endSeconds = r.scalar<double>();
+      e.peer = r.scalar<std::int64_t>();
+      e.bytes = r.scalar<std::int64_t>();
+      e.detail = r.scalar<std::int64_t>();
+      e.iter = r.scalar<std::int64_t>();
+      e.active = r.scalar<std::int64_t>();
+      e.gap = r.scalar<double>();
+      e.hitRate = r.scalar<double>();
       lane.record(e);
     }
   }
-  CASVM_CHECK(at == shard.size(), "trace shard has trailing bytes");
+  r.expectEnd();
 }
 
 const char* TraceRecorder::intern(const std::string& name) {

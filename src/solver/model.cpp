@@ -1,10 +1,8 @@
 #include "casvm/solver/model.hpp"
 
-#include <cstring>
-#include <fstream>
-
 #include "casvm/serve/compiled_model.hpp"
 #include "casvm/support/atomic_file.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::solver {
@@ -53,56 +51,41 @@ double Model::accuracy(const data::Dataset& testSet) const {
 
 std::vector<std::byte> Model::pack() const {
   const std::vector<std::byte> svBytes = svs_.packAll();
-  std::vector<std::byte> out;
-  out.reserve(sizeof(params_) + sizeof(bias_) + sizeof(std::uint64_t) +
-              alphaY_.size() * sizeof(double) + svBytes.size());
-  auto append = [&out](const void* data, std::size_t bytes) {
-    const std::size_t off = out.size();
-    out.resize(off + bytes);
-    if (bytes > 0) std::memcpy(out.data() + off, data, bytes);
-  };
-  // KernelParams has internal padding whose bytes are indeterminate; pack a
-  // zeroed copy written member by member so identical models always pack to
-  // identical bytes (checkpoint resume compares raw pack() output bitwise).
-  kernel::KernelParams cleanParams;
-  std::memset(&cleanParams, 0, sizeof(cleanParams));
-  cleanParams.type = params_.type;
-  cleanParams.gamma = params_.gamma;
-  cleanParams.a = params_.a;
-  cleanParams.r = params_.r;
-  cleanParams.degree = params_.degree;
-  append(&cleanParams, sizeof(cleanParams));
-  append(&bias_, sizeof(bias_));
-  const std::uint64_t count = alphaY_.size();
-  append(&count, sizeof(count));
-  append(alphaY_.data(), alphaY_.size() * sizeof(double));
-  append(svBytes.data(), svBytes.size());
-  return out;
+  support::ByteWriter w(sizeof(params_) + sizeof(bias_) +
+                        sizeof(std::uint64_t) +
+                        alphaY_.size() * sizeof(double) + svBytes.size());
+  // KernelParams as the struct it was once written as: every member in
+  // declaration order, its padding as zeros, so identical models always
+  // pack to identical bytes (checkpoint resume compares packs bitwise).
+  w.scalar(params_.type);
+  w.zeros(7);
+  w.scalar(params_.gamma);
+  w.scalar(params_.a);
+  w.scalar(params_.r);
+  w.scalar<std::int32_t>(params_.degree);
+  w.zeros(4);
+  w.scalar(bias_);
+  w.vec(alphaY_);
+  w.array(svBytes);
+  return w.take();
 }
 
 Model Model::unpack(std::span<const std::byte> bytes) {
-  auto read = [&bytes](void* data, std::size_t count) {
-    CASVM_CHECK(bytes.size() >= count, "model unpack: truncated");
-    if (count > 0) std::memcpy(data, bytes.data(), count);
-    bytes = bytes.subspan(count);
-  };
+  support::ByteReader r(bytes, "model unpack");
   Model m;
-  read(&m.params_, sizeof(m.params_));
-  read(&m.bias_, sizeof(m.bias_));
-  std::uint64_t count = 0;
-  read(&count, sizeof(count));
-  // A corrupt header can claim an absurd coefficient count; validate it
-  // against the remaining payload before sizing any allocation. Dividing
-  // (instead of multiplying count by sizeof(double)) avoids the overflow a
-  // hostile count could use to sneak past the check.
-  CASVM_CHECK(count <= bytes.size() / sizeof(double),
-              "model unpack: coefficient count exceeds payload");
-  m.alphaY_.resize(count);
-  read(m.alphaY_.data(), count * sizeof(double));
+  m.params_.type = r.scalar<kernel::KernelType>();
+  r.check(m.params_.type <= kernel::KernelType::Sigmoid, "unknown kernel type");
+  r.skip(7);
+  m.params_.gamma = r.scalar<double>();
+  m.params_.a = r.scalar<double>();
+  m.params_.r = r.scalar<double>();
+  m.params_.degree = r.scalar<std::int32_t>();
+  r.skip(4);
+  m.bias_ = r.scalar<double>();
+  m.alphaY_ = r.vec<double>();
   m.kernel_ = kernel::Kernel(m.params_);
-  m.svs_ = data::Dataset::unpack(bytes);
-  CASVM_CHECK(m.svs_.rows() == m.alphaY_.size(),
-              "model unpack: SV/coefficient count mismatch");
+  m.svs_ = data::Dataset::unpack(r.rest());
+  r.check(m.svs_.rows() == m.alphaY_.size(), "SV/coefficient count mismatch");
   return m;
 }
 
@@ -113,14 +96,7 @@ void Model::save(const std::string& path) const {
 }
 
 Model Model::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  CASVM_CHECK(in.good(), "cannot open model file: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  CASVM_CHECK(in.good(), "model read failed: " + path);
-  return unpack(bytes);
+  return unpack(support::readFileBytes(path));
 }
 
 }  // namespace casvm::solver

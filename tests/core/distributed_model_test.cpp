@@ -7,6 +7,7 @@
 
 #include "casvm/data/synth.hpp"
 #include "casvm/solver/smo.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::core {
@@ -127,6 +128,33 @@ TEST(DistributedModelTest, HostileSubModelCountThrows) {
   for (std::size_t b = 0; b < sizeof(std::uint64_t); ++b) {
     bytes[b] = std::byte{0xFF};
   }
+  EXPECT_THROW((void)DistributedModel::unpack(bytes), Error);
+}
+
+TEST(DistributedModelTest, CraftedHugeColumnCountThrows) {
+  // A 130-byte model file: one unrouted sub-model whose SV set claims two
+  // rows of 2^63 columns, a shape whose element count wraps to 0.
+  support::ByteWriter svs;
+  svs.scalar(static_cast<std::uint8_t>(data::Storage::Dense));
+  svs.zeros(7);
+  svs.scalar<std::uint64_t>(2);
+  svs.scalar<std::uint64_t>(std::uint64_t{1} << 63);
+  svs.scalar<std::uint64_t>(0);
+  svs.scalar<std::int8_t>(1);
+  svs.scalar<std::int8_t>(-1);
+  support::ByteWriter model;
+  model.scalar(kernel::KernelType::Gaussian);
+  model.zeros(7);
+  model.scalar(1.0);  // gamma
+  model.zeros(8 + 8 + 8 + 8);  // a, r, degree with its padding, bias
+  model.vec(std::vector<double>{0.5, -0.5});
+  model.array(svs.view());
+  support::ByteWriter file;
+  file.scalar<std::uint64_t>(1);  // one sub-model
+  file.scalar<std::uint64_t>(0);  // not routed
+  file.vec(model.view());
+  const std::vector<std::byte> bytes = file.take();
+  ASSERT_EQ(bytes.size(), 130u);
   EXPECT_THROW((void)DistributedModel::unpack(bytes), Error);
 }
 

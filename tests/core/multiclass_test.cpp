@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <set>
 
 #include "casvm/data/synth.hpp"
+#include "casvm/support/atomic_file.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::core {
@@ -112,6 +114,31 @@ TEST(MulticlassTest, SaveLoadRoundTrip) {
   const MulticlassModel back = MulticlassModel::load(path);
   EXPECT_EQ(back.classes(), res.model.classes());
   std::remove(path.c_str());
+}
+
+TEST(MulticlassTest, SaveReplacesTheFileRatherThanRewritingIt) {
+  // save() stages a temp file and renames it over the path, like every
+  // model artifact: a hard link to the old file keeps the old bytes (an
+  // in-place rewrite would change both), and no temp file is left behind.
+  const auto mc = fourClasses(200, 13);
+  const MulticlassModel model =
+      trainMulticlass(mc.features, mc.labels, config()).model;
+  const std::string dir = ::testing::TempDir() + "/casvm_mc_atomic";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/model.bin";
+  support::writeFileAtomic(path, std::string("previous model"));
+  std::filesystem::create_hard_link(path, dir + "/previous.bin");
+  model.save(path);
+  EXPECT_EQ(support::readFileBytes(path), model.pack());
+  EXPECT_EQ(std::filesystem::file_size(dir + "/previous.bin"), 14u);
+  std::size_t entries = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    (void)e;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MulticlassTest, SingleClassThrows) {

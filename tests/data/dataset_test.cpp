@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::data {
@@ -233,6 +235,43 @@ TEST(DatasetPackTest, TruncatedPayloadThrows) {
   std::vector<std::byte> bytes = ds.packAll();
   bytes.resize(bytes.size() - 4);
   EXPECT_THROW((void)Dataset::unpack(bytes), Error);
+}
+
+/// A pack header: storage byte, 7 bytes of padding, rows, cols, nnz.
+support::ByteWriter packHeader(Storage storage, std::uint64_t rows,
+                               std::uint64_t cols, std::uint64_t nnz) {
+  support::ByteWriter w;
+  w.scalar(static_cast<std::uint8_t>(storage));
+  w.zeros(7);
+  w.scalar(rows);
+  w.scalar(cols);
+  w.scalar(nnz);
+  return w;
+}
+
+TEST(DatasetPackTest, HostileColumnCountThrows) {
+  // Two rows of 2^63 columns: rows * cols wraps to 0, so a decoder that
+  // multiplied would read no values and then index rows of 2^63 floats.
+  support::ByteWriter w =
+      packHeader(Storage::Dense, 2, std::uint64_t{1} << 63, 0);
+  w.scalar<std::int8_t>(1);
+  w.scalar<std::int8_t>(-1);
+  const std::vector<std::byte> bytes = w.take();
+  ASSERT_EQ(bytes.size(), 34u);
+  EXPECT_THROW((void)Dataset::unpack(bytes), Error);
+  // fromDense's own shape check divides rather than multiplies.
+  EXPECT_THROW((void)Dataset::fromDense(std::size_t{1} << 63, {}, {1, -1}),
+               Error);
+}
+
+TEST(DatasetPackTest, HostileNonzeroCountThrows) {
+  // A sparse header whose nonzero count no payload could hold must be
+  // rejected before it sizes the index and value buffers.
+  support::ByteWriter w =
+      packHeader(Storage::Sparse, 1, 4, std::uint64_t{1} << 62);
+  w.scalar<std::int8_t>(1);
+  w.scalar<std::uint64_t>(0);  // the row is empty
+  EXPECT_THROW((void)Dataset::unpack(w.take()), Error);
 }
 
 TEST(DatasetTest, SampleBytesPositive) {

@@ -31,9 +31,11 @@
 #include "casvm/data/registry.hpp"
 #include "casvm/data/synth.hpp"
 #include "casvm/kernel/kernel.hpp"
+#include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/lowrank/landmarks.hpp"
 #include "casvm/lowrank/lowrank_kernel.hpp"
 #include "casvm/solver/smo.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::lowrank {
@@ -310,6 +312,33 @@ TEST(NystromTest, CodecRoundTripsBitwise) {
       (void)NystromFactor::decode(
           std::span<const std::byte>(bytes.data(), bytes.size() / 2)),
       Error);
+}
+
+TEST(NystromTest, DecodeRejectsOverflowingShape) {
+  // A factor header (rows m, rank r, L landmarks of `features` each) over
+  // the bytes its other arrays would take: L self-dots, the L x r W, and
+  // one tile block of rank r.
+  const auto encoded = [](std::uint64_t m, std::uint64_t r, std::uint64_t L,
+                          std::uint64_t features) {
+    support::ByteWriter w;
+    w.scalar(m);
+    w.scalar(r);
+    w.scalar(L);
+    w.scalar(features);
+    w.zeros(2 * sizeof(double) + 2 * sizeof(double) +
+            kernel::tile::kRows * sizeof(float));
+    return w.take();
+  };
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  // L * features = 2 * 2^63 wraps to 0: no landmark values at all.
+  const std::vector<std::byte> wrapped = encoded(1, 1, 2, kHalf);
+  ASSERT_EQ(wrapped.size(), 128u);
+  EXPECT_THROW((void)NystromFactor::decode(wrapped), Error);
+  // L * r wraps the same way, and m near 2^64 would wrap the tile block
+  // count's m + 15.
+  EXPECT_THROW((void)NystromFactor::decode(encoded(1, kHalf, 2, 0)), Error);
+  EXPECT_THROW((void)NystromFactor::decode(encoded(~std::uint64_t{0}, 1, 2, 0)),
+               Error);
 }
 
 TEST(NystromTest, RankDeficientLandmarksAreTruncatedNotInverted) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "casvm/core/train.hpp"
@@ -58,6 +60,23 @@ TEST(TraceRecorderTest, LanesAreKeptPerPid) {
   EXPECT_EQ(rec.spanCount(1, Cat::Comm), 2u);
   EXPECT_DOUBLE_EQ(rec.commSeconds(0), 1.0);
   EXPECT_DOUBLE_EQ(rec.commSeconds(1), 3.0);  // summed across the pid's lanes
+}
+
+TEST(TraceRecorderTest, ShardRoundTripsAndWrappedLengthThrowsError) {
+  TraceRecorder src;
+  src.addLane(2, 0, "rank 2").span("send", Cat::Comm, 0.0, 1.0, 1, 64);
+  std::vector<std::byte> shard = src.encodeShard();
+  TraceRecorder copy;
+  copy.absorbShard(shard);
+  EXPECT_EQ(copy.encodeShard(), shard);
+
+  // The lane name's u64 length follows the lane count, pid and tid. At
+  // 2^64 - 1 the sum offset + length wraps below the shard size, so the
+  // bound must compare the length with the bytes that remain.
+  const std::uint64_t huge = ~std::uint64_t{0};
+  std::memcpy(shard.data() + 8 + 4 + 4, &huge, sizeof huge);
+  TraceRecorder dst;
+  EXPECT_THROW(dst.absorbShard(shard), Error);
 }
 
 TEST(TraceRecorderTest, ChromeExportHasMetadataAndEvents) {

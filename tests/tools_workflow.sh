@@ -29,6 +29,35 @@ grep -q "accuracy" "$WORK/predict.log"
 # One label per test sample.
 test "$(wc -l < "$WORK/labels.txt")" = "$(wc -l < "$WORK/test.scaled")"
 
+# A crafted model file is rejected with an error, not a crash: one unrouted
+# sub-model whose support vectors claim 2 rows of 2^63 columns, a shape
+# whose element count wraps to 0.
+Z8='\000\000\000\000\000\000\000\000'
+{
+  printf '\001\000\000\000\000\000\000\000'  # 1 sub-model
+  printf "$Z8"                                # not routed
+  printf '\152\000\000\000\000\000\000\000'  # it is 106 bytes long
+  printf '\002\000\000\000\000\000\000\000'  # Gaussian, 7 padding bytes
+  printf '\000\000\000\000\000\000\360\077'  # gamma = 1.0
+  printf "$Z8$Z8$Z8$Z8"                       # a, r, degree + padding, bias
+  printf '\002\000\000\000\000\000\000\000'  # 2 coefficients
+  printf "$Z8$Z8"                             # both 0
+  printf "$Z8"                                # dense, 7 padding bytes
+  printf '\002\000\000\000\000\000\000\000'  # 2 rows
+  printf '\000\000\000\000\000\000\000\200'  # 2^63 columns
+  printf "$Z8"                                # 0 nonzeros
+  printf '\001\377'                           # labels +1, -1
+} > "$WORK/crafted.bin"
+test "$(wc -c < "$WORK/crafted.bin")" -eq 130
+STATUS=0
+"$BIN/casvm-predict" --model "$WORK/crafted.bin" --data "$WORK/test.scaled" \
+  > "$WORK/crafted.log" 2>&1 || STATUS=$?
+if [ "$STATUS" -ne 1 ]; then
+  echo "expected exit 1 from casvm-predict on a crafted model, got $STATUS" >&2
+  exit 1
+fi
+grep -q "casvm-predict: casvm error: dataset unpack" "$WORK/crafted.log"
+
 "$BIN/casvm-predict" --model "$WORK/model.bin" --data "$WORK/test.scaled" \
   --distributed > "$WORK/predict_dist.log"
 grep -q "distributed prediction" "$WORK/predict_dist.log"
