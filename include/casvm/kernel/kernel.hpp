@@ -139,6 +139,14 @@ class Kernel {
   void rowWith(const data::Dataset& ds, std::span<const float> x,
                double xSelfDot, std::span<double> out, RowWorkspace& ws) const;
 
+  /// rowWith() for j in `subset` only (ascending); entries of `out`
+  /// outside `subset` are left untouched. One dot per row, then one
+  /// gathered transform (Gaussian exponents through the vector exp pass);
+  /// bitwise-identical to evalWith per row.
+  void rowWith(const data::Dataset& ds, std::span<const float> x,
+               double xSelfDot, std::span<const std::size_t> subset,
+               std::span<double> out) const;
+
   /// Two columns in one call, bit for bit rowWith() of x0 into out0 and of
   /// x1 into out1: dense fills stream the tiles once for both vectors.
   void rowsWith(const data::Dataset& ds, std::span<const float> x0,
@@ -168,7 +176,9 @@ class Kernel {
  private:
   double fromDot(double dot, double selfI, double selfJ) const;
 
-  void transformSubset(const data::Dataset& ds, std::size_t i,
+  /// transformDots() over `subset` only, against a query (row i, or an
+  /// external vector) with squared norm `selfX`.
+  void transformSubset(const data::Dataset& ds, double selfX,
                        std::span<const std::size_t> subset,
                        std::span<double> out) const;
 

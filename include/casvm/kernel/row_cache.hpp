@@ -1,12 +1,30 @@
 #pragma once
 
 /// \file row_cache.hpp
-/// LRU cache of kernel matrix rows.
+/// Scan-resistant cache of kernel matrix rows.
 ///
 /// SMO touches two kernel rows per iteration (the high and low working-set
-/// samples); a small LRU over full rows captures the strong temporal reuse
-/// of frequently re-selected working-set members without materializing the
-/// m x m kernel matrix (LIBSVM uses the same strategy).
+/// samples). The cache holds a byte budget of rows and keeps them by two
+/// rules:
+///  - Cold insertion. A filled row enters at the cold end of its recency
+///    list and a hit moves it to the hot end, so a row read once is the
+///    next victim and only a row read again displaces older ones (the LRU
+///    insertion policy of Qureshi et al., ISCA 2007). When a part's
+///    working set of rows exceeds the budget, SMO comes back to many rows
+///    just after a budget's worth of other rows: a cyclic sweep, in which
+///    LRU evicts every row shortly before its reuse. Cold insertion keeps
+///    most of the budget resident through such a sweep.
+///  - Free-SV retention. After each step the solver reports, through
+///    retain(), whether each of the two moved samples is free
+///    (0 < alpha < C). Free samples sit in both index sets and keep being
+///    selected, while samples pinned at a bound rarely re-enter the
+///    working set (the observation behind adaptive shrinking, Narasimhan
+///    et al., 1406.5161). Retained rows live in a second recency list and
+///    are evicted only when no unpinned row of the first is left. A row
+///    that changes list joins the cold end of its new list.
+/// A victim is the coldest unpinned row of a list: two std::lists and
+/// splices, O(1) per miss. DESIGN.md §2.7 has the replayed fill counts
+/// (LRU, cold insertion, retention and Belady's optimum).
 ///
 /// Rows are stored as float, as LIBSVM's Qfloat cache stores them: the
 /// source fills each row in double, the cache rounds every value once, on
@@ -82,9 +100,9 @@ class RowCache {
   RowCache(RowSource& source, std::size_t budgetBytes);
 
   /// Kernel row i (length = dataset rows), each value rounded to
-  /// CacheValue; computed on miss, LRU-evicted. The span stays valid until
-  /// its row is evicted; pinned rows are never evicted. A cached partial
-  /// fill of row i is upgraded to a full row (counted as a miss).
+  /// CacheValue; computed on miss. The span stays valid until its row is
+  /// evicted; pinned rows are never evicted. A cached partial fill of row
+  /// i is upgraded to a full row (counted as a miss).
   std::span<const CacheValue> row(std::size_t i);
 
   /// Kernel row i for reads restricted to `active` (ascending solver
@@ -99,7 +117,7 @@ class RowCache {
       std::pair<std::span<const CacheValue>, std::span<const CacheValue>>;
 
   /// Rows i and j, both pinned on return (the caller unpins both). Hits,
-  /// misses, LRU order, pins and generations are exactly those of
+  /// misses, recency order, pins and generations are exactly those of
   /// row(i); pin(i); row(j); pin(j), but two misses that both take a full
   /// fill are filled in one RowSource::fillRows pass.
   RowPair rows(std::size_t i, std::size_t j);
@@ -113,6 +131,11 @@ class RowCache {
   /// unpinned. Pins nest.
   void pin(std::size_t i);
   void unpin(std::size_t i);
+
+  /// Move row i (must be currently cached) to the cold end of the retained
+  /// list (`keep`) or of the unretained one; a no-op when it is already in
+  /// that list. The solver retains the rows of free samples.
+  void retain(std::size_t i, bool keep);
 
   /// Drop every partial fill (full rows stay). Call when the solver's
   /// active set grows back to the full problem (unshrink); stale partial
@@ -144,8 +167,10 @@ class RowCache {
     std::vector<CacheValue> values;
     int pins = 0;
     bool partial = false;
+    bool retained = false;  ///< which of lists_ holds the slot
     std::uint64_t generation = 0;
   };
+  using SlotList = std::list<Slot>;
 
   /// What a looked-up slot still needs before it can be read.
   enum class Need : std::uint8_t { Nothing, Full, Partial };
@@ -155,9 +180,9 @@ class RowCache {
   };
 
   /// The bookkeeping of reading row i (`active` null for a full-row read):
-  /// hit/miss counts, the LRU move and, on a miss, a claimed slot already
-  /// marked with the fill it will hold. The fill itself is left to the
-  /// caller, so a pair fetch can run two of them in one pass.
+  /// hit/miss counts, the move to the hot end and, on a miss, a claimed
+  /// slot already marked with the fill it will hold. The fill itself is
+  /// left to the caller, so a pair fetch can run two of them in one pass.
   Lookup lookup(std::size_t i, const std::span<const std::size_t>* active);
 
   /// Run the fill lookup() left for row i, if any: a full row, or only
@@ -167,9 +192,10 @@ class RowCache {
   RowPair fetchPair(std::size_t i, std::size_t j,
                     const std::span<const std::size_t>* active);
 
-  /// Slot to (re)fill for a miss on row i: the least-recently-used unpinned
-  /// slot when at capacity, a fresh slot otherwise. The returned slot is
-  /// indexed under i and moved to the front of the LRU list.
+  /// Slot to (re)fill for a miss on row i: at capacity the coldest unpinned
+  /// unretained slot, else the coldest unpinned retained one; a fresh slot
+  /// below capacity. The returned slot is indexed under i and sits at the
+  /// cold end of the unretained list.
   Slot& claimSlot(std::size_t i);
 
   /// Scratch row k (0 or 1) in the source's double precision.
@@ -182,8 +208,10 @@ class RowCache {
   RowSource* src_;
   std::size_t capacityRows_;
   std::vector<double> scratch_;  ///< two rows in the source's double precision
-  std::list<Slot> lru_;  // front = most recent
-  std::unordered_map<std::size_t, std::list<Slot>::iterator> index_;
+  /// Recency lists, front = hot end, back = cold end: [0] the unretained
+  /// rows, [1] the retained ones. Splices keep index_'s iterators valid.
+  SlotList lists_[2];
+  std::unordered_map<std::size_t, SlotList::iterator> index_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t partialFills_ = 0;

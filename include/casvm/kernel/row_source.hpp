@@ -96,7 +96,7 @@ class ExactRowSource final : public RowSource {
   /// precomputed ||x||^2: out[j] = K(xj, x) for j in `rows` (ascending);
   /// out.size() == rows(). Under the same full/partial rule as the row
   /// fills it runs the tiled Kernel::rowWith over every row (entries
-  /// outside `rows` are then overwritten too) or per-row evalWith over
+  /// outside `rows` are then overwritten too) or its subset form over
   /// `rows` only. Both are bitwise-identical to evalWith.
   void fillColumn(std::span<const float> x, double xSelfDot,
                   std::span<const std::size_t> rows, std::span<double> out) {
@@ -104,7 +104,7 @@ class ExactRowSource final : public RowSource {
       kernel_.rowWith(ds_, x, xSelfDot, out, workspace_);
       return;
     }
-    for (std::size_t j : rows) out[j] = kernel_.evalWith(ds_, j, x, xSelfDot);
+    kernel_.rowWith(ds_, x, xSelfDot, rows, out);
   }
 
   /// Two columns under the same rule, bit for bit fillColumn() of x0 into

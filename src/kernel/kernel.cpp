@@ -247,7 +247,7 @@ void Kernel::rows(const data::Dataset& ds, std::size_t i, std::size_t j,
   row(ds, j, outJ, ws);
 }
 
-void Kernel::transformSubset(const data::Dataset& ds, std::size_t i,
+void Kernel::transformSubset(const data::Dataset& ds, double selfX,
                              std::span<const std::size_t> subset,
                              std::span<double> out) const {
   switch (params_.type) {
@@ -264,12 +264,11 @@ void Kernel::transformSubset(const data::Dataset& ds, std::size_t i,
       constexpr std::size_t kBlock = 64;
       double block[kBlock];
       const ExpRowFn expRow = expRowFn();
-      const double selfI = ds.selfDot(i);
       for (std::size_t b = 0; b < subset.size(); b += kBlock) {
         const std::size_t n = std::min(kBlock, subset.size() - b);
         for (std::size_t t = 0; t < n; ++t) {
           const std::size_t j = subset[b + t];
-          const double d2 = selfI + ds.selfDot(j) - 2.0 * out[j];
+          const double d2 = selfX + ds.selfDot(j) - 2.0 * out[j];
           block[t] = -params_.gamma * (d2 > 0.0 ? d2 : 0.0);
         }
         expRow(block, n);
@@ -322,7 +321,7 @@ void Kernel::row(const data::Dataset& ds, std::size_t i,
                  std::span<double> out) const {
   CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
   subsetDotRow(ds, i, subset, out, sparseScatterScratch());
-  transformSubset(ds, i, subset, out);
+  transformSubset(ds, ds.selfDot(i), subset, out);
 }
 
 void Kernel::row(const data::Dataset& ds, std::size_t i,
@@ -331,7 +330,16 @@ void Kernel::row(const data::Dataset& ds, std::size_t i,
   CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
   ws.bind(ds);
   subsetDotRow(ds, i, subset, out, ws.scatter_);
-  transformSubset(ds, i, subset, out);
+  transformSubset(ds, ds.selfDot(i), subset, out);
+}
+
+void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,
+                     double xSelfDot, std::span<const std::size_t> subset,
+                     std::span<double> out) const {
+  CASVM_CHECK(out.size() == ds.rows(), "kernel column output has wrong length");
+  CASVM_CHECK(x.size() == ds.cols(), "external vector has wrong length");
+  for (std::size_t j : subset) out[j] = ds.dotWith(j, x);
+  transformSubset(ds, xSelfDot, subset, out);
 }
 
 void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,

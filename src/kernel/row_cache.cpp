@@ -32,28 +32,31 @@ RowCache::RowCache(RowSource& source, std::size_t budgetBytes)
       scratch_(2 * src_->rows()) {}
 
 RowCache::Slot& RowCache::claimSlot(std::size_t i) {
-  if (lru_.size() >= capacityRows_) {
-    // Recycle the least-recently-used *unpinned* slot's allocation: a
-    // pinned row backs a span the solver currently holds, and recycling it
-    // would silently corrupt that span.
-    for (auto it = std::prev(lru_.end());; --it) {
-      if (it->pins == 0) {
+  SlotList& unretained = lists_[0];
+  if (unretained.size() + lists_[1].size() >= capacityRows_) {
+    // Recycle the coldest *unpinned* slot's allocation, retained rows
+    // last: a pinned row backs a span the solver currently holds, and
+    // recycling it would silently corrupt that span. At most the
+    // iteration's two rows are pinned, so each walk stops within three
+    // steps.
+    for (SlotList& list : lists_) {
+      for (auto it = list.end(); it != list.begin();) {
+        if ((--it)->pins != 0) continue;
         index_.erase(it->rowIndex);
         it->rowIndex = i;
-        lru_.splice(lru_.begin(), lru_, it);
-        index_[i] = lru_.begin();
+        it->retained = false;
+        unretained.splice(unretained.end(), list, it);
+        index_[i] = it;
         return *it;
       }
-      if (it == lru_.begin()) break;
     }
     // Every slot is pinned (cannot happen with the solver's at-most-two
     // pins and the two-slot capacity floor, but stay safe): grow past the
     // budget for this fill rather than corrupt a live span.
   }
-  lru_.push_front(
-      Slot{i, std::vector<CacheValue>(src_->rows()), 0, false, 0});
-  index_[i] = lru_.begin();
-  return lru_.front();
+  unretained.push_back(Slot{i, std::vector<CacheValue>(src_->rows())});
+  index_[i] = std::prev(unretained.end());
+  return unretained.back();
 }
 
 std::span<double> RowCache::scratch(std::size_t k) {
@@ -74,7 +77,8 @@ RowCache::Lookup RowCache::lookup(std::size_t i,
   Slot* slot = nullptr;
   if (auto it = index_.find(i); it != index_.end()) {
     slot = &*it->second;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    SlotList& list = lists_[slot->retained];
+    list.splice(list.begin(), list, it->second);
     // Full rows serve any read. A partial fill serves active-set reads,
     // which are subsets of the set it was computed with while the solver
     // only shrinks (invalidatePartial() handles the grow-back); a
@@ -177,15 +181,27 @@ void RowCache::unpin(std::size_t i) {
   if (--it->second->pins == 0) --pinned_;
 }
 
+void RowCache::retain(std::size_t i, bool keep) {
+  auto it = index_.find(i);
+  CASVM_ASSERT(it != index_.end(), "retain of a row that is not cached");
+  Slot& slot = *it->second;
+  if (slot.retained == keep) return;
+  lists_[keep].splice(lists_[keep].end(), lists_[slot.retained], it->second);
+  slot.retained = keep;
+}
+
 void RowCache::invalidatePartial() {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (!it->partial) {
-      ++it;
-      continue;
+  for (SlotList& list : lists_) {
+    for (auto it = list.begin(); it != list.end();) {
+      if (!it->partial) {
+        ++it;
+        continue;
+      }
+      CASVM_ASSERT(it->pins == 0,
+                   "invalidatePartial with a pinned partial row");
+      index_.erase(it->rowIndex);
+      it = list.erase(it);
     }
-    CASVM_ASSERT(it->pins == 0, "invalidatePartial with a pinned partial row");
-    index_.erase(it->rowIndex);
-    it = lru_.erase(it);
   }
 }
 

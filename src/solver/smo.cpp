@@ -327,6 +327,10 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
     alpha[iHigh] = aHighNew;
     setMembership(iLow);
     setMembership(iHigh);
+    // Free samples keep being selected; samples at a bound rarely return.
+    // The cache lets free samples' rows outlive the rest.
+    cache.retain(iHigh, aHighNew > 0.0 && aHighNew < cHigh);
+    cache.retain(iLow, aLowNew > 0.0 && aLowNew < cLow);
 
     // Gradient update with the two cached rows (eqn. 5), active rows only:
     // a dense loop over the whole problem, or over `active` while shrunk,

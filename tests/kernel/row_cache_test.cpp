@@ -97,10 +97,12 @@ TEST(RowCacheTest, EvictedRowRecomputedCorrectly) {
   RowCache cache(k, ds, 2 * ds.rows() * sizeof(float));  // two rows
   cache.row(0);
   cache.row(1);
-  cache.row(2);  // evicts row 0
-  const auto row0 = cache.row(0);
+  cache.row(2);  // evicts row 1: it entered cold and was not read again
+  ASSERT_EQ(cache.generation(1), 0u);
+  const auto row1 = cache.row(1);
+  EXPECT_EQ(cache.misses(), 4u);
   for (std::size_t j = 0; j < ds.rows(); ++j) {
-    EXPECT_EQ(row0[j], static_cast<float>(k.eval(ds, 0, j)));
+    EXPECT_EQ(row1[j], static_cast<float>(k.eval(ds, 1, j)));
   }
 }
 
@@ -185,16 +187,91 @@ TEST(RowCacheTest, GenerationDetectsEviction) {
   const Kernel k(KernelParams::linear());
   RowCache cache(k, ds, 2 * ds.rows() * sizeof(float));
   (void)cache.row(0);
-  const auto gen = cache.generation(0);
-  ASSERT_NE(gen, 0u);
-  cache.checkLive(0, gen);   // cached: passes
   (void)cache.row(1);
-  (void)cache.row(2);        // evicts row 0
+  const auto gen = cache.generation(1);
+  ASSERT_NE(gen, 0u);
+  cache.checkLive(1, gen);   // cached: passes
+  (void)cache.row(2);        // evicts row 1, the coldest
+  EXPECT_EQ(cache.generation(1), 0u);
+  EXPECT_THROW(cache.checkLive(1, gen), Error);  // use-after-evict tripwire
+  (void)cache.row(1);        // refilled under a fresh generation
+  EXPECT_NE(cache.generation(1), gen);
+  EXPECT_THROW(cache.checkLive(1, gen), Error);  // stale generation rejected
+}
+
+TEST(RowCacheTest, ScanLongerThanCapacityKeepsMostRows) {
+  // A cyclic sweep of capacity + 1 rows is LRU's worst case: each row is
+  // evicted just before it comes back, so LRU hits nothing. Filled rows
+  // enter cold, so the sweep's misses recycle one slot and the other
+  // capacity - 1 rows stay resident.
+  const auto ds = makeData();
+  const Kernel k(KernelParams::gaussian(0.4));
+  const std::size_t capacity = 8;
+  RowCache cache(k, ds, capacity * ds.rows() * sizeof(float));
+  ASSERT_EQ(cache.capacityRows(), capacity);
+  for (std::size_t i = 0; i <= capacity; ++i) (void)cache.row(i);
+  EXPECT_EQ(cache.hits(), 0u);
+  for (int sweep = 1; sweep <= 4; ++sweep) {
+    const std::size_t before = cache.hits();
+    for (std::size_t i = 0; i <= capacity; ++i) (void)cache.row(i);
+    EXPECT_GE(cache.hits() - before, capacity - 1) << "sweep " << sweep;
+  }
+}
+
+TEST(RowCacheTest, RetainedRowsOutliveTheRest) {
+  const auto ds = makeData(16);
+  const Kernel k(KernelParams::linear());
+  RowCache cache(k, ds, 3 * ds.rows() * sizeof(float));
+  ASSERT_EQ(cache.capacityRows(), 3u);
+  (void)cache.row(0);
+  cache.retain(0, true);
+  const auto gen0 = cache.generation(0);
+  // Row 0 is not read again, so LRU would evict it first. Rows 1 and 2
+  // are read after it, and twice, yet every miss takes an unretained
+  // slot while one is unpinned.
+  for (std::size_t i : {1, 2}) {
+    (void)cache.row(i);
+    (void)cache.row(i);
+  }
+  for (std::size_t i = 3; i < 8; ++i) (void)cache.row(i);
+  EXPECT_EQ(cache.generation(0), gen0);
+  EXPECT_EQ(cache.generation(1), 0u);
+  EXPECT_NE(cache.generation(2), 0u);
+  EXPECT_NE(cache.generation(7), 0u);
+
+  // With every unretained row pinned, a miss takes the retained row.
+  cache.pin(2);
+  cache.pin(7);
+  (void)cache.row(8);
   EXPECT_EQ(cache.generation(0), 0u);
-  EXPECT_THROW(cache.checkLive(0, gen), Error);  // use-after-evict tripwire
-  (void)cache.row(0);        // refilled under a fresh generation
-  EXPECT_NE(cache.generation(0), gen);
-  EXPECT_THROW(cache.checkLive(0, gen), Error);  // stale generation rejected
+  cache.unpin(2);
+  cache.unpin(7);
+
+  // Pinned retained rows are never recycled: 7 and 8 are retained, 8 last
+  // (the cold end), and with 2 and 8 pinned the miss takes 7.
+  const auto row8 = cache.row(8);
+  const auto gen8 = cache.generation(8);
+  cache.retain(7, true);
+  cache.retain(8, true);
+  cache.pin(2);
+  cache.pin(8);
+  (void)cache.row(9);
+  EXPECT_EQ(cache.generation(7), 0u);
+  cache.checkLive(8, gen8);
+  for (std::size_t j = 0; j < ds.rows(); ++j) {
+    EXPECT_EQ(row8[j], static_cast<float>(k.eval(ds, 8, j)));
+  }
+  cache.unpin(2);
+  cache.unpin(8);
+
+  // A released row joins the cold end of the unretained list: it is the
+  // next victim, ahead of row 9, which entered cold before it.
+  cache.retain(8, false);
+  (void)cache.row(10);
+  EXPECT_EQ(cache.generation(8), 0u);
+  EXPECT_NE(cache.generation(9), 0u);
+  EXPECT_NE(cache.generation(2), 0u);
+  EXPECT_EQ(cache.pinnedRows(), 0u);
 }
 
 TEST(RowCacheTest, PartialFillComputesActiveEntriesOnly) {
@@ -242,9 +319,15 @@ TEST(RowCacheTest, InvalidatePartialDropsOnlyPartialRows) {
   const std::vector<std::size_t> active = {0, 1, 2};
   (void)cache.row(5, active);  // partial
   (void)cache.row(6);          // full
+  (void)cache.row(7, active);  // partial, retained
+  cache.retain(7, true);
+  (void)cache.row(8);          // full, retained
+  cache.retain(8, true);
   cache.invalidatePartial();
   EXPECT_EQ(cache.generation(5), 0u);  // dropped
   EXPECT_NE(cache.generation(6), 0u);  // kept
+  EXPECT_EQ(cache.generation(7), 0u);  // dropped from the retained list too
+  EXPECT_NE(cache.generation(8), 0u);  // kept
   // Re-reading the dropped row over a *grown* active set recomputes it.
   const std::vector<std::size_t> grown = {0, 1, 2, 3, 4, 5, 6, 7};
   const auto row = cache.row(5, grown);
@@ -309,15 +392,13 @@ TEST(RowCacheTest, PairFetchNeverRecyclesItsFirstRow) {
 /// on one, the solver's single fetch-and-pin sequence on the other. After
 /// every step they must agree on counts, pins, values and every row's
 /// generation (which rows are cached, in which fill order); the eviction
-/// pressure makes the LRU order show in the steps after.
+/// pressure makes the recency order show in the steps after. The second
+/// replay also retains rows after each step, as the solver does for free
+/// samples, so the evictions cross both lists.
 TEST(RowCacheTest, PairFetchMatchesTwoSingleFetches) {
   const auto ds = makeData(48);
   const Kernel k(KernelParams::gaussian(0.4));
   const std::size_t budget = 3 * ds.rows() * sizeof(float);
-  CountingSource src(k, ds);
-  RowCache paired(src, budget);
-  RowCache single(k, ds, budget);
-  ASSERT_EQ(paired.capacityRows(), 3u);
   std::vector<std::size_t> all(ds.rows());
   std::iota(all.begin(), all.end(), 0);
   const std::vector<std::size_t> few = {0, 3, 6, 9, 10};  // partial fills
@@ -342,39 +423,52 @@ TEST(RowCacheTest, PairFetchMatchesTwoSingleFetches) {
       {12, 2, nullptr},
   };
 
-  for (const Step& st : script) {
-    const auto [pi, pj] = st.active != nullptr
-                              ? paired.rows(st.i, st.j, *st.active)
-                              : paired.rows(st.i, st.j);
-    const auto si = st.active != nullptr ? single.row(st.i, *st.active)
-                                         : single.row(st.i);
-    single.pin(st.i);
-    const auto sj = st.active != nullptr ? single.row(st.j, *st.active)
-                                         : single.row(st.j);
-    single.pin(st.j);
+  for (const bool retaining : {false, true}) {
+    CountingSource src(k, ds);
+    RowCache paired(src, budget);
+    RowCache single(k, ds, budget);
+    ASSERT_EQ(paired.capacityRows(), 3u);
+    for (const Step& st : script) {
+      const auto [pi, pj] = st.active != nullptr
+                                ? paired.rows(st.i, st.j, *st.active)
+                                : paired.rows(st.i, st.j);
+      const auto si = st.active != nullptr ? single.row(st.i, *st.active)
+                                           : single.row(st.i);
+      single.pin(st.i);
+      const auto sj = st.active != nullptr ? single.row(st.j, *st.active)
+                                           : single.row(st.j);
+      single.pin(st.j);
 
-    const std::string at =
-        "step (" + std::to_string(st.i) + ", " + std::to_string(st.j) + ")";
-    EXPECT_EQ(paired.hits(), single.hits()) << at;
-    EXPECT_EQ(paired.misses(), single.misses()) << at;
-    EXPECT_EQ(paired.partialFills(), single.partialFills()) << at;
-    EXPECT_EQ(paired.pinnedRows(), single.pinnedRows()) << at;
-    for (std::size_t r = 0; r < ds.rows(); ++r) {
-      EXPECT_EQ(paired.generation(r), single.generation(r))
-          << at << " row " << r;
+      const std::string at = "retaining " + std::to_string(retaining) +
+                             " step (" + std::to_string(st.i) + ", " +
+                             std::to_string(st.j) + ")";
+      EXPECT_EQ(paired.hits(), single.hits()) << at;
+      EXPECT_EQ(paired.misses(), single.misses()) << at;
+      EXPECT_EQ(paired.partialFills(), single.partialFills()) << at;
+      EXPECT_EQ(paired.pinnedRows(), single.pinnedRows()) << at;
+      for (std::size_t r = 0; r < ds.rows(); ++r) {
+        EXPECT_EQ(paired.generation(r), single.generation(r))
+            << at << " row " << r;
+      }
+      for (std::size_t c : st.active != nullptr ? *st.active : all) {
+        EXPECT_EQ(pi[c], si[c]) << at << " c=" << c;
+        EXPECT_EQ(pj[c], sj[c]) << at << " c=" << c;
+      }
+      if (retaining) {  // even rows stand in for free samples
+        for (RowCache* cache : {&paired, &single}) {
+          cache->retain(st.i, st.i % 2 == 0);
+          cache->retain(st.j, st.j % 2 == 0);
+        }
+      }
+      paired.unpin(st.i);
+      paired.unpin(st.j);
+      single.unpin(st.i);
+      single.unpin(st.j);
     }
-    for (std::size_t c : st.active != nullptr ? *st.active : all) {
-      EXPECT_EQ(pi[c], si[c]) << at << " c=" << c;
-      EXPECT_EQ(pj[c], sj[c]) << at << " c=" << c;
-    }
-    paired.unpin(st.i);
-    paired.unpin(st.j);
-    single.unpin(st.i);
-    single.unpin(st.j);
+    EXPECT_EQ(single.pairedFills(), 0u);
+    EXPECT_EQ(paired.pairedFills(), 2 * src.pairs);
+    EXPECT_EQ(src.pairs, retaining ? 6u : 5u);
   }
-  EXPECT_EQ(single.pairedFills(), 0u);
-  EXPECT_EQ(paired.pairedFills(), 2 * src.pairs);
-  EXPECT_EQ(src.pairs, 6u);
 }
 
 }  // namespace

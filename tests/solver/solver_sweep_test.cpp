@@ -2,6 +2,8 @@
 
 
 #include <cmath>
+#include <string>
+
 #include "casvm/data/registry.hpp"
 #include "casvm/solver/smo.hpp"
 #include "casvm/support/error.hpp"
@@ -119,6 +121,38 @@ TEST(CacheBudgetTest, TinyCacheSameSolution) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_NEAR(a.objective, b.objective, 1e-9);
   EXPECT_GT(b.kernelRowsComputed, a.kernelRowsComputed);
+  EXPECT_EQ(a.alpha, b.alpha);
+  EXPECT_EQ(a.model.pack(), b.model.pack());
+
+  // The cache decides only when a row is computed, never its value: two
+  // slots and a quarter of the matrix give the whole matrix's iterates bit
+  // for bit, under both selections, with shrinking (and its partial
+  // fills) off and on.
+  const std::size_t m = nd.train.rows();
+  const std::size_t matrixBytes = m * m * sizeof(float);
+  for (const Selection selection :
+       {Selection::FirstOrder, Selection::SecondOrder}) {
+    for (const bool shrinking : {false, true}) {
+      SolverOptions opts = big;
+      opts.selection = selection;
+      opts.shrinking = shrinking;
+      opts.shrinkInterval = 16;
+      opts.cacheBytes = matrixBytes;
+      const SolverResult whole = SmoSolver(opts).solve(nd.train);
+      for (const std::size_t budget : {std::size_t{1}, matrixBytes / 4}) {
+        opts.cacheBytes = budget;
+        const SolverResult r = SmoSolver(opts).solve(nd.train);
+        const std::string at =
+            "selection " + std::to_string(int(selection)) + " shrinking " +
+            std::to_string(shrinking) + " budget " + std::to_string(budget);
+        EXPECT_EQ(r.iterations, whole.iterations) << at;
+        EXPECT_EQ(r.objective, whole.objective) << at;
+        EXPECT_EQ(r.alpha, whole.alpha) << at;
+        EXPECT_EQ(r.model.pack(), whole.model.pack()) << at;
+        EXPECT_GE(r.kernelRowsComputed, whole.kernelRowsComputed) << at;
+      }
+    }
+  }
 }
 
 }  // namespace
