@@ -46,17 +46,14 @@ struct PartitionState {
 std::vector<std::byte> encodePartition(const PartitionState& state);
 PartitionState decodePartition(std::span<const std::byte> payload);
 
+/// A solver snapshot: the serial solver's, and a Dis-SMO rank's mid-solve
+/// state (global iteration, whether shrinking ever engaged, local alpha/f,
+/// local active set), which Dis-SMO writes under Kind::DisSmoState so a
+/// global-method resume can never misread a partitioned run's solver file.
+/// Dis-SMO's replicated row store is deliberately not saved: rebuilding it
+/// from scratch changes only communication volume, never the trajectory.
 std::vector<std::byte> encodeSolverState(const solver::SolverSnapshot& snap);
 solver::SolverSnapshot decodeSolverState(std::span<const std::byte> payload);
-
-/// A rank's mid-solve Dis-SMO state. Same payload shape as a solver
-/// snapshot (global iteration, whether shrinking ever engaged, local
-/// alpha/f, local active set) but under its own Kind so a global-method
-/// resume can never misread a partitioned run's solver file. The
-/// replicated row store is deliberately not saved: rebuilding it from
-/// scratch changes only communication volume, never the trajectory.
-std::vector<std::byte> encodeDisSmoState(const solver::SolverSnapshot& snap);
-solver::SolverSnapshot decodeDisSmoState(std::span<const std::byte> payload);
 
 /// A rank's PBM state at the top of an outer round: the round number, the
 /// iteration tallies accumulated so far, and the local alpha/f slices.

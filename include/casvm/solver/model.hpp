@@ -22,6 +22,11 @@ class Model {
   Model(kernel::KernelParams params, data::Dataset supportVectors,
         std::vector<double> alphaY, double bias);
 
+  /// The model of a dual solution over `ds` (one alpha per row): every row
+  /// with alpha > 0 becomes a support vector with coefficient alpha * y.
+  static Model fromDual(kernel::KernelParams params, const data::Dataset& ds,
+                        std::span<const double> alpha, double bias);
+
   const kernel::KernelParams& kernelParams() const { return params_; }
   const data::Dataset& supportVectors() const { return svs_; }
   const std::vector<double>& alphaY() const { return alphaY_; }

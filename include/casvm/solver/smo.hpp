@@ -11,6 +11,11 @@
 /// solves the two-variable subproblem analytically (eqns. 6-7) and updates
 /// f with the pair's two kernel rows (eqn. 5). Convergence is declared when
 /// b_low <= b_high + 2*tolerance.
+///
+/// The iteration itself is solver::SmoLoop (smo_loop.hpp), the one loop the
+/// global methods run too. SmoSolver runs it with a local pair source whose
+/// rows come from a RowCache over the solver's RowSource; Dis-SMO runs it
+/// with MINLOC/MAXLOC elections over every rank's block.
 
 #include <cstddef>
 #include <functional>

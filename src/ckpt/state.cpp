@@ -66,14 +66,6 @@ solver::SolverSnapshot decodeSolverState(std::span<const std::byte> payload) {
   return snap;
 }
 
-std::vector<std::byte> encodeDisSmoState(const solver::SolverSnapshot& snap) {
-  return encodeSolverState(snap);
-}
-
-solver::SolverSnapshot decodeDisSmoState(std::span<const std::byte> payload) {
-  return decodeSolverState(payload);
-}
-
 std::vector<std::byte> encodePbmRound(const PbmRoundState& state) {
   support::ByteWriter w;
   w.scalar(state.round);

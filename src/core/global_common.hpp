@@ -2,40 +2,38 @@
 
 // Shared machinery of the global methods (Dis-SMO, Dis-SMO + shrinking,
 // PBM): the (rank, local index) election encoding, the elected-sample
-// metadata that travels with each broadcast, the distributed finite-bias
-// fallback, the replicated row store, and globalPairStep — the one
-// Dis-SMO iteration. runDisSmo loops over it under its own snapshot,
-// shrink and unshrink policy; PBM runs it as its cross-block correction.
-// The index sets and their bound slack are the serial solver's
-// (casvm/solver/working_set.hpp). Every exact kernel column
-// K(local rows, x) the global methods compute comes from the kernel
-// layer's ExactRowSource::fillColumn (the pair step's two columns from
-// fillColumns, in one pass), and every exact kernel value they step on is
-// rounded as the serial solver's row cache stores it (kernel::asCached),
-// so P = 1 Dis-SMO walks the serial solver's trajectory. The Nyström
-// z-dots are computed fresh each step, never cached, and stay double.
-// Everything here is collective-safe by construction: every decision
-// derives from allreduce or broadcast results, so all ranks take
-// identical branches.
+// metadata that travels with each broadcast, the replicated row store, and
+// GlobalPairSource, the pair source that runs the one SMO loop
+// (casvm/solver/smo_loop.hpp) across ranks. runDisSmo runs the loop for
+// the whole solve; PBM runs it as its cross-block correction.
+//
+// The source turns the loop's local selection into a MINLOC/MAXLOC
+// election, ships the elected samples to every rank, and fills their
+// kernel columns over the rank's block. Every kernel value it hands the
+// loop is rounded as the serial solver's row cache stores it
+// (kernel::asCached): exact columns from the kernel layer's
+// ExactRowSource::fillColumns, Nyström ones from z-dots against a z-image
+// rounded to float as the factor's Z rows are stored. So P = 1 Dis-SMO is
+// the serial solve, exact and Nyström alike. Everything here is
+// collective-safe by construction: every decision derives from allreduce
+// or broadcast results, so all ranks take identical branches.
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "methods.hpp"
 #include "casvm/data/dataset.hpp"
 #include "casvm/kernel/kernel.hpp"
 #include "casvm/kernel/row_cache.hpp"
 #include "casvm/kernel/row_source.hpp"
 #include "casvm/lowrank/nystrom.hpp"
 #include "casvm/net/comm.hpp"
-#include "casvm/solver/working_set.hpp"
+#include "casvm/solver/smo_loop.hpp"
 
 namespace casvm::core::detail {
-
-inline constexpr double kGlobalInf = std::numeric_limits<double>::infinity();
 
 /// Encodes (rank, local index) into the 63-bit index of a ValIdx reduction.
 inline constexpr long long kRankStride = 1LL << 40;
@@ -46,52 +44,6 @@ struct ElectedMeta {
   double selfDot;
   double y;
 };
-
-/// The one global dual problem the ranks cooperate on: the local block,
-/// the kernel, the per-class boxes and, under the Nyström backend, the
-/// factor whose K̃ = ZZᵀ replaces the kernel in every step.
-struct GlobalDual {
-  const data::Dataset& local;
-  const kernel::Kernel& kern;
-  double cPos;
-  double cNeg;
-  double boundEps;
-  double tau;
-  const lowrank::NystromFactor* lowrank = nullptr;
-
-  double boxOf(std::size_t i) const {
-    return local.label(i) == 1 ? cPos : cNeg;
-  }
-  double boxFor(double y) const { return y > 0.0 ? cPos : cNeg; }
-};
-
-/// Finite-bias fallback, distributed (ported from src/solver/smo.cpp).
-/// An empty high/low elected set leaves a threshold at +-inf and the
-/// midpoint bias would be NaN/inf. An empty high set means every sample
-/// only upper-bounds b, so the tightest bound -bLow is a valid bias; the
-/// empty-low case mirrors it. Both empty (degenerate box) brackets b with
-/// the global gradient range — the only case needing communication, and
-/// every rank reaches it together because bHigh/bLow are allreduce
-/// results.
-inline void ensureFiniteThresholds(net::Comm& comm,
-                                   const data::Dataset& local,
-                                   const std::vector<double>& f,
-                                   double& bHigh, double& bLow) {
-  if (std::isfinite(bHigh) && std::isfinite(bLow)) return;
-  if (std::isfinite(bLow)) {
-    bHigh = bLow;
-  } else if (std::isfinite(bHigh)) {
-    bLow = bHigh;
-  } else {
-    double lo = kGlobalInf, hi = -kGlobalInf;
-    for (std::size_t i = 0; i < local.rows(); ++i) {
-      lo = std::min(lo, f[i]);
-      hi = std::max(hi, f[i]);
-    }
-    bHigh = comm.allreduce(lo, [](double a, double b) { return std::min(a, b); });
-    bLow = comm.allreduce(hi, [](double a, double b) { return std::max(a, b); });
-  }
-}
 
 /// Replicated per-sample store keyed by the global
 /// rank * kRankStride + localIdx encoding. A sample's features, squared
@@ -180,217 +132,225 @@ class GlobalRowStore {
   long long hits_ = 0;
 };
 
-/// Per-rank scratch of globalPairStep, sized once per solve: the elected
-/// rows, their kernel columns over the local block (exact backend) or
-/// their z-images (Nyström backend), and the exact column source, whose
-/// tiled copy of the block is built on its first full fill. The callers'
-/// own column fills (Dis-SMO's unshrink, PBM's line search) share
-/// fillColumn().
-class PairWorkspace {
+/// Ship the elected sample `key` to every rank into `x`: recalled from the
+/// replicated store when it holds the row (no broadcast), otherwise
+/// broadcast by its owner and then mirrored into the store.
+inline ElectedMeta shipElected(net::Comm& comm, const data::Dataset& local,
+                               const std::vector<double>& alpha,
+                               long long key, std::vector<float>& x,
+                               GlobalRowStore* store) {
+  ElectedMeta meta{};
+  if (store != nullptr && store->recall(key, x, meta)) return meta;
+  const int owner = static_cast<int>(key / kRankStride);
+  if (comm.rank() == owner) {
+    const auto i = static_cast<std::size_t>(key % kRankStride);
+    meta = {alpha[i], local.selfDot(i), double(local.label(i))};
+    local.copyRowDense(i, x);
+  }
+  comm.bcast(meta, owner);
+  comm.bcast(x, owner);
+  if (store != nullptr) {
+    store->insert(key, x, meta.selfDot, meta.y, meta.alpha);
+  }
+  return meta;
+}
+
+/// The global methods' pair source for solver::SmoLoop, over this rank's
+/// block `local`. Under the Nyström backend `lowrank` is the rank's factor
+/// against the one global landmark set, and K̃ = ZZᵀ replaces the kernel in
+/// every step. With a `store` an election of a mirrored sample costs no
+/// broadcast (row, label and self-dot are immutable; the mirrored alpha is
+/// kept current by commit()), and first-time samples are inserted right
+/// after their broadcast.
+class GlobalPairSource {
  public:
-  explicit PairWorkspace(const GlobalDual& p)
-      : xHigh(p.local.cols()),
-        xLow(p.local.cols()),
-        colHigh(p.lowrank != nullptr ? 0 : p.local.rows()),
-        colLow(colHigh.size()),
-        zHigh(p.lowrank != nullptr ? p.lowrank->rank() : 0),
-        zLow(zHigh.size()),
-        columns_(p.kern, p.local) {}
+  GlobalPairSource(net::Comm& comm, const data::Dataset& local,
+                   const kernel::Kernel& kern,
+                   const lowrank::NystromFactor* lowrank,
+                   GlobalRowStore* store)
+      : comm_(comm),
+        local_(local),
+        kern_(kern),
+        lowrank_(lowrank),
+        store_(store),
+        xHigh_(local.cols()),
+        xLow_(local.cols()),
+        zHigh_(lowrank != nullptr ? lowrank->rank() : 0),
+        zLow_(zHigh_.size()),
+        fillHigh_(lowrank != nullptr ? 0 : local.rows()),
+        fillLow_(fillHigh_.size()),
+        colHigh_(local.rows()),
+        colLow_(local.rows()),
+        columns_(kern, local) {}
+
+  /// MINLOC/MAXLOC over rank * kRankStride + i keys: index -1 and +-inf
+  /// mean "no candidate". Returns the block rows of the elected samples
+  /// this rank owns (rows() for the others) and the global thresholds.
+  solver::PairPick elect(const solver::PairPick& local) {
+    const std::size_t m = local_.rows();
+    const long long base = comm_.rank() * kRankStride;
+    const auto key = [&](std::size_t i) {
+      return i < m ? base + static_cast<long long>(i) : -1LL;
+    };
+    const net::Comm::ValIdx high =
+        comm_.allreduceMinloc(local.bHigh, key(local.high));
+    const net::Comm::ValIdx low =
+        comm_.allreduceMaxloc(local.bLow, key(local.low));
+    keyHigh_ = high.index;
+    keyLow_ = low.index;
+    return {owned(keyHigh_), owned(keyLow_), high.value, low.value};
+  }
+
+  solver::ElectedPair pair(const solver::PairPick& elected,
+                           const solver::SolverSnapshot& s,
+                           const std::uint8_t*) {
+    metaHigh_ = shipElected(comm_, local_, s.alpha, keyHigh_, xHigh_, store_);
+    metaLow_ = shipElected(comm_, local_, s.alpha, keyLow_, xLow_, store_);
+    double kHH, kLL, kHL;
+    if (lowrank_ != nullptr) {
+      zImage(xHigh_, metaHigh_.selfDot, zHigh_);
+      zImage(xLow_, metaLow_.selfDot, zLow_);
+      kHH = kernel::asCached(zdotVectors(zHigh_, zHigh_));
+      kLL = kernel::asCached(zdotVectors(zLow_, zLow_));
+      kHL = kernel::asCached(zdotVectors(zHigh_, zLow_));
+    } else {
+      kHH = kernel::asCached(kern_.evalVectors(xHigh_, metaHigh_.selfDot,
+                                               xHigh_, metaHigh_.selfDot));
+      kLL = kernel::asCached(kern_.evalVectors(xLow_, metaLow_.selfDot,
+                                               xLow_, metaLow_.selfDot));
+      kHL = kernel::asCached(kern_.evalVectors(xHigh_, metaHigh_.selfDot,
+                                               xLow_, metaLow_.selfDot));
+    }
+    return {elected.high,    elected.low,    elected.bHigh, elected.bLow,
+            metaHigh_.alpha, metaLow_.alpha, metaHigh_.y,   metaLow_.y,
+            kHH,             kLL,            kHL};
+  }
+
+  /// Every rank computed the same new alphas; the loop wrote the owned
+  /// ones, and the store mirrors both.
+  void commit(const solver::ElectedPair&, double aHigh, double aLow, bool,
+              bool) {
+    if (store_ == nullptr) return;
+    store_->updateAlpha(keyHigh_, aHigh);
+    store_->updateAlpha(keyLow_, aLow);
+  }
+
+  /// The two elected samples' columns over the owned `active` rows: the
+  /// 2mn/P term of eqn. (9), cut to the surviving fraction once shrunk,
+  /// or m·r/P z-dots under the Nyström backend.
+  kernel::RowCache::RowPair columns(std::span<const std::size_t> active) {
+    if (lowrank_ != nullptr) {
+      for (std::size_t i : active) {
+        colHigh_[i] = kernel::CacheValue(lowrank_->zdot(i, zHigh_));
+        colLow_[i] = kernel::CacheValue(lowrank_->zdot(i, zLow_));
+      }
+    } else {
+      columns_.fillColumns(xHigh_, metaHigh_.selfDot, xLow_, metaLow_.selfDot,
+                           active, fillHigh_, fillLow_);
+      for (std::size_t i : active) {
+        colHigh_[i] = kernel::CacheValue(fillHigh_[i]);
+        colLow_[i] = kernel::CacheValue(fillLow_[i]);
+      }
+    }
+    return {colHigh_, colLow_};
+  }
+
+  void release() {}
+
+  double now() { return virtualNow(comm_); }
+  /// No row cache: every column is filled fresh.
+  static double hitRate() { return 0.0; }
+
+  double agreeMin(double v) {
+    return comm_.allreduce(v, [](double a, double b) { return std::min(a, b); });
+  }
+  double agreeMax(double v) {
+    return comm_.allreduce(v, [](double a, double b) { return std::max(a, b); });
+  }
+  long long agreeSum(long long v) { return comm_.allreduceSum(v); }
+
+  /// Unshrink rebuild: one allgatherv round ships the global support
+  /// vectors, then one column per support vector over the stale rows,
+  /// against the same kernel the iterations used (mixing exact columns
+  /// into a low-rank trajectory would desynchronize f from its alphas).
+  void restore(solver::SolverSnapshot& s, std::span<const std::size_t> stale) {
+    const std::size_t n = local_.cols();
+    std::vector<std::size_t> nz;
+    for (std::size_t i = 0; i < s.alpha.size(); ++i) {
+      if (s.alpha[i] != 0.0) nz.push_back(i);
+    }
+    std::vector<float> rowsFlat(nz.size() * n, 0.0f);
+    std::vector<double> coefs(nz.size());
+    std::vector<double> dots(nz.size());
+    for (std::size_t k = 0; k < nz.size(); ++k) {
+      const std::size_t j = nz[k];
+      local_.copyRowDense(j, std::span<float>(rowsFlat).subspan(k * n, n));
+      coefs[k] = s.alpha[j] * double(local_.label(j));
+      dots[k] = local_.selfDot(j);
+    }
+    const std::vector<float> allRows = comm_.allgatherv(rowsFlat);
+    const std::vector<double> allCoefs = comm_.allgatherv(coefs);
+    const std::vector<double> allDots = comm_.allgatherv(dots);
+    const std::span<const float> rows(allRows);
+    for (std::size_t j = 0; j < allCoefs.size(); ++j) {
+      const std::span<const float> x = rows.subspan(j * n, n);
+      if (lowrank_ != nullptr) {
+        zImage(x, allDots[j], zHigh_);  // free between steps
+        for (std::size_t i : stale) {
+          s.f[i] += allCoefs[j] * kernel::asCached(lowrank_->zdot(i, zHigh_));
+        }
+      } else {
+        fillColumn(x, allDots[j], stale, fillHigh_);
+        for (std::size_t i : stale) s.f[i] += allCoefs[j] * fillHigh_[i];
+      }
+    }
+  }
 
   /// out[i] = K(local row i, x) for i in `rows` (ascending), rounded as
   /// the row cache stores it; entries outside `rows` are unspecified.
+  /// Exact backend only (PBM's line search shares it).
   void fillColumn(std::span<const float> x, double xSelfDot,
                   std::span<const std::size_t> rows, std::span<double> out) {
     columns_.fillColumn(x, xSelfDot, rows, out);
     for (std::size_t i : rows) out[i] = kernel::asCached(out[i]);
   }
 
-  /// The pair step's two columns, colHigh from xHigh and colLow from xLow,
-  /// bitwise two fillColumn() calls: a full fill streams the block's
-  /// tiles once for both.
-  void fillPairColumns(double highSelfDot, double lowSelfDot,
-                       std::span<const std::size_t> rows) {
-    columns_.fillColumns(xHigh, highSelfDot, xLow, lowSelfDot, rows, colHigh,
-                         colLow);
-    for (std::size_t i : rows) {
-      colHigh[i] = kernel::asCached(colHigh[i]);
-      colLow[i] = kernel::asCached(colLow[i]);
-    }
+ private:
+  std::size_t owned(long long key) const {
+    return key >= 0 && key / kRankStride == comm_.rank()
+               ? static_cast<std::size_t>(key % kRankStride)
+               : local_.rows();
   }
 
-  std::vector<float> xHigh, xLow;
-  std::vector<double> colHigh, colLow;
-  std::vector<double> zHigh, zLow;
+  /// The z-image of a shipped row, rounded to float as the factor stores
+  /// its own Z rows, so a z-dot against it is the K̃ entry a row fill gives.
+  void zImage(std::span<const float> x, double selfDot, std::span<double> z) {
+    lowrank_->map(kern_, x, selfDot, z);
+    for (double& v : z) v = double(static_cast<float>(v));
+  }
 
- private:
+  /// Fixed-order dot of two z-images (identical on every rank).
+  static double zdotVectors(std::span<const double> a,
+                            std::span<const double> b) {
+    double s = 0.0;
+    for (std::size_t k = 0; k < a.size(); ++k) s += a[k] * b[k];
+    return s;
+  }
+
+  net::Comm& comm_;
+  const data::Dataset& local_;
+  const kernel::Kernel& kern_;
+  const lowrank::NystromFactor* lowrank_;
+  GlobalRowStore* store_;
+  long long keyHigh_ = -1, keyLow_ = -1;
+  ElectedMeta metaHigh_{}, metaLow_{};
+  std::vector<float> xHigh_, xLow_;      ///< the elected rows
+  std::vector<double> zHigh_, zLow_;     ///< their z-images (Nyström)
+  std::vector<double> fillHigh_, fillLow_;  ///< exact column fills
+  std::vector<kernel::CacheValue> colHigh_, colLow_;
+  /// The exact column source; its tiled copy of the block is built on the
+  /// first full fill.
   kernel::ExactRowSource columns_;
 };
-
-/// Fixed-order dot of two z-images (identical on every rank).
-inline double zdotVectors(std::span<const double> a,
-                          std::span<const double> b) {
-  double s = 0.0;
-  for (std::size_t k = 0; k < a.size(); ++k) s += a[k] * b[k];
-  return s;
-}
-
-/// Ship the elected sample `index` to every rank into `x`: recalled from
-/// the replicated store when it holds the row (no broadcast), otherwise
-/// broadcast by its owner and then mirrored into the store.
-inline ElectedMeta shipElected(net::Comm& comm, const GlobalDual& p,
-                               const std::vector<double>& alpha,
-                               long long index, std::vector<float>& x,
-                               GlobalRowStore* store) {
-  ElectedMeta meta{};
-  if (store != nullptr && store->recall(index, x, meta)) return meta;
-  const int owner = static_cast<int>(index / kRankStride);
-  if (comm.rank() == owner) {
-    const auto i = static_cast<std::size_t>(index % kRankStride);
-    meta = {alpha[i], p.local.selfDot(i), double(p.local.label(i))};
-    p.local.copyRowDense(i, x);
-  }
-  comm.bcast(meta, owner);
-  comm.bcast(x, owner);
-  if (store != nullptr) {
-    store->insert(index, x, meta.selfDot, meta.y, meta.alpha);
-  }
-  return meta;
-}
-
-enum class PairStepResult {
-  Stepped,     ///< one two-variable step was applied everywhere
-  Converged,   ///< global bLow <= bHigh + 2*tau
-  Degenerate,  ///< the elected pair is pinned and cannot move
-};
-
-/// One Dis-SMO iteration over the rank's `active` rows (ascending): local
-/// scan, MINLOC/MAXLOC election, the elected samples shipped to every
-/// rank, the identical two-variable step (eqns. 6-7) on every rank, and
-/// the local gradient update (eqn. 5) over `active`. PBM passes all rows:
-/// its pair corrections move equality-constraint mass between blocks,
-/// which the per-block solves can't. `bHigh`/`bLow` are left holding the
-/// election thresholds, so the caller's convergence state and final bias
-/// always reflect the latest global scan; Converged and Degenerate return
-/// before any alpha or gradient moves. With a `store` an election of a
-/// mirrored sample costs no broadcast at all (row, label and self-dot are
-/// immutable; the mirrored alpha is kept current by the replicated
-/// updateAlpha calls below), and first-time samples are inserted right
-/// after their broadcast. Under the exact backend eta and both columns are
-/// rounded as the serial solver's row cache rounds them; under the
-/// Nyström backend they are z-dots, so they match the K̃ every rank trains
-/// on.
-inline PairStepResult globalPairStep(net::Comm& comm, const GlobalDual& p,
-                                     std::span<const std::size_t> active,
-                                     std::vector<double>& alpha,
-                                     std::vector<double>& f,
-                                     PairWorkspace& ws, double& bHigh,
-                                     double& bLow, GlobalRowStore* store) {
-  const int rank = comm.rank();
-  const data::Dataset& local = p.local;
-
-  double localHigh = kGlobalInf, localLow = -kGlobalInf;
-  long long localHighIdx = -1, localLowIdx = -1;
-  for (std::size_t i : active) {
-    const std::int8_t y = local.label(i);
-    const double a = alpha[i];
-    const double ci = p.boxOf(i);
-    if (solver::inHighSet(y, a, ci, p.boundEps) && f[i] < localHigh) {
-      localHigh = f[i];
-      localHighIdx = rank * kRankStride + static_cast<long long>(i);
-    }
-    if (solver::inLowSet(y, a, ci, p.boundEps) && f[i] > localLow) {
-      localLow = f[i];
-      localLowIdx = rank * kRankStride + static_cast<long long>(i);
-    }
-  }
-
-  const net::Comm::ValIdx high = comm.allreduceMinloc(localHigh, localHighIdx);
-  const net::Comm::ValIdx low = comm.allreduceMaxloc(localLow, localLowIdx);
-  bHigh = high.value;
-  bLow = low.value;
-  if (bLow <= bHigh + 2.0 * p.tau) return PairStepResult::Converged;
-
-  const ElectedMeta metaHigh =
-      shipElected(comm, p, alpha, high.index, ws.xHigh, store);
-  const ElectedMeta metaLow =
-      shipElected(comm, p, alpha, low.index, ws.xLow, store);
-
-  // K̃ is PSD, so the low-rank eta stays non-negative like the exact one
-  // and the usual floor applies.
-  double kHH, kLL, kHL;
-  if (p.lowrank != nullptr) {
-    p.lowrank->map(p.kern, ws.xHigh, metaHigh.selfDot, ws.zHigh);
-    p.lowrank->map(p.kern, ws.xLow, metaLow.selfDot, ws.zLow);
-    kHH = zdotVectors(ws.zHigh, ws.zHigh);
-    kLL = zdotVectors(ws.zLow, ws.zLow);
-    kHL = zdotVectors(ws.zHigh, ws.zLow);
-  } else {
-    kHH = kernel::asCached(p.kern.evalVectors(ws.xHigh, metaHigh.selfDot,
-                                              ws.xHigh, metaHigh.selfDot));
-    kLL = kernel::asCached(p.kern.evalVectors(ws.xLow, metaLow.selfDot,
-                                              ws.xLow, metaLow.selfDot));
-    kHL = kernel::asCached(p.kern.evalVectors(ws.xHigh, metaHigh.selfDot,
-                                              ws.xLow, metaLow.selfDot));
-  }
-  double eta = kHH + kLL - 2.0 * kHL;
-  if (eta < 1e-12) eta = 1e-12;
-
-  const double cHigh = p.boxFor(metaHigh.y);
-  const double cLow = p.boxFor(metaLow.y);
-  const double s = metaHigh.y * metaLow.y;
-  double lo, hi;
-  if (s < 0.0) {
-    lo = std::max(0.0, metaLow.alpha - metaHigh.alpha);
-    hi = std::min(cLow, cHigh + metaLow.alpha - metaHigh.alpha);
-  } else {
-    lo = std::max(0.0, metaHigh.alpha + metaLow.alpha - cHigh);
-    hi = std::min(cLow, metaHigh.alpha + metaLow.alpha);
-  }
-  double aLowNew = metaLow.alpha + metaLow.y * (bHigh - bLow) / eta;
-  aLowNew = std::clamp(aLowNew, lo, hi);
-  const double dLow = aLowNew - metaLow.alpha;
-  if (std::abs(dLow) < 1e-14) return PairStepResult::Degenerate;
-  const double dHigh = -s * dLow;
-
-  // Snap to the per-class box against accumulated floating-point drift.
-  // Every rank computes the identical snapped alphas; the owners commit.
-  double aHighNew = metaHigh.alpha + dHigh;
-  if (aLowNew < p.boundEps) aLowNew = 0.0;
-  if (aLowNew > cLow - p.boundEps) aLowNew = cLow;
-  if (aHighNew < p.boundEps) aHighNew = 0.0;
-  if (aHighNew > cHigh - p.boundEps) aHighNew = cHigh;
-  if (rank == high.index / kRankStride) {
-    alpha[static_cast<std::size_t>(high.index % kRankStride)] = aHighNew;
-  }
-  if (rank == low.index / kRankStride) {
-    alpha[static_cast<std::size_t>(low.index % kRankStride)] = aLowNew;
-  }
-  if (store != nullptr) {
-    store->updateAlpha(high.index, aHighNew);
-    store->updateAlpha(low.index, aLowNew);
-  }
-
-  // Gradient update over the owned active rows: the 2mn/P term of eqn.
-  // (9), cut to the surviving fraction once shrunk. Both columns are
-  // filled before the update, which adds the terms in the same order as a
-  // per-row evaluation would.
-  const double coefHigh = dHigh * metaHigh.y;
-  const double coefLow = dLow * metaLow.y;
-  if (p.lowrank != nullptr) {
-    // The m·r/P replacement: two z-dots per row instead of two n-wide
-    // kernel evaluations.
-    const lowrank::NystromFactor& lr = *p.lowrank;
-    const std::span<const double> zHigh(ws.zHigh), zLow(ws.zLow);
-    for (std::size_t i : active) {
-      f[i] += coefHigh * lr.zdot(i, zHigh) + coefLow * lr.zdot(i, zLow);
-    }
-  } else {
-    ws.fillPairColumns(metaHigh.selfDot, metaLow.selfDot, active);
-    for (std::size_t i : active) {
-      f[i] += coefHigh * ws.colHigh[i] + coefLow * ws.colLow[i];
-    }
-  }
-  return PairStepResult::Stepped;
-}
 
 }  // namespace casvm::core::detail

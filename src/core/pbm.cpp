@@ -28,16 +28,15 @@
 //
 // Block solves cannot move mass across blocks (each preserves its local
 // equality sum), so each round finishes with a few global
-// maximal-violating-pair corrections — globalPairStep, the same Dis-SMO
-// iteration runDisSmo loops over — and a pure pair-correction tail
-// polishes to the global KKT conditions after the rounds are spent. The
-// line search's gradient refresh and the pair steps take their kernel
-// columns from the kernel layer (ExactRowSource::fillColumn), rounded as
-// the block solver's row cache rounds them; the curvature h stays on the
-// exact kernel.
+// maximal-violating-pair corrections — the one SMO loop run through
+// GlobalPairSource, as runDisSmo runs it, capped and without shrinking —
+// and a pure pair-correction tail polishes to the global KKT conditions
+// after the rounds are spent. The line search's gradient refresh and the
+// pair steps take their kernel columns from the kernel layer
+// (ExactRowSource::fillColumn), rounded as the block solver's row cache
+// rounds them; the curvature h stays on the exact kernel.
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <optional>
 
@@ -72,19 +71,25 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   const double cPos = opts.C * opts.positiveWeight;
   const double cNeg = opts.C * opts.negativeWeight;
   const double boundEps = solver::kBoundSlack * std::max(cPos, cNeg);
-  const double tau = opts.tolerance;
   const kernel::Kernel kern(opts.kernel);
   const std::size_t mLocal = local.rows();
   const std::size_t n = local.cols();
 
-  const GlobalDual prob{local, kern, cPos, cNeg, boundEps, tau};
+  const auto boxFor = [&](double y) { return y > 0.0 ? cPos : cNeg; };
 
-  std::vector<double> alpha(mLocal, 0.0);
-  std::vector<double> f(mLocal);
+  // The loop's state: alpha and f over the owned rows, all of them active
+  // (the pair corrections never shrink), and the global pair-correction
+  // count as its iteration.
+  solver::SolverSnapshot state;
+  std::vector<double>& alpha = state.alpha;
+  std::vector<double>& f = state.f;
+  alpha.assign(mLocal, 0.0);
+  f.resize(mLocal);
   for (std::size_t i = 0; i < mLocal; ++i) f[i] = -double(local.label(i));
+  state.active.resize(mLocal);
+  std::iota(state.active.begin(), state.active.end(), 0);
 
   long long blockIters = 0;  ///< serial SMO iterations inside block solves
-  long long pairIters = 0;   ///< global pair-correction iterations
   std::size_t startRound = 0;
 
   ckpt::CheckpointStore* store = ctx.config.checkpoints;
@@ -120,7 +125,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
         alpha = chosen->alpha;
         f = chosen->f;
         blockIters = chosen->blockIterations;
-        pairIters = chosen->pairIterations;
+        state.iteration = static_cast<std::size_t>(chosen->pairIterations);
         startRound = chosen->round;
         ++board.checkpointsLoaded[urank];
       }
@@ -136,7 +141,6 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   const int rounds = std::max(1, ctx.config.pbmRounds);
   const int pairCap = std::max(0, ctx.config.pbmPairIterations);
 
-  double bHigh = 0.0, bLow = 0.0;
   bool converged = false;
   bool sawThresholds = false;
 
@@ -144,12 +148,18 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   // corrections. Deliberately not checkpointed: a resume rebuilds it empty
   // and only the communication volume differs, never the iterates.
   GlobalRowStore rowStore(n, opts.cacheBytes);
-  PairWorkspace ws(prob);
-  std::vector<std::size_t> allRows(mLocal);  // the pair steps never shrink
-  std::iota(allRows.begin(), allRows.end(), 0);
+  GlobalPairSource source(comm, local, kern, nullptr, &rowStore);
+  const std::vector<std::size_t>& allRows = state.active;
   std::vector<double> col(mLocal);
 
   obs::Lane* lane = comm.traceLane();
+  solver::SolverOptions loopOpts = opts;
+  loopOpts.shrinking = false;
+  loopOpts.trace = lane;
+  loopOpts.snapshotSink = nullptr;
+  loopOpts.snapshotInterval = 0;
+  solver::SmoLoop loop(source, local, loopOpts, state);
+
   std::optional<PhaseSpan> solvePhase;
   solvePhase.emplace(comm, "solve");
 
@@ -162,7 +172,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
       ckpt::PbmRoundState snap;
       snap.round = round;
       snap.blockIterations = blockIters;
-      snap.pairIterations = pairIters;
+      snap.pairIterations = static_cast<long long>(state.iteration);
       snap.alpha = alpha;
       snap.f = f;
       store->save(solverName, ckpt::Kind::PbmRound,
@@ -294,7 +304,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
       // block-solver's already-snapped values eps-close to the bound).
       for (std::size_t i : changed) {
         double a = alpha[i] + beta * delta[i];
-        const double ci = prob.boxOf(i);
+        const double ci = boxFor(double(local.label(i)));
         if (a < boundEps) a = 0.0;
         if (a > ci - boundEps) a = ci;
         alpha[i] = a;
@@ -306,7 +316,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
         double yj = 0.0, aj = 0.0;
         if (!rowStore.alphaOf(allKeys[j], yj, aj)) continue;
         double a = aj + beta * yj * allCoefs[j];
-        const double cj = prob.boxFor(yj);
+        const double cj = boxFor(yj);
         if (a < boundEps) a = 0.0;
         if (a > cj - boundEps) a = cj;
         rowStore.updateAlpha(allKeys[j], a);
@@ -317,7 +327,7 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
       // serial solver's gradient update). One kernel column per changed
       // sample; each f[i] still adds its terms in ascending j.
       for (std::size_t j = 0; j < sGlobal; ++j) {
-        ws.fillColumn(rowOf(j), rowDot[j], allRows, col);
+        source.fillColumn(rowOf(j), rowDot[j], allRows, col);
         const double c = beta * allCoefs[j];
         for (std::size_t i = 0; i < mLocal; ++i) f[i] += c * col[i];
       }
@@ -326,51 +336,29 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
     if (lane != nullptr) {
       lane->progress(virtualNow(comm), static_cast<std::int64_t>(round),
                      static_cast<std::int64_t>(sGlobal),
-                     sawThresholds ? bLow - bHigh : 0.0, beta);
+                     sawThresholds ? loop.gap() : 0.0, beta);
     }
 
     // --- pair-correction: move equality mass across blocks ----------------
     // A few plain Dis-SMO iterations per round; every outcome (stepped,
     // converged, degenerate) is derived from allreduced values, so all
     // ranks leave the loop together. A degenerate pair while blocks are
-    // unconverged is usually freed by the next block solve — break, don't
+    // unconverged is usually freed by the next block solve — stop, don't
     // give up.
-    for (int p = 0; p < pairCap; ++p) {
-      const PairStepResult step = globalPairStep(
-          comm, prob, allRows, alpha, f, ws, bHigh, bLow, &rowStore);
+    if (pairCap > 0) {
+      converged = loop.run(state.iteration + static_cast<std::size_t>(pairCap));
       sawThresholds = true;
-      if (step == PairStepResult::Converged) {
-        converged = true;
-        break;
-      }
-      if (step == PairStepResult::Degenerate) break;
-      ++pairIters;
     }
   }
 
   // Rounds exhausted without meeting the global KKT conditions: polish
   // with the pure pair-correction tail (plain Dis-SMO), capped by the
   // global iteration budget.
-  while (!converged && static_cast<std::size_t>(pairIters) < maxIters) {
-    const PairStepResult step = globalPairStep(
-        comm, prob, allRows, alpha, f, ws, bHigh, bLow, &rowStore);
-    sawThresholds = true;
-    if (step == PairStepResult::Converged) {
-      converged = true;
-      break;
-    }
-    if (step == PairStepResult::Degenerate) break;
-    ++pairIters;
-    if (lane != nullptr && pairIters % 512 == 0) {
-      lane->progress(virtualNow(comm), pairIters,
-                     static_cast<std::int64_t>(mLocal), bLow - bHigh, 1.0);
-    }
-  }
+  if (!converged) loop.run(maxIters);
 
-  // The last pair scan left the election thresholds in bHigh/bLow; they
-  // are finite whenever both candidate sets are nonempty, and the
-  // distributed fallback covers the degenerate cases.
-  ensureFiniteThresholds(comm, local, f, bHigh, bLow);
+  // The last election's thresholds, with the loop's finite fallback for
+  // the degenerate cases.
+  const double bias = loop.finish();
 
   solvePhase.reset();  // end the "solve" span before train-end bookkeeping
 
@@ -379,20 +367,11 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   // Deposit this rank's model fragment; the driver concatenates fragments
   // into the single global model. Every rank saw the same final
   // thresholds, so any rank's bias is authoritative.
-  const double bias = -(bHigh + bLow) / 2.0;
-  std::vector<std::size_t> svIdx;
-  std::vector<double> alphaY;
-  for (std::size_t i = 0; i < mLocal; ++i) {
-    if (alpha[i] > 0.0) {
-      svIdx.push_back(i);
-      alphaY.push_back(alpha[i] * double(local.label(i)));
-    }
-  }
-  board.models[urank] = solver::Model(opts.kernel, local.subset(svIdx),
-                                      std::move(alphaY), bias);
+  board.models[urank] = solver::Model::fromDual(opts.kernel, local, alpha, bias);
   board.iterations[urank] = blockIters;
-  board.auxIterations[urank] = pairIters;
-  board.svs[urank] = static_cast<long long>(svIdx.size());
+  board.auxIterations[urank] = static_cast<long long>(state.iteration);
+  board.svs[urank] =
+      static_cast<long long>(board.models[urank].numSupportVectors());
   board.rowBcastsSkipped[urank] = rowStore.hits();
 }
 

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "casvm/net/comm.hpp"
 #include "casvm/net/proc_transport.hpp"
@@ -33,6 +34,40 @@ bool isCascadeError(const std::string& what) {
 /// itself or a peer woken by failSource) make the best root cause.
 bool namesInjectedFault(const std::string& what) {
   return what.find("injected fault") != std::string::npos;
+}
+
+/// The message of a failed run, from each rank's error (if any) and each
+/// tolerated crash (if any): prefer an error naming the injected fault,
+/// then any non-cascade root cause, over the cascaded "run aborted" ones.
+/// A tolerated crash that still sank the run (e.g. inside a collective) is
+/// the real root cause; name it if the errors did not already.
+std::string rootCause(const std::vector<std::optional<std::string>>& errors,
+                      const std::vector<std::optional<RankFailure>>& crashes) {
+  std::string best;
+  bool bestNamesFault = false;
+  bool bestIsCascade = true;
+  for (std::size_t r = 0; r < errors.size(); ++r) {
+    const auto& err = errors[r];
+    if (!err) continue;
+    const bool cascade = isCascadeError(*err);
+    const bool fault = namesInjectedFault(*err);
+    const bool better = best.empty() || (fault && !bestNamesFault) ||
+                        (!bestNamesFault && bestIsCascade && !cascade);
+    if (better) {
+      best = "rank " + std::to_string(r) + ": " + *err;
+      bestNamesFault = fault;
+      bestIsCascade = cascade;
+      if (fault) break;
+    }
+  }
+  if (!bestNamesFault) {
+    for (const auto& crash : crashes) {
+      if (!crash) continue;
+      best += (best.empty() ? "" : "; after ") + crash->reason;
+      break;
+    }
+  }
+  return "engine run failed: " + best;
 }
 
 }  // namespace
@@ -219,36 +254,7 @@ RunStats Engine::runThread(const std::function<void(Comm&)>& fn) {
     if (!watchdogReport.empty()) {
       throw Error("engine run failed: " + watchdogReport);
     }
-    // Prefer a message naming the injected fault, then any non-cascade
-    // root cause, over the cascaded "run aborted" ones.
-    std::string best;
-    bool bestNamesFault = false;
-    bool bestIsCascade = true;
-    for (int r = 0; r < size_; ++r) {
-      const auto& err = errors[static_cast<std::size_t>(r)];
-      if (!err) continue;
-      const bool cascade = isCascadeError(*err);
-      const bool fault = namesInjectedFault(*err);
-      const bool better =
-          best.empty() || (fault && !bestNamesFault) ||
-          (!bestNamesFault && bestIsCascade && !cascade);
-      if (better) {
-        best = "rank " + std::to_string(r) + ": " + *err;
-        bestNamesFault = fault;
-        bestIsCascade = cascade;
-        if (fault) break;
-      }
-    }
-    // A tolerated crash that still sank the run (e.g. inside a collective)
-    // is the real root cause; name it if the errors did not already.
-    if (!bestNamesFault) {
-      for (const auto& crash : crashes) {
-        if (!crash) continue;
-        best += (best.empty() ? "" : "; after ") + crash->reason;
-        break;
-      }
-    }
-    throw Error("engine run failed: " + best);
+    throw Error(rootCause(errors, crashes));
   }
 
   RunStats stats;
@@ -409,35 +415,7 @@ RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
     if (trace_ != nullptr && !shard.empty()) trace_->absorbShard(shard);
   }
 
-  if (failed) {
-    // Same root-cause selection as the thread backend: prefer a message
-    // naming the injected fault, then any non-cascade error.
-    std::string best;
-    bool bestNamesFault = false;
-    bool bestIsCascade = true;
-    for (int r = 0; r < size_; ++r) {
-      const auto& err = errors[static_cast<std::size_t>(r)];
-      if (!err) continue;
-      const bool cascade = isCascadeError(*err);
-      const bool fault = namesInjectedFault(*err);
-      const bool better = best.empty() || (fault && !bestNamesFault) ||
-                          (!bestNamesFault && bestIsCascade && !cascade);
-      if (better) {
-        best = "rank " + std::to_string(r) + ": " + *err;
-        bestNamesFault = fault;
-        bestIsCascade = cascade;
-        if (fault) break;
-      }
-    }
-    if (!bestNamesFault) {
-      for (const auto& crash : crashes) {
-        if (!crash) continue;
-        best += (best.empty() ? "" : "; after ") + crash->reason;
-        break;
-      }
-    }
-    throw Error("engine run failed: " + best);
-  }
+  if (failed) throw Error(rootCause(errors, crashes));
 
   RunStats stats;
   stats.size = size_;

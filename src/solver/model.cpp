@@ -15,6 +15,20 @@ Model::Model(kernel::KernelParams params, data::Dataset supportVectors,
               "one coefficient per support vector required");
 }
 
+Model Model::fromDual(kernel::KernelParams params, const data::Dataset& ds,
+                      std::span<const double> alpha, double bias) {
+  CASVM_CHECK(alpha.size() == ds.rows(), "one alpha per training row required");
+  std::vector<std::size_t> svIdx;
+  std::vector<double> alphaY;
+  for (std::size_t i = 0; i < ds.rows(); ++i) {
+    if (alpha[i] > 0.0) {
+      svIdx.push_back(i);
+      alphaY.push_back(alpha[i] * double(ds.label(i)));
+    }
+  }
+  return Model(params, ds.subset(svIdx), std::move(alphaY), bias);
+}
+
 double Model::decision(std::span<const float> x) const {
   double xSelf = 0.0;
   for (float v : x) xSelf += double(v) * double(v);

@@ -74,7 +74,7 @@ TEST(StateCodecTest, DisSmoStateRoundTripIsBitwise) {
   snap.f = {-1e-300, 3e17, 0.25};
   snap.active = {1, 2};
   const solver::SolverSnapshot back =
-      decodeDisSmoState(encodeDisSmoState(snap));
+      decodeSolverState(encodeSolverState(snap));
   EXPECT_EQ(back.iteration, snap.iteration);
   EXPECT_EQ(back.everShrunk, snap.everShrunk);
   EXPECT_EQ(back.alpha, snap.alpha);

@@ -1,9 +1,12 @@
 // Global-method correctness (Dis-SMO, Dis-SMO + shrinking, PBM):
 //
-//  * Class-weight parity: P=1 Dis-SMO with asymmetric per-class boxes is
-//    the serial solver run through the election machinery, so it must
-//    land on the same support-vector set and bias. (Regression: the
-//    distributed path used to apply plain C to both classes.)
+//  * Single-rank parity: P=1 Dis-SMO is the serial solver's loop run
+//    through the election machinery, so on dense and sparse data, plain,
+//    class-weighted and shrinking, exact and Nyström, it must write the
+//    serial solve's model byte for byte in the same iteration count.
+//    (Regression: the distributed path used to apply plain C to both
+//    classes, stepped on unrounded Nyström z-dots, and did not count its
+//    unshrink passes.)
 //  * Finite-bias fallback: a degenerate per-class box (negativeWeight so
 //    small no negative can become a support vector) must still produce a
 //    finite bias, exactly like the serial solver's KKT-bound fallback.
@@ -22,10 +25,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <utility>
 
 #include "casvm/data/registry.hpp"
 #include "casvm/data/synth.hpp"
+#include "casvm/lowrank/landmarks.hpp"
+#include "casvm/lowrank/lowrank_kernel.hpp"
 #include "casvm/solver/smo.hpp"
 
 namespace casvm::core {
@@ -58,29 +66,84 @@ double dualObjective(const solver::Model& model) {
   return linear - 0.5 * quad;
 }
 
-TEST(ClassWeightParityTest, SingleRankDisSmoMatchesSerialWeightedSolve) {
-  const auto ds = data::generateTwoGaussians(200, 4, 2.0, 31);
-  const solver::SolverOptions opts = weightedOptions();
-  const solver::SolverResult serial = solver::SmoSolver(opts).solve(ds);
+struct ParityCase {
+  const char* data;  ///< stand-in name: dense epsilon or sparse webspam
+  std::size_t rows;
+  const char* problem;  ///< "plain", "weighted" (3.0/0.5) or "shrink"
+  bool nystrom;
+};
+
+/// gtest puts the printed parameter into each case's ctest name; its
+/// default byte dump would carry the two string pointers, which move with
+/// address-space randomization.
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << c.data << "-" << c.rows << "-" << c.problem
+      << (c.nystrom ? "-nystrom" : "-exact");
+}
+
+class SingleRankParityTest : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(SingleRankParityTest, DisSmoWritesTheSerialModel) {
+  const ParityCase& c = GetParam();
+  const data::NamedDataset nd = data::standinSized(c.data, c.rows);
+  const std::string problem = c.problem;
+  TrainConfig cfg;
+  cfg.method = problem == "shrink" ? Method::DisSmoShrink : Method::DisSmo;
+  cfg.processes = 1;
+  cfg.solver.kernel = kernel::KernelParams::gaussian(nd.suggestedGamma);
+  cfg.solver.C = nd.suggestedC;
+  if (problem == "weighted") {
+    cfg.solver.positiveWeight = 3.0;
+    cfg.solver.negativeWeight = 0.5;
+  }
+  if (problem == "shrink") cfg.solver.shrinkInterval = 64;
+  cfg.nystromLandmarks = 32;
+  if (c.nystrom) cfg.solverBackend = SolverBackend::Nystrom;
+
+  // The serial solve over the same problem; under Nyström, over the factor
+  // of the landmark set a single rank selects.
+  solver::SolverOptions opts = cfg.solver;
+  opts.shrinking = problem == "shrink";
+  std::optional<lowrank::LowRankKernel> lowrankSource;
+  if (c.nystrom) {
+    const kernel::Kernel kern(opts.kernel);
+    const std::vector<std::size_t> idx = lowrank::selectLandmarks(
+        nd.train, cfg.nystromLandmarks, lowrank::LandmarkStrategy::KmeansPP,
+        cfg.seed ^ 0x9E3779B97F4A7C15ull);
+    lowrankSource.emplace(lowrank::NystromFactor::buildWithLandmarks(
+        kern, nd.train, lowrank::extractLandmarks(nd.train, idx),
+        cfg.nystromEigenFloor));
+    opts.rowSource = &*lowrankSource;
+  }
+  const solver::SolverResult serial = solver::SmoSolver(opts).solve(nd.train);
   ASSERT_TRUE(serial.converged);
 
-  TrainConfig cfg;
-  cfg.method = Method::DisSmo;
-  cfg.processes = 1;
-  cfg.solver = opts;
-  const TrainResult dist = train(ds, cfg);
-
-  // One rank, one election per iteration over the whole problem: the
-  // trajectory is the serial solver's, so the SV set matches exactly.
-  const solver::Model& dm = dist.model.model(0);
-  EXPECT_EQ(dm.numSupportVectors(), serial.model.numSupportVectors());
-  EXPECT_EQ(dm.supportVectors().packAll(),
-            serial.model.supportVectors().packAll());
-  EXPECT_NEAR(dm.bias(), serial.model.bias(),
-              1e-9 * std::max(1.0, std::abs(serial.model.bias())));
-  EXPECT_NEAR(dualObjective(dm), serial.objective,
-              1e-6 * std::max(1.0, std::abs(serial.objective)));
+  const TrainResult dist = train(nd.train, cfg);
+  EXPECT_EQ(dist.model.model(0).pack(), serial.model.pack());
+  EXPECT_EQ(dist.totalIterations, static_cast<long long>(serial.iterations));
+  if (problem == "shrink") {
+    EXPECT_GE(dist.shrinkEngagedIteration, 0);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, SingleRankParityTest,
+    ::testing::Values(ParityCase{"epsilon", 600, "plain", false},
+                      ParityCase{"epsilon", 600, "weighted", false},
+                      ParityCase{"epsilon", 600, "shrink", false},
+                      ParityCase{"epsilon", 600, "plain", true},
+                      ParityCase{"epsilon", 600, "weighted", true},
+                      ParityCase{"epsilon", 600, "shrink", true},
+                      ParityCase{"webspam", 600, "plain", false},
+                      ParityCase{"webspam", 600, "weighted", false},
+                      ParityCase{"webspam", 600, "shrink", false},
+                      ParityCase{"webspam", 600, "plain", true},
+                      ParityCase{"webspam", 600, "weighted", true},
+                      ParityCase{"webspam", 600, "shrink", true}),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      return std::string(info.param.data) + "_" + info.param.problem +
+             (info.param.nystrom ? "_nystrom" : "_exact");
+    });
 
 TEST(ClassWeightParityTest, MultiRankDisSmoHonorsPerClassBoxes) {
   const auto ds = data::generateTwoGaussians(240, 4, 1.5, 37);

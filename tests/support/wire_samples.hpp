@@ -202,9 +202,9 @@ inline std::vector<Sample> samples() {
        [](Bytes b) {
          return ckpt::encodeSolverState(ckpt::decodeSolverState(b));
        }},
-      {"ckpt.dissmo", ckpt::encodeDisSmoState(snapshot()),
+      {"ckpt.dissmo", ckpt::encodeSolverState(snapshot()),
        [](Bytes b) {
-         return ckpt::encodeDisSmoState(ckpt::decodeDisSmoState(b));
+         return ckpt::encodeSolverState(ckpt::decodeSolverState(b));
        }},
       {"ckpt.pbm", ckpt::encodePbmRound(pbm),
        [](Bytes b) { return ckpt::encodePbmRound(ckpt::decodePbmRound(b)); }},
