@@ -5,7 +5,8 @@
 // seeded epsilon/ijcnn stand-ins, m in {2k, 8k}, linear + gaussian kernels,
 // first-order (WSS-1) and second-order working-set selection, shrinking on
 // and off. Emits BENCH_SOLVER.json with iterations, wall seconds, kernel
-// rows computed and cache hit rate per configuration.
+// rows computed, the row fills' sweeps and rows filled ahead, and cache
+// hit rate per configuration.
 //
 // Iteration counts and objectives are deterministic in the seed, so runs of
 // this bench on two builds are directly comparable: a hot-path change that
@@ -105,8 +106,9 @@ void writeJson(const Options& opts, const std::vector<Record>& records) {
                  r.result.objective, r.result.seconds);
     std::fprintf(f, "\"kernel_rows_computed\": %zu, ",
                  r.result.kernelRowsComputed);
-    std::fprintf(f, "\"kernel_rows_paired\": %zu, \"cache_hits\": %zu, ",
-                 r.result.kernelRowsPaired, r.result.kernelRowHits);
+    std::fprintf(f, "\"kernel_fill_sweeps\": %zu, \"kernel_rows_ahead\": %zu, ",
+                 r.result.kernelFillSweeps, r.result.kernelRowsAhead);
+    std::fprintf(f, "\"cache_hits\": %zu, ", r.result.kernelRowHits);
     std::fprintf(f, "\"cache_hit_rate\": %.4f}%s\n", hitRate(r.result),
                  i + 1 < records.size() ? "," : "");
   }
@@ -132,9 +134,10 @@ int main(int argc, char** argv) {
       opts.smoke ? std::vector<std::size_t>{256, 1024}
                  : std::vector<std::size_t>{2000, 8000};
 
-  std::printf("%-8s %6s %-9s %-12s %-6s %9s %5s %10s %8s %7s\n", "dataset",
-              "m", "kernel", "selection", "shrink", "iters", "conv",
-              "objective", "seconds", "hit%");
+  std::printf("%-8s %6s %-9s %-12s %-6s %9s %5s %10s %8s %7s %7s %7s %7s\n",
+              "dataset", "m", "kernel", "selection", "shrink", "iters",
+              "conv", "objective", "seconds", "hit%", "rows", "sweeps",
+              "ahead");
   std::vector<Record> records;
   for (const DatasetSpec& spec : datasets) {
     for (std::size_t m : sizes) {
@@ -164,11 +167,14 @@ int main(int argc, char** argv) {
                                                             : "second-order",
                        shrinking,
                        res};
-            std::printf("%-8s %6zu %-9s %-12s %-6s %9zu %5s %10.4f %8.3f %6.1f%%\n",
-                        rec.dataset.c_str(), rec.m, rec.kernel.c_str(),
-                        rec.selection.c_str(), shrinking ? "on" : "off",
-                        res.iterations, res.converged ? "yes" : "no",
-                        res.objective, res.seconds, 100.0 * hitRate(res));
+            std::printf(
+                "%-8s %6zu %-9s %-12s %-6s %9zu %5s %10.4f %8.3f %6.1f%% "
+                "%7zu %7zu %7zu\n",
+                rec.dataset.c_str(), rec.m, rec.kernel.c_str(),
+                rec.selection.c_str(), shrinking ? "on" : "off",
+                res.iterations, res.converged ? "yes" : "no", res.objective,
+                res.seconds, 100.0 * hitRate(res), res.kernelRowsComputed,
+                res.kernelFillSweeps, res.kernelRowsAhead);
             std::fflush(stdout);
             records.push_back(std::move(rec));
           }

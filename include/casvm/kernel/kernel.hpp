@@ -69,7 +69,7 @@ class RowWorkspace {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> tiles_;    ///< dense: ceil(m/16) blocks of cols*16 floats
-  std::vector<double> xd_;      ///< dense: up to two queries widened to double
+  std::vector<double> xd_;      ///< dense: up to four queries widened to double
   std::vector<float> scatter_;  ///< sparse: dense copy of row i
 };
 
@@ -110,12 +110,12 @@ class Kernel {
   void row(const data::Dataset& ds, std::size_t i, std::span<double> out,
            RowWorkspace& ws) const;
 
-  /// Rows i and j in one call, bit for bit row(ds, i, outI, ws) and
-  /// row(ds, j, outJ, ws): dense fills stream the workspace's tiles once
-  /// for both rows (tile::dot2Fn), sparse fills run one after the other.
-  void rows(const data::Dataset& ds, std::size_t i, std::size_t j,
-            std::span<double> outI, std::span<double> outJ,
-            RowWorkspace& ws) const;
+  /// Rows idx[0..q) in one call, 1 <= q <= tile::kMaxQueries, bit for bit
+  /// row(ds, idx[t], outs[t], ws) each: dense fills stream the workspace's
+  /// tiles once for all q rows (one tile::dotFn pass), sparse fills run
+  /// one after the other.
+  void rows(const data::Dataset& ds, std::span<const std::size_t> idx,
+            std::span<const std::span<double>> outs, RowWorkspace& ws) const;
 
   /// Fill out[j] = K(xi, xj) for j in `subset` only; entries of `out`
   /// outside `subset` are left untouched. Lets the solver's row cache
@@ -147,11 +147,13 @@ class Kernel {
                double xSelfDot, std::span<const std::size_t> subset,
                std::span<double> out) const;
 
-  /// Two columns in one call, bit for bit rowWith() of x0 into out0 and of
-  /// x1 into out1: dense fills stream the tiles once for both vectors.
-  void rowsWith(const data::Dataset& ds, std::span<const float> x0,
-                double x0SelfDot, std::span<const float> x1, double x1SelfDot,
-                std::span<double> out0, std::span<double> out1,
+  /// Columns against xs[0..q) (squared norms xSelfDots[t]) in one call,
+  /// 1 <= q <= tile::kMaxQueries, bit for bit rowWith() of xs[t] into
+  /// outs[t] each: dense fills stream the tiles once for all q vectors.
+  void rowsWith(const data::Dataset& ds,
+                std::span<const std::span<const float>> xs,
+                std::span<const double> xSelfDots,
+                std::span<const std::span<double>> outs,
                 RowWorkspace& ws) const;
 
   /// Fill out[j] = K(xj, xj) for all j from the dataset's cached squared

@@ -54,18 +54,34 @@
 /// sets that are subsets of the one it was filled with.
 ///
 /// When an iteration knows both its rows before reading either (SMO's
-/// first-order selection), rows() fetches them together: if both miss and
-/// both take full fills, the source computes them in one fillRows pass,
-/// which streams its data once for two rows. The cache decides only when
-/// a row is computed, never its values, so a pair fetch leaves the same
-/// rows, counts and generations as two single fetches.
+/// first-order selection), rows() fetches them together: the rows that
+/// miss and take full fills are computed in one RowSource::fillRows pass,
+/// which streams the source's data once for all of them. The cache decides
+/// only when a row is computed, never its values, so a pair fetch leaves
+/// the same rows, counts and generations as two single fetches.
+///
+/// Lookahead fills. A pass over dense tiles costs about the same for one
+/// row as for four, and the rows SMO asks for next are predictable: free
+/// samples sit at the violator extremes and keep being selected. So when a
+/// full pair fetch misses and the cache still has free slots, the pass
+/// also fills rows the caller ranks as wanted next (Ahead), up to the
+/// source's fill width: candidates already cached, repeated or in the pair
+/// are skipped. Rows filled ahead take free slots only, so they never
+/// evict a row, and they enter at the cold end of the unretained list, so
+/// they are the first victims once the cache is full; from then on a
+/// fetch fills only its own rows, as it would without lookahead. The
+/// fetch of rows i and j is itself unchanged: the rows ahead are claimed
+/// after both lookups, so i's and j's counts, recency moves, pins and
+/// generations are those of two single fetches. misses() still counts
+/// demand misses; aheadFills() counts the rows filled ahead and
+/// fillSweeps() the full-row fills asked of the source. DESIGN.md §2.7 has
+/// the replayed sweep counts.
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,8 +106,9 @@ class RowCache {
   /// Cache over the exact kernel of `ds`. `budgetBytes` bounds the cached
   /// data (each row is rows()*sizeof(CacheValue) = rows()*4 bytes); at
   /// least TWO row slots are always granted, because SMO holds spans to the
-  /// high and low rows of one iteration simultaneously. Two double rows of
-  /// fill scratch sit outside the budget.
+  /// high and low rows of one iteration simultaneously. Up to four double
+  /// rows of fill scratch (two, or the source's fill width if larger) sit
+  /// outside the budget.
   RowCache(const Kernel& kernel, const data::Dataset& ds,
            std::size_t budgetBytes);
 
@@ -116,16 +133,34 @@ class RowCache {
   using RowPair =
       std::pair<std::span<const CacheValue>, std::span<const CacheValue>>;
 
+  /// Rows a full pair fetch may fill ahead of demand, most wanted first.
+  struct Ahead {
+    std::span<const std::size_t> candidates;
+  };
+
   /// Rows i and j, both pinned on return (the caller unpins both). Hits,
-  /// misses, recency order, pins and generations are exactly those of
-  /// row(i); pin(i); row(j); pin(j), but two misses that both take a full
-  /// fill are filled in one RowSource::fillRows pass.
-  RowPair rows(std::size_t i, std::size_t j);
+  /// misses, recency order, pins and generations of rows i and j are
+  /// exactly those of row(i); pin(i); row(j); pin(j), but the rows that
+  /// take a full fill are filled in one RowSource::fillRows pass. When that
+  /// pass runs and slots are free, it also fills the first uncached
+  /// candidates of `ahead` that fit the source's fill width and the free
+  /// slots, each into a free slot at the cold end of the unretained list.
+  RowPair rows(std::size_t i, std::size_t j, Ahead ahead = {});
 
   /// rows() under the active-set rules of row(i, active): partial fills
-  /// stay one row each.
+  /// stay one row each, and no row is filled ahead.
   RowPair rows(std::size_t i, std::size_t j,
                std::span<const std::size_t> active);
+
+  /// How many candidates a full pair fetch of rows i and j would fill
+  /// ahead, at most: zero unless row i or j needs a fill and a slot is
+  /// still free after theirs; otherwise the free slots left, capped by the
+  /// source's fill width less the demand rows.
+  std::size_t aheadRoom(std::size_t i, std::size_t j) const;
+
+  /// Whether row i is cached (a full or a partial fill). The ranking of
+  /// lookahead candidates tests it for every sample.
+  bool holds(std::size_t i) const { return slot_[i] != nullptr; }
 
   /// Pin row i (must be currently cached): excluded from eviction until
   /// unpinned. Pins nest.
@@ -153,24 +188,29 @@ class RowCache {
   void checkLive(std::size_t i, std::uint64_t gen) const;
 
   std::size_t hits() const { return hits_; }
+  /// Demand misses: reads that found no usable row.
   std::size_t misses() const { return misses_; }
   std::size_t capacityRows() const { return capacityRows_; }
   std::size_t pinnedRows() const { return pinned_; }
   /// Misses served by a partial (active-set-only) fill.
   std::size_t partialFills() const { return partialFills_; }
-  /// Misses served by a two-row fill (two per fillRows pass).
-  std::size_t pairedFills() const { return pairedFills_; }
+  /// Rows filled ahead of demand by pair fetches.
+  std::size_t aheadFills() const { return aheadFills_; }
+  /// Full-row fills asked of the source: one per fillRow or fillRows call.
+  std::size_t fillSweeps() const { return fillSweeps_; }
 
  private:
+  struct Slot;
+  using SlotList = std::list<Slot>;
   struct Slot {
-    std::size_t rowIndex;
+    std::size_t rowIndex = 0;
     std::vector<CacheValue> values;
     int pins = 0;
     bool partial = false;
     bool retained = false;  ///< which of lists_ holds the slot
     std::uint64_t generation = 0;
+    SlotList::iterator self;  ///< the slot's place in its list
   };
-  using SlotList = std::list<Slot>;
 
   /// What a looked-up slot still needs before it can be read.
   enum class Need : std::uint8_t { Nothing, Full, Partial };
@@ -181,41 +221,48 @@ class RowCache {
 
   /// The bookkeeping of reading row i (`active` null for a full-row read):
   /// hit/miss counts, the move to the hot end and, on a miss, a claimed
-  /// slot already marked with the fill it will hold. The fill itself is
-  /// left to the caller, so a pair fetch can run two of them in one pass.
+  /// slot already marked with the fill it will hold and stamped with its
+  /// generation. The fill itself is left to the caller, so a pair fetch
+  /// can run several in one pass.
   Lookup lookup(std::size_t i, const std::span<const std::size_t>* active);
 
-  /// Run the fill lookup() left for row i, if any: a full row, or only
-  /// the active entries, each value rounded once on store.
-  void complete(const Lookup& found, std::size_t i,
-                const std::span<const std::size_t>* active);
+  /// Compute only the active entries of row i into `slot`, each value
+  /// rounded once on store.
+  void fillPartial(Slot& slot, std::size_t i,
+                   std::span<const std::size_t> active);
+  /// Compute rows rows[0..q) into slots[0..q) in one source call, each
+  /// value rounded once on store.
+  void fillFull(const std::size_t* rows, Slot* const* slots, std::size_t q);
   RowPair fetchPair(std::size_t i, std::size_t j,
-                    const std::span<const std::size_t>* active);
+                    const std::span<const std::size_t>* active, Ahead ahead);
 
   /// Slot to (re)fill for a miss on row i: at capacity the coldest unpinned
   /// unretained slot, else the coldest unpinned retained one; a fresh slot
-  /// below capacity. The returned slot is indexed under i and sits at the
-  /// cold end of the unretained list.
+  /// below capacity. The returned slot is indexed under i, sits at the
+  /// cold end of the unretained list and carries a fresh generation.
   Slot& claimSlot(std::size_t i);
+  std::size_t size() const { return lists_[0].size() + lists_[1].size(); }
 
-  /// Scratch row k (0 or 1) in the source's double precision.
+  /// Scratch row k in the source's double precision.
   std::span<double> scratch(std::size_t k);
-  /// Round a full double row into `slot`, once per value, on store.
-  void store(Slot& slot, std::span<const double> row);
 
   /// Backing storage for the legacy (Kernel, Dataset) constructor.
   std::unique_ptr<ExactRowSource> ownedExact_;
   RowSource* src_;
   std::size_t capacityRows_;
-  std::vector<double> scratch_;  ///< two rows in the source's double precision
+  std::size_t fillWidth_;  ///< the source's, clamped to [1, kMaxQueries]
+  /// max(2, fillWidth_) rows in the source's double precision.
+  std::vector<double> scratch_;
   /// Recency lists, front = hot end, back = cold end: [0] the unretained
-  /// rows, [1] the retained ones. Splices keep index_'s iterators valid.
+  /// rows, [1] the retained ones. Splices keep the slots in place.
   SlotList lists_[2];
-  std::unordered_map<std::size_t, SlotList::iterator> index_;
+  /// slot_[i]: the slot holding row i, or null. One pointer per row.
+  std::vector<Slot*> slot_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t partialFills_ = 0;
-  std::size_t pairedFills_ = 0;
+  std::size_t aheadFills_ = 0;
+  std::size_t fillSweeps_ = 0;
   std::size_t pinned_ = 0;
   std::uint64_t nextGeneration_ = 1;
 };

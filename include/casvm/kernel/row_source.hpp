@@ -14,15 +14,23 @@
 ///  - fillRow(i, out)[j], fillRowSubset(i, active, out)[j in active] and
 ///    fillDiagonal(out)[i==j] agree bitwise for the same (i, j) — a row
 ///    refilled partially after a full fill must reproduce the same values;
-///  - fillRows(i, j, ...) is bitwise fillRow(i, ...) then fillRow(j, ...):
-///    it may only decide how the two rows are computed, never their values;
+///  - fillRows(rows, outs) is bitwise fillRow(rows[t], outs[t]) for each
+///    t: it may only decide how the rows are computed, never their values;
 ///  - fills are deterministic: the same i always produces the same row.
+///
+/// A source also reports its fill width: how many rows one fillRows call
+/// computes in one shared pass over its data. Dense tiles (the exact
+/// kernel's and the Nyström factor's) stream once for up to
+/// tile::kMaxQueries rows, so their width is four; CSR rows share nothing
+/// between fills, so theirs is one. The row cache fills rows ahead of
+/// demand only up to that width (see row_cache.hpp).
 
 #include <cstddef>
 #include <span>
 
 #include "casvm/data/dataset.hpp"
 #include "casvm/kernel/kernel.hpp"
+#include "casvm/kernel/tile_kernel.hpp"
 
 namespace casvm::kernel {
 
@@ -38,11 +46,14 @@ class RowSource {
   /// out[j] = K(i, j) for all j; out.size() == rows().
   virtual void fillRow(std::size_t i, std::span<double> out) = 0;
 
-  /// Rows i and j in one pass over the source's data (the SMO iteration's
-  /// two rows when both miss the cache); outI and outJ each have rows()
-  /// entries.
-  virtual void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
-                        std::span<double> outJ) = 0;
+  /// Rows rows[0..q) in one call, 1 <= q <= tile::kMaxQueries; outs[t]
+  /// has rows() entries and receives row rows[t].
+  virtual void fillRows(std::span<const std::size_t> rows,
+                        std::span<const std::span<double>> outs) = 0;
+
+  /// Rows one fillRows call computes in one shared pass over the source's
+  /// data, at least 1 and at most tile::kMaxQueries.
+  virtual std::size_t fillWidth() const = 0;
 
   /// out[j] = K(i, j) for j in `active` only (ascending indices); entries
   /// outside `active` are left untouched.
@@ -59,10 +70,10 @@ class RowSource {
 };
 
 /// The exact kernel: rows are storage-aware blocked dot products over the
-/// training data (dense: the tiled AVX2/portable micro-kernel through an
-/// owned RowWorkspace; sparse: CSR streams). This is the historical row
-/// producer factored out of RowCache; results are bitwise-identical to
-/// Kernel::eval per element.
+/// training data (dense: the tiled, runtime-dispatched micro-kernel
+/// through an owned RowWorkspace; sparse: CSR streams). This is the
+/// historical row producer factored out of RowCache; results are
+/// bitwise-identical to Kernel::eval per element.
 class ExactRowSource final : public RowSource {
  public:
   ExactRowSource(const Kernel& kernel, const data::Dataset& ds)
@@ -72,9 +83,13 @@ class ExactRowSource final : public RowSource {
   void fillRow(std::size_t i, std::span<double> out) override {
     kernel_.row(ds_, i, out, workspace_);
   }
-  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
-                std::span<double> outJ) override {
-    kernel_.rows(ds_, i, j, outI, outJ, workspace_);
+  void fillRows(std::span<const std::size_t> rows,
+                std::span<const std::span<double>> outs) override {
+    kernel_.rows(ds_, rows, outs, workspace_);
+  }
+  /// Dense rows share one sweep of the tiles; CSR rows share nothing.
+  std::size_t fillWidth() const override {
+    return ds_.storage() == data::Storage::Dense ? tile::kMaxQueries : 1;
   }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {
@@ -114,8 +129,10 @@ class ExactRowSource final : public RowSource {
                    std::span<const std::size_t> rows, std::span<double> out0,
                    std::span<double> out1) {
     if (preferFullFill(rows.size())) {
-      kernel_.rowsWith(ds_, x0, x0SelfDot, x1, x1SelfDot, out0, out1,
-                       workspace_);
+      const std::span<const float> xs[] = {x0, x1};
+      const double selfDots[] = {x0SelfDot, x1SelfDot};
+      const std::span<double> outs[] = {out0, out1};
+      kernel_.rowsWith(ds_, xs, selfDots, outs, workspace_);
       return;
     }
     fillColumn(x0, x0SelfDot, rows, out0);

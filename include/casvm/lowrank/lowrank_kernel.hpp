@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "casvm/kernel/row_source.hpp"
+#include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/lowrank/nystrom.hpp"
 
 namespace casvm::lowrank {
@@ -30,10 +31,12 @@ class LowRankKernel final : public kernel::RowSource {
   void fillRow(std::size_t i, std::span<double> out) override {
     factor_.fillRow(i, out);
   }
-  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
-                std::span<double> outJ) override {
-    factor_.fillRows(i, j, outI, outJ);
+  void fillRows(std::span<const std::size_t> rows,
+                std::span<const std::span<double>> outs) override {
+    factor_.fillRows(rows, outs);
   }
+  /// Z's tiles stream once for up to four rows, as the exact dense ones do.
+  std::size_t fillWidth() const override { return kernel::tile::kMaxQueries; }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {
     factor_.fillRowSubset(i, active, out);

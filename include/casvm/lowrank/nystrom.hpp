@@ -69,9 +69,10 @@ class NystromFactor {
   // K̃(i,j) == K̃(j,i) bitwise: every entry is the same serial ascending-k
   // double accumulation over the float z-rows of i and j.
   void fillRow(std::size_t i, std::span<double> out);
-  /// Rows i and j in one two-query tile pass; bitwise two fillRow calls.
-  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
-                std::span<double> outJ);
+  /// Rows rows[0..q) in one tile pass, 1 <= q <= tile::kMaxQueries;
+  /// bitwise fillRow(rows[t], outs[t]) each.
+  void fillRows(std::span<const std::size_t> rows,
+                std::span<const std::span<double>> outs);
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out);
   void fillDiagonal(std::span<double> out);
@@ -99,7 +100,7 @@ class NystromFactor {
   std::vector<double> w_;
   /// Z in 16-row k-major float tiles (blockCount(m) * r * 16 floats).
   std::vector<float> tiles_;
-  /// Widened z-row scratch for fills: two rows of length r.
+  /// Widened z-row scratch for fills: up to four rows of length r.
   std::vector<double> xd_;
 
   /// Widen z-row i into xd_[slot * r ..].

@@ -127,10 +127,15 @@ struct SolverResult {
   /// by at most 2^-25 * sum_ij |alpha_i alpha_j K_ij|.
   double objective = 0.0;
   double seconds = 0.0;        ///< wall time spent in solve()
-  std::size_t kernelRowsComputed = 0;  ///< cache misses (full rows)
-  /// Of kernelRowsComputed, rows filled two per pass (an iteration whose
-  /// two rows both missed; first-order selection only).
-  std::size_t kernelRowsPaired = 0;
+  /// Every kernel row the source computed: the cache's misses (full and
+  /// partial fills) plus the rows it filled ahead of demand.
+  std::size_t kernelRowsComputed = 0;
+  /// Of kernelRowsComputed, rows filled ahead of demand (first-order
+  /// selection with nothing shrunk and a free cache slot only).
+  std::size_t kernelRowsAhead = 0;
+  /// Full-row fills asked of the source; each fills up to four rows in
+  /// one pass over dense tiles.
+  std::size_t kernelFillSweeps = 0;
   std::size_t kernelRowHits = 0;       ///< cache hits
 };
 

@@ -20,8 +20,9 @@
 ///       itself, or a global election. The loop reads bHigh and bLow and
 ///       hands the pick back to pair(); its indices are the source's.
 ///   ElectedPair pair(const PairPick& elected, const SolverSnapshot& state,
-///                    const std::uint8_t* inLow)
-///       The elected samples' scalars and their three kernel values.
+///                    const std::uint8_t* inHigh, const std::uint8_t* inLow)
+///       The elected samples' scalars and their three kernel values; the
+///       membership bytes let a source rank the samples wanted next.
 ///   void commit(const ElectedPair& p, double aHigh, double aLow,
 ///               bool highFree, bool lowFree)
 ///       What the new alphas mean beyond the block rows the loop writes
@@ -200,7 +201,7 @@ bool SmoLoop<Source>::run(std::size_t maxIterations) {
     }
 
     // Two-variable analytic step (eqns. 6-7), clipped to the per-class box.
-    const ElectedPair p = src_.pair(elected, s, inLow_.data());
+    const ElectedPair p = src_.pair(elected, s, inHigh_.data(), inLow_.data());
     double eta = p.kHH + p.kLL - 2.0 * p.kHL;
     if (eta < 1e-12) eta = 1e-12;
     const double cHigh = boxFor(p.yHigh);

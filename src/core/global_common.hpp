@@ -203,7 +203,7 @@ class GlobalPairSource {
 
   solver::ElectedPair pair(const solver::PairPick& elected,
                            const solver::SolverSnapshot& s,
-                           const std::uint8_t*) {
+                           const std::uint8_t*, const std::uint8_t*) {
     metaHigh_ = shipElected(comm_, local_, s.alpha, keyHigh_, xHigh_, store_);
     metaLow_ = shipElected(comm_, local_, s.alpha, keyLow_, xLow_, store_);
     double kHH, kLL, kHL;

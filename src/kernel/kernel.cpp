@@ -162,8 +162,8 @@ void sparseDotRow(const data::Dataset& ds, std::size_t i,
 
 // The workspace keeps the dense matrix in the blocked k-major tiling of
 // kernel::tile (see tile_kernel.hpp); fills run through tile::dotFn(), the
-// same runtime-dispatched micro-kernel the serve engine's compiled models
-// score with.
+// same runtime-dispatched micro-kernel the Nyström factor and the serve
+// engine's compiled models use.
 
 void RowWorkspace::bind(const data::Dataset& ds) {
   if (bound_ == &ds && rows_ == ds.rows() && cols_ == ds.cols()) return;
@@ -172,7 +172,7 @@ void RowWorkspace::bind(const data::Dataset& ds) {
   cols_ = ds.cols();
   if (ds.storage() == data::Storage::Dense) {
     tile::pack(ds, tiles_);
-    xd_.resize(2 * cols_);
+    xd_.resize(tile::kMaxQueries * cols_);
   } else {
     tiles_.clear();
     xd_.clear();
@@ -235,16 +235,23 @@ void Kernel::row(const data::Dataset& ds, std::size_t i, std::span<double> out,
   transformDots(ds.selfDots(), ds.selfDot(i), out);
 }
 
-void Kernel::rows(const data::Dataset& ds, std::size_t i, std::size_t j,
-                  std::span<double> outI, std::span<double> outJ,
+void Kernel::rows(const data::Dataset& ds, std::span<const std::size_t> idx,
+                  std::span<const std::span<double>> outs,
                   RowWorkspace& ws) const {
+  CASVM_CHECK(idx.size() == outs.size(), "one output per kernel row");
   if (ds.storage() == data::Storage::Dense) {
-    rowsWith(ds, ds.denseRow(i), ds.selfDot(i), ds.denseRow(j), ds.selfDot(j),
-             outI, outJ, ws);
+    CASVM_CHECK(idx.size() <= tile::kMaxQueries, "too many rows for one pass");
+    std::span<const float> xs[tile::kMaxQueries];
+    double selfDots[tile::kMaxQueries];
+    for (std::size_t t = 0; t < idx.size(); ++t) {
+      xs[t] = ds.denseRow(idx[t]);
+      selfDots[t] = ds.selfDot(idx[t]);
+    }
+    rowsWith(ds, std::span(xs, idx.size()), std::span(selfDots, idx.size()),
+             outs, ws);
     return;
   }
-  row(ds, i, outI, ws);
-  row(ds, j, outJ, ws);
+  for (std::size_t t = 0; t < idx.size(); ++t) row(ds, idx[t], outs[t], ws);
 }
 
 void Kernel::transformSubset(const data::Dataset& ds, double selfX,
@@ -345,43 +352,44 @@ void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,
 void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,
                      double xSelfDot, std::span<double> out,
                      RowWorkspace& ws) const {
-  CASVM_CHECK(out.size() == ds.rows(), "kernel column output has wrong length");
-  CASVM_CHECK(x.size() == ds.cols(), "external vector has wrong length");
-  ws.bind(ds);
-  if (ds.storage() == data::Storage::Dense) {
-    std::copy(x.begin(), x.end(), ws.xd_.begin());
-    tile::dotFn()(ws.tiles_.data(), ws.xd_.data(), ws.rows_, ws.cols_,
-                  out.data());
-  } else {
-    for (std::size_t j = 0; j < ds.rows(); ++j) out[j] = ds.dotWith(j, x);
-  }
-  transformDots(ds.selfDots(), xSelfDot, out);
+  const std::span<const float> xs[] = {x};
+  const double selfDots[] = {xSelfDot};
+  const std::span<double> outs[] = {out};
+  rowsWith(ds, xs, selfDots, outs, ws);
 }
 
-void Kernel::rowsWith(const data::Dataset& ds, std::span<const float> x0,
-                      double x0SelfDot, std::span<const float> x1,
-                      double x1SelfDot, std::span<double> out0,
-                      std::span<double> out1, RowWorkspace& ws) const {
-  CASVM_CHECK(out0.size() == ds.rows() && out1.size() == ds.rows(),
-              "kernel column output has wrong length");
-  CASVM_CHECK(x0.size() == ds.cols() && x1.size() == ds.cols(),
-              "external vector has wrong length");
+void Kernel::rowsWith(const data::Dataset& ds,
+                      std::span<const std::span<const float>> xs,
+                      std::span<const double> xSelfDots,
+                      std::span<const std::span<double>> outs,
+                      RowWorkspace& ws) const {
+  const std::size_t q = xs.size();
+  CASVM_CHECK(q >= 1 && q <= tile::kMaxQueries && xSelfDots.size() == q &&
+                  outs.size() == q,
+              "one to four queries, each with a norm and an output");
+  for (std::size_t t = 0; t < q; ++t) {
+    CASVM_CHECK(outs[t].size() == ds.rows(),
+                "kernel column output has wrong length");
+    CASVM_CHECK(xs[t].size() == ds.cols(), "external vector has wrong length");
+  }
   ws.bind(ds);
   if (ds.storage() == data::Storage::Dense) {
-    double* xd0 = ws.xd_.data();
-    double* xd1 = xd0 + ws.cols_;
-    std::copy(x0.begin(), x0.end(), xd0);
-    std::copy(x1.begin(), x1.end(), xd1);
-    tile::dot2Fn()(ws.tiles_.data(), xd0, xd1, ws.rows_, ws.cols_,
-                   out0.data(), out1.data());
+    double* out[tile::kMaxQueries];
+    for (std::size_t t = 0; t < q; ++t) {
+      std::copy(xs[t].begin(), xs[t].end(), ws.xd_.begin() + t * ws.cols_);
+      out[t] = outs[t].data();
+    }
+    tile::dotFn()(ws.tiles_.data(), ws.xd_.data(), q, ws.rows_, ws.cols_, out);
   } else {
-    for (std::size_t j = 0; j < ds.rows(); ++j) {
-      out0[j] = ds.dotWith(j, x0);
-      out1[j] = ds.dotWith(j, x1);
+    for (std::size_t t = 0; t < q; ++t) {
+      for (std::size_t j = 0; j < ds.rows(); ++j) {
+        outs[t][j] = ds.dotWith(j, xs[t]);
+      }
     }
   }
-  transformDots(ds.selfDots(), x0SelfDot, out0);
-  transformDots(ds.selfDots(), x1SelfDot, out1);
+  for (std::size_t t = 0; t < q; ++t) {
+    transformDots(ds.selfDots(), xSelfDots[t], outs[t]);
+  }
 }
 
 void Kernel::diagonal(const data::Dataset& ds, std::span<double> out) const {

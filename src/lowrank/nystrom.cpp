@@ -178,7 +178,7 @@ NystromFactor NystromFactor::buildWithLandmarks(const kernel::Kernel& kern,
           static_cast<float>(zd[j * rr + k]);
     }
   }
-  f.xd_.resize(2 * rr);
+  f.xd_.resize(kernel::tile::kMaxQueries * rr);
   return f;
 }
 
@@ -192,21 +192,24 @@ void NystromFactor::widenRow(std::size_t i, std::size_t slot) {
 }
 
 void NystromFactor::fillRow(std::size_t i, std::span<double> out) {
-  CASVM_CHECK(i < m_, "nystrom row out of range");
-  CASVM_CHECK(out.size() == m_, "nystrom row output has wrong length");
-  widenRow(i);
-  kernel::tile::dotFn()(tiles_.data(), xd_.data(), m_, r_, out.data());
+  const std::size_t rows[] = {i};
+  const std::span<double> outs[] = {out};
+  fillRows(rows, outs);
 }
 
-void NystromFactor::fillRows(std::size_t i, std::size_t j,
-                             std::span<double> outI, std::span<double> outJ) {
-  CASVM_CHECK(i < m_ && j < m_, "nystrom row out of range");
-  CASVM_CHECK(outI.size() == m_ && outJ.size() == m_,
-              "nystrom row output has wrong length");
-  widenRow(i, 0);
-  widenRow(j, 1);
-  kernel::tile::dot2Fn()(tiles_.data(), xd_.data(), xd_.data() + r_, m_, r_,
-                         outI.data(), outJ.data());
+void NystromFactor::fillRows(std::span<const std::size_t> rows,
+                             std::span<const std::span<double>> outs) {
+  const std::size_t q = rows.size();
+  CASVM_CHECK(q >= 1 && q <= kernel::tile::kMaxQueries && outs.size() == q,
+              "nystrom fills take one to four rows, each with an output");
+  double* out[kernel::tile::kMaxQueries];
+  for (std::size_t t = 0; t < q; ++t) {
+    CASVM_CHECK(rows[t] < m_, "nystrom row out of range");
+    CASVM_CHECK(outs[t].size() == m_, "nystrom row output has wrong length");
+    widenRow(rows[t], t);
+    out[t] = outs[t].data();
+  }
+  kernel::tile::dotFn()(tiles_.data(), xd_.data(), q, m_, r_, out);
 }
 
 void NystromFactor::fillRowSubset(std::size_t i,
@@ -313,7 +316,7 @@ NystromFactor NystromFactor::decode(std::span<const std::byte> bytes) {
   f.tiles_ = r.array<float>(
       r.count(blocks, f.r_ * kernel::tile::kRows, sizeof(float)));
   r.expectEnd();
-  f.xd_.resize(2 * f.r_);
+  f.xd_.resize(kernel::tile::kMaxQueries * f.r_);
   return f;
 }
 

@@ -38,8 +38,9 @@ std::size_t CompiledSvSet::packedBytes() const {
 void CompiledSvSet::dotAgainstScratch(std::span<double> kval,
                                       BatchScratch& scratch) const {
   if (dense_) {
-    kernel::tile::dotFn()(tiles_.data(), scratch.xd.data(), count_, cols_,
-                          kval.data());
+    double* const out[] = {kval.data()};
+    kernel::tile::dotFn()(tiles_.data(), scratch.xd.data(), 1, count_, cols_,
+                          out);
     return;
   }
   // CSR scatter: the query sits densified in scratch.xd; each SV streams

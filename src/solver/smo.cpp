@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "casvm/kernel/row_cache.hpp"
+#include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/solver/smo_loop.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/timer.hpp"
@@ -16,7 +17,8 @@ namespace {
 
 /// The serial solve's pair source: both rows from the row cache, kept
 /// pinned while the iteration holds their spans, and the identity for
-/// every agreement.
+/// every agreement. When a full pair fetch will miss with cache slots
+/// free, it ranks the rows the cache fills ahead in the same pass.
 class LocalPairSource {
  public:
   LocalPairSource(kernel::RowCache& cache, const data::Dataset& ds,
@@ -31,7 +33,7 @@ class LocalPairSource {
   PairPick elect(const PairPick& local) const { return local; }
 
   ElectedPair pair(const PairPick& elected, const SolverSnapshot& s,
-                   const std::uint8_t* inLow) {
+                   const std::uint8_t* inHigh, const std::uint8_t* inLow) {
     const std::size_t m = s.f.size();
     const std::span<const std::size_t> active(s.active);
     // While shrunk, evicted-row refills compute only the active entries
@@ -47,11 +49,17 @@ class LocalPairSource {
     // The rows backing the spans held across this iteration are pinned, so
     // the second fetch (and any refill) can never recycle their storage.
     // First-order selection has picked both rows already: fetch them
-    // together, and two misses fill in one pass.
+    // together, and the misses fill in one pass, with the rows ranked to
+    // come next while nothing is shrunk and slots are free.
     if (opts_.selection == Selection::FirstOrder) {
-      std::tie(rowHigh_, rowLow_) = active.size() < m
-                                        ? cache_.rows(high_, low_, active)
-                                        : cache_.rows(high_, low_);
+      if (active.size() < m) {
+        std::tie(rowHigh_, rowLow_) = cache_.rows(high_, low_, active);
+      } else {
+        const std::size_t room = cache_.aheadRoom(high_, low_);
+        std::tie(rowHigh_, rowLow_) = cache_.rows(
+            high_, low_,
+            kernel::RowCache::Ahead{rankAhead(s, inHigh, inLow, room)});
+      }
     } else {
       rowHigh_ = fetch(high_);
       // Re-pick the low sample to maximize the guaranteed objective
@@ -90,6 +98,42 @@ class LocalPairSource {
             double(rowHigh_[high_]),
             double(rowLow_[low_]),
             double(rowHigh_[low_])};
+  }
+
+  /// Up to `room` samples to fill ahead, most wanted first: the most
+  /// violating uncached members of the missing sample's index set, the
+  /// high set (smallest f) when the high row misses, else the low set
+  /// (largest f), the pair excluded. Ties keep the first index. With no
+  /// room there is no pass.
+  std::span<const std::size_t> rankAhead(const SolverSnapshot& s,
+                                         const std::uint8_t* inHigh,
+                                         const std::uint8_t* inLow,
+                                         std::size_t room) {
+    room = std::min(room, kMaxAhead);
+    if (room == 0) return {};
+    const bool highSide = !cache_.holds(high_);
+    const std::uint8_t* member = highSide ? inHigh : inLow;
+    const double sign = highSide ? 1.0 : -1.0;
+    double key[kMaxAhead];
+    std::fill_n(key, room, std::numeric_limits<double>::infinity());
+    std::size_t found = 0;
+    const std::size_t m = s.f.size();
+    for (std::size_t j = 0; j < m; ++j) {
+      if (member[j] == 0) continue;
+      const double v = sign * s.f[j];
+      if (!(v < key[room - 1]) || cache_.holds(j) || j == high_ || j == low_) {
+        continue;
+      }
+      std::size_t p = room - 1;
+      for (; p > 0 && v < key[p - 1]; --p) {
+        key[p] = key[p - 1];
+        ahead_[p] = ahead_[p - 1];
+      }
+      key[p] = v;
+      ahead_[p] = j;
+      found = std::min(found + 1, room);
+    }
+    return {ahead_, found};
   }
 
   /// Free samples keep being selected; samples at a bound rarely return.
@@ -146,7 +190,10 @@ class LocalPairSource {
   const std::vector<double>& diag_;
   const SolverOptions& opts_;
   const double traceCpuStart_;
+  /// Rows one pass fills beyond the iteration's own.
+  static constexpr std::size_t kMaxAhead = kernel::tile::kMaxQueries - 1;
   std::size_t high_ = 0, low_ = 0;
+  std::size_t ahead_[kMaxAhead] = {};
   std::span<const kernel::CacheValue> rowHigh_, rowLow_;
   std::uint64_t genHigh_ = 0, genLow_ = 0;
 };
@@ -259,8 +306,9 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
   result.converged = converged;
   result.objective = objective;
   result.seconds = timer.seconds();
-  result.kernelRowsComputed = cache.misses();
-  result.kernelRowsPaired = cache.pairedFills();
+  result.kernelRowsComputed = cache.misses() + cache.aheadFills();
+  result.kernelRowsAhead = cache.aheadFills();
+  result.kernelFillSweeps = cache.fillSweeps();
   result.kernelRowHits = cache.hits();
   return result;
 }

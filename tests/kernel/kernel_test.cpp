@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <random>
 
@@ -273,27 +277,32 @@ TEST_P(KernelRowPropertyTest, ColumnFillsBitwiseMatchEvalWith) {
   }
 }
 
-/// A pair fill may only decide how its two rows are computed: the rows
-/// are bitwise the single fills, for pairs across tile blocks, inside one
-/// block, in the ragged tail, reversed and equal.
+/// A multi-row fill may only decide how its rows are computed: each row
+/// is bitwise its single fill, for one to four rows across tile blocks,
+/// inside one block, in the ragged tail, reversed and repeated.
 TEST_P(KernelRowPropertyTest, PairRowFillsBitwiseMatchSingleFills) {
   const Kernel k(GetParam());
-  const std::pair<std::size_t, std::size_t> pairs[] = {
-      {0, 44}, {16, 3}, {31, 32}, {40, 41}, {5, 5}};
+  const std::vector<std::vector<std::size_t>> sets = {
+      {0, 44}, {16, 3}, {31, 32}, {40, 41}, {5, 5},
+      {7}, {44, 0, 17}, {1, 16, 32, 44}, {9, 9, 2, 9}};
   for (const data::Dataset* ds : {&dense_, &sparse_}) {
     const std::size_t m = ds->rows();
     ExactRowSource source(k, *ds);
-    std::vector<double> rowI(m), rowJ(m), pairI(m), pairJ(m);
-    for (auto [i, j] : pairs) {
-      i %= m;
-      j %= m;
-      source.fillRow(i, rowI);
-      source.fillRow(j, rowJ);
-      source.fillRows(i, j, pairI, pairJ);
-      for (std::size_t c = 0; c < m; ++c) {
-        EXPECT_EQ(pairI[c], rowI[c]) << "i=" << i << " j=" << j << " c=" << c;
-        EXPECT_EQ(pairJ[c], rowJ[c]) << "i=" << i << " j=" << j << " c=" << c;
-        EXPECT_EQ(pairI[c], k.eval(*ds, i, c)) << "i=" << i << " c=" << c;
+    for (std::vector<std::size_t> rows : sets) {
+      for (std::size_t& r : rows) r %= m;
+      std::vector<std::vector<double>> many(rows.size(),
+                                            std::vector<double>(m, -7.5));
+      std::vector<std::span<double>> outs(many.begin(), many.end());
+      source.fillRows(rows, outs);
+      std::vector<double> one(m);
+      for (std::size_t t = 0; t < rows.size(); ++t) {
+        source.fillRow(rows[t], one);
+        for (std::size_t c = 0; c < m; ++c) {
+          EXPECT_EQ(many[t][c], one[c])
+              << "q=" << rows.size() << " row " << rows[t] << " c=" << c;
+          EXPECT_EQ(many[t][c], k.eval(*ds, rows[t], c))
+              << "row " << rows[t] << " c=" << c;
+        }
       }
     }
   }
@@ -385,39 +394,80 @@ TEST(KernelSubsetTest, GaussianSubsetAcrossExpBlocksMatchesEval) {
   }
 }
 
-/// The dispatched tile passes (AVX2 on most hosts) must reproduce the
-/// portable passes bit for bit. The row counts cover one block, a ragged
-/// block, an odd block count for the one-query two-block sweep, and
-/// ragged last blocks after one and two full ones.
-TEST(TileKernelTest, DispatchedPassesMatchPortable) {
+/// A tile pass must reproduce the portable pass bit for bit, for one to
+/// four queries, and the portable pass must give each query what a
+/// one-query pass gives. The row counts cover one block, a ragged block,
+/// an odd block count, and ragged last blocks after one and two full ones.
+/// Zeros, subnormals and +-FLT_MAX sit in both the tiles and the queries:
+/// the AVX-512 lanes fuse each multiply-add, which is exact only because a
+/// product of two floats is, and these are the extremes of that claim.
+/// Outputs past m must stay untouched.
+void expectPassMatchesPortable(tile::DotFn fn) {
   const std::size_t n = 7;
   std::mt19937 rng(11);
   std::uniform_real_distribution<float> u(-2.0f, 2.0f);
-  std::vector<double> x0(n), x1(n);
-  for (double& v : x0) v = u(rng);
-  for (double& v : x1) v = u(rng);
+  const float specials[] = {0.0f,     -0.0f,    FLT_MAX,       -FLT_MAX,
+                            FLT_TRUE_MIN, -FLT_TRUE_MIN, FLT_MIN / 3.0f,
+                            1.0e-40f};
+  const auto draw = [&] {
+    return rng() % 4 == 0 ? specials[rng() % std::size(specials)] : u(rng);
+  };
+  std::vector<double> xs(tile::kMaxQueries * n);
+  for (double& v : xs) v = draw();
+  constexpr double kSentinel = -7.5;
   for (std::size_t m : {1, 15, 16, 17, 31, 32, 33, 45}) {
     std::vector<float> tiles(tile::blockCount(m) * n * tile::kRows);
-    for (float& v : tiles) v = u(rng);
-    std::vector<double> ref0(m), ref1(m), out0(m, -7.5), out1(m, -7.5);
-    tile::dotPortable(tiles.data(), x0.data(), m, n, ref0.data());
-    tile::dotPortable(tiles.data(), x1.data(), m, n, ref1.data());
-    tile::dotFn()(tiles.data(), x0.data(), m, n, out0.data());
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(out0[j], ref0[j]) << "one-query m=" << m << " j=" << j;
+    for (float& v : tiles) v = draw();
+    std::vector<std::vector<double>> one(tile::kMaxQueries,
+                                         std::vector<double>(m));
+    for (std::size_t t = 0; t < tile::kMaxQueries; ++t) {
+      double* const o[] = {one[t].data()};
+      tile::dotPortable(tiles.data(), xs.data() + t * n, 1, m, n, o);
     }
-    std::vector<double> port0(m), port1(m);
-    tile::dot2Portable(tiles.data(), x0.data(), x1.data(), m, n, port0.data(),
-                       port1.data());
-    tile::dot2Fn()(tiles.data(), x0.data(), x1.data(), m, n, out0.data(),
-                   out1.data());
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(port0[j], ref0[j]) << "portable pair m=" << m << " j=" << j;
-      EXPECT_EQ(port1[j], ref1[j]) << "portable pair m=" << m << " j=" << j;
-      EXPECT_EQ(out0[j], ref0[j]) << "two-query m=" << m << " j=" << j;
-      EXPECT_EQ(out1[j], ref1[j]) << "two-query m=" << m << " j=" << j;
+    for (std::size_t q = 1; q <= tile::kMaxQueries; ++q) {
+      std::vector<std::vector<double>> port(q, std::vector<double>(m));
+      std::vector<std::vector<double>> got(
+          q, std::vector<double>(m + tile::kRows, kSentinel));
+      double* portOut[tile::kMaxQueries];
+      double* gotOut[tile::kMaxQueries];
+      for (std::size_t t = 0; t < q; ++t) {
+        portOut[t] = port[t].data();
+        gotOut[t] = got[t].data();
+      }
+      tile::dotPortable(tiles.data(), xs.data(), q, m, n, portOut);
+      fn(tiles.data(), xs.data(), q, m, n, gotOut);
+      for (std::size_t t = 0; t < q; ++t) {
+        for (std::size_t j = 0; j < m; ++j) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(port[t][j]),
+                    std::bit_cast<std::uint64_t>(one[t][j]))
+              << "portable q=" << q << " m=" << m << " t=" << t << " j=" << j;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t][j]),
+                    std::bit_cast<std::uint64_t>(one[t][j]))
+              << "q=" << q << " m=" << m << " t=" << t << " j=" << j;
+        }
+        for (std::size_t j = m; j < got[t].size(); ++j) {
+          EXPECT_EQ(got[t][j], kSentinel) << "q=" << q << " m=" << m
+                                          << " wrote past m at j=" << j;
+        }
+      }
     }
   }
+}
+
+TEST(TileKernelTest, DispatchedPassesMatchPortable) {
+  expectPassMatchesPortable(tile::dotFn());
+}
+
+TEST(TileKernelTest, Avx512PassesMatchPortable) {
+  const tile::DotFn fn = tile::dotFnFor(tile::Isa::Avx512);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX-512F pass";
+  expectPassMatchesPortable(fn);
+}
+
+TEST(TileKernelTest, Avx2PassesMatchPortable) {
+  const tile::DotFn fn = tile::dotFnFor(tile::Isa::Avx2);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX2 pass";
+  expectPassMatchesPortable(fn);
 }
 
 /// The k-means, k-means++ and landmark scans take their distances from the

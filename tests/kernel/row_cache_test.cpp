@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "casvm/data/synth.hpp"
+#include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::kernel {
@@ -18,20 +20,24 @@ data::Dataset makeData(std::size_t rows = 30) {
   return data::generateMixture(spec);
 }
 
-/// Exact rows, counting the fills the cache asks for.
+/// Exact rows, counting the fills the cache asks for, with a fill width of
+/// `width` rows per pass.
 class CountingSource final : public RowSource {
  public:
-  CountingSource(const Kernel& k, const data::Dataset& ds) : exact_(k, ds) {}
+  CountingSource(const Kernel& k, const data::Dataset& ds,
+                 std::size_t width = tile::kMaxQueries)
+      : exact_(k, ds), width_(width) {}
   std::size_t rows() const override { return exact_.rows(); }
   void fillRow(std::size_t i, std::span<double> out) override {
     ++singles;
     exact_.fillRow(i, out);
   }
-  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
-                std::span<double> outJ) override {
-    ++pairs;
-    exact_.fillRows(i, j, outI, outJ);
+  void fillRows(std::span<const std::size_t> rows,
+                std::span<const std::span<double>> outs) override {
+    multis.emplace_back(rows.begin(), rows.end());
+    exact_.fillRows(rows, outs);
   }
+  std::size_t fillWidth() const override { return width_; }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {
     ++subsets;
@@ -45,11 +51,12 @@ class CountingSource final : public RowSource {
   }
 
   std::size_t singles = 0;
-  std::size_t pairs = 0;
+  std::vector<std::vector<std::size_t>> multis;  ///< each fillRows call
   std::size_t subsets = 0;
 
  private:
   ExactRowSource exact_;
+  std::size_t width_;
 };
 
 TEST(RowCacheTest, ValuesMatchDirectEvaluation) {
@@ -345,9 +352,11 @@ TEST(RowCacheTest, PairFetchFillsTwoMissesInOnePass) {
   const std::vector<std::size_t> few = {1, 4, 7};
   (void)cache.row(3, few);  // a partial slot, upgraded by the pair below
   const auto [a, b] = cache.rows(3, 8);
-  EXPECT_EQ(src.pairs, 1u);
+  ASSERT_EQ(src.multis.size(), 1u);
+  EXPECT_EQ(src.multis[0], (std::vector<std::size_t>{3, 8}));
   EXPECT_EQ(src.singles, 0u);
-  EXPECT_EQ(cache.pairedFills(), 2u);
+  EXPECT_EQ(cache.fillSweeps(), 1u);
+  EXPECT_EQ(cache.aheadFills(), 0u);
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.pinnedRows(), 2u);  // both returned pinned
@@ -359,10 +368,96 @@ TEST(RowCacheTest, PairFetchFillsTwoMissesInOnePass) {
   cache.unpin(8);
   (void)cache.rows(8, 3);  // both cached now
   EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(src.pairs, 1u);
+  EXPECT_EQ(src.multis.size(), 1u);
   cache.unpin(8);
   cache.unpin(3);
   EXPECT_EQ(cache.pinnedRows(), 0u);
+
+  // Lookahead. A pair fetch that misses also fills the first uncached
+  // candidates in its pass, up to the source's width, into free slots
+  // only, at the cold end; rows ahead are never pinned, never evict, and
+  // hold what fillRow gives.
+  ExactRowSource exact(k, ds);
+  const std::size_t budget = 7 * ds.rows() * sizeof(float);
+  CountingSource wide(k, ds);
+  RowCache ahead(wide, budget);
+  ASSERT_EQ(ahead.capacityRows(), 7u);
+  (void)ahead.row(9);
+  const auto gen9 = ahead.generation(9);
+
+  // Width four less the two missing rows leaves room for two: the pair
+  // itself, the resident row 9 and the repeated 2 are skipped.
+  EXPECT_EQ(ahead.aheadRoom(0, 1), 2u);
+  const std::vector<std::size_t> ranked = {1, 9, 2, 2, 0, 3, 4};
+  (void)ahead.rows(0, 1, RowCache::Ahead{ranked});
+  ASSERT_EQ(wide.multis.size(), 1u);
+  EXPECT_EQ(wide.multis[0], (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(ahead.aheadFills(), 2u);
+  EXPECT_EQ(ahead.misses(), 3u);  // 9, 0 and 1: demand misses only
+  EXPECT_EQ(ahead.fillSweeps(), 2u);
+  EXPECT_EQ(ahead.pinnedRows(), 2u);  // the pair, not the rows ahead
+  EXPECT_EQ(ahead.generation(9), gen9);
+  EXPECT_LT(ahead.generation(0), ahead.generation(1));
+  EXPECT_LT(ahead.generation(1), ahead.generation(2));
+  EXPECT_LT(ahead.generation(2), ahead.generation(3));
+  EXPECT_EQ(ahead.generation(4), 0u);
+  ahead.unpin(0);
+  ahead.unpin(1);
+
+  // One slot stays free after the missing row takes its own: one row
+  // ahead, and the next candidate waits rather than evicts.
+  std::vector<std::uint64_t> gens;
+  for (std::size_t r : {9, 0, 1, 2, 3}) gens.push_back(ahead.generation(r));
+  const std::vector<std::size_t> more = {5, 6, 7};
+  EXPECT_EQ(ahead.aheadRoom(4, 0), 1u);
+  (void)ahead.rows(4, 0, RowCache::Ahead{more});
+  EXPECT_EQ(wide.multis.back(), (std::vector<std::size_t>{4, 5}));
+  EXPECT_EQ(ahead.aheadFills(), 3u);
+  EXPECT_EQ(ahead.generation(6), 0u);
+  std::size_t at = 0;
+  for (std::size_t r : {9, 0, 1, 2, 3}) {
+    EXPECT_EQ(ahead.generation(r), gens[at++]) << "row " << r;
+  }
+  ahead.unpin(4);
+  ahead.unpin(0);
+
+  // The cache is full: no room ahead, and the next miss evicts row 5,
+  // filled ahead, which entered coldest and was never read, before row 9,
+  // filled first and never read again.
+  EXPECT_EQ(ahead.aheadRoom(8, 0), 0u);
+  (void)ahead.rows(8, 0, RowCache::Ahead{more});
+  EXPECT_EQ(ahead.generation(5), 0u);
+  EXPECT_EQ(ahead.generation(6), 0u);
+  EXPECT_EQ(ahead.generation(9), gen9);
+  EXPECT_EQ(ahead.aheadFills(), 3u);
+  ahead.unpin(8);
+  ahead.unpin(0);
+  EXPECT_EQ(ahead.pinnedRows(), 0u);
+  std::vector<double> row(ds.rows());
+  for (std::size_t r : {2, 3}) {
+    exact.fillRow(r, row);
+    const auto cached = ahead.row(r);
+    for (std::size_t j = 0; j < ds.rows(); ++j) {
+      EXPECT_EQ(cached[j], static_cast<float>(row[j])) << r << " j=" << j;
+    }
+  }
+
+  // A width-1 source shares no pass between rows: no room ahead, and
+  // misses fill without candidates.
+  CountingSource narrow(k, ds, 1);
+  RowCache single(narrow, budget);
+  EXPECT_EQ(single.aheadRoom(0, 1), 0u);
+  (void)single.rows(0, 1, RowCache::Ahead{ranked});
+  EXPECT_EQ(narrow.multis.back(), (std::vector<std::size_t>{0, 1}));
+  single.unpin(0);
+  single.unpin(1);
+  EXPECT_EQ(single.aheadRoom(2, 0), 0u);
+  (void)single.rows(2, 0, RowCache::Ahead{more});
+  EXPECT_EQ(narrow.singles, 1u);
+  EXPECT_EQ(single.aheadFills(), 0u);
+  EXPECT_EQ(single.generation(5), 0u);
+  single.unpin(2);
+  single.unpin(0);
 }
 
 TEST(RowCacheTest, PairFetchNeverRecyclesItsFirstRow) {
@@ -465,9 +560,10 @@ TEST(RowCacheTest, PairFetchMatchesTwoSingleFetches) {
       single.unpin(st.i);
       single.unpin(st.j);
     }
-    EXPECT_EQ(single.pairedFills(), 0u);
-    EXPECT_EQ(paired.pairedFills(), 2 * src.pairs);
-    EXPECT_EQ(src.pairs, retaining ? 6u : 5u);
+    EXPECT_EQ(single.fillSweeps(), single.misses() - single.partialFills());
+    EXPECT_EQ(paired.fillSweeps(), src.singles + src.multis.size());
+    EXPECT_EQ(src.multis.size(), retaining ? 6u : 5u);
+    EXPECT_EQ(paired.aheadFills(), 0u);
   }
 }
 

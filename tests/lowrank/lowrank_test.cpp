@@ -391,26 +391,33 @@ kernel::KernelParams kernelFor(const std::string& tag) {
   throw Error("unknown kernel tag in test");
 }
 
-/// The Nyström source's pair fill is bitwise its two single fills, for
-/// factors of all four kernels over dense and CSR data.
+/// The Nyström source's multi-row fills (one to four rows in one tile
+/// pass) are bitwise its single fills, for factors of all four kernels
+/// over dense and CSR data.
 TEST(NystromTest, PairFillsMatchSingleFills) {
-  const std::pair<std::size_t, std::size_t> pairs[] = {
-      {0, 199}, {17, 16}, {150, 3}, {5, 5}};
+  const std::vector<std::vector<std::size_t>> sets = {
+      {0, 199}, {17, 16}, {150, 3}, {5, 5}, {42}, {199, 0, 31},
+      {1, 16, 150, 198}, {8, 8, 3, 8}};
   for (const bool sparse : {false, true}) {
     const data::Dataset ds = makeData(sparse, 200);
     for (const char* tag : {"linear", "gaussian", "polynomial", "sigmoid"}) {
       SCOPED_TRACE(std::string(tag) + (sparse ? " csr" : " dense"));
       const kernel::Kernel kern(kernelFor(tag));
       LowRankKernel source(buildFactor(ds, kern, 24));
+      EXPECT_EQ(source.fillWidth(), kernel::tile::kMaxQueries);
       const std::size_t m = source.rows();
-      std::vector<double> rowI(m), rowJ(m), pairI(m), pairJ(m);
-      for (const auto& [i, j] : pairs) {
-        source.fillRow(i, rowI);
-        source.fillRow(j, rowJ);
-        source.fillRows(i, j, pairI, pairJ);
-        for (std::size_t c = 0; c < m; ++c) {
-          EXPECT_EQ(pairI[c], rowI[c]) << i << "," << j << " c=" << c;
-          EXPECT_EQ(pairJ[c], rowJ[c]) << i << "," << j << " c=" << c;
+      std::vector<double> one(m);
+      for (const auto& rows : sets) {
+        std::vector<std::vector<double>> many(rows.size(),
+                                              std::vector<double>(m, -7.5));
+        std::vector<std::span<double>> outs(many.begin(), many.end());
+        source.fillRows(rows, outs);
+        for (std::size_t t = 0; t < rows.size(); ++t) {
+          source.fillRow(rows[t], one);
+          for (std::size_t c = 0; c < m; ++c) {
+            EXPECT_EQ(many[t][c], one[c])
+                << "q=" << rows.size() << " row " << rows[t] << " c=" << c;
+          }
         }
       }
     }

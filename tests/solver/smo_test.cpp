@@ -347,21 +347,24 @@ TEST(SmoDegenerateTest, AllAlphasAtBoundBothWays) {
   EXPECT_TRUE(std::isfinite(res.objective));
 }
 
-/// The exact kernel with every pair fill run as two single fills: the
-/// reference the solver's pair passes must match bit for bit.
-class TwoSingleFillsSource final : public kernel::RowSource {
+/// The exact kernel with every multi-row fill run one row at a time,
+/// under the exact source's fill width: the reference the solver's shared
+/// passes, lookahead rows included, must match bit for bit.
+class SingleFillsSource final : public kernel::RowSource {
  public:
-  TwoSingleFillsSource(const kernel::Kernel& k, const data::Dataset& ds)
+  SingleFillsSource(const kernel::Kernel& k, const data::Dataset& ds)
       : exact_(k, ds) {}
   std::size_t rows() const override { return exact_.rows(); }
   void fillRow(std::size_t i, std::span<double> out) override {
     exact_.fillRow(i, out);
   }
-  void fillRows(std::size_t i, std::size_t j, std::span<double> outI,
-                std::span<double> outJ) override {
-    exact_.fillRow(i, outI);
-    exact_.fillRow(j, outJ);
+  void fillRows(std::span<const std::size_t> rows,
+                std::span<const std::span<double>> outs) override {
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      exact_.fillRow(rows[t], outs[t]);
+    }
   }
+  std::size_t fillWidth() const override { return exact_.fillWidth(); }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {
     exact_.fillRowSubset(i, active, out);
@@ -378,7 +381,8 @@ class TwoSingleFillsSource final : public kernel::RowSource {
 };
 
 TEST(SmoPairFillTest, PairPassesChangeNoBit) {
-  // A 16-row cache, so both rows of an iteration often miss together.
+  // A 16-row cache, so both rows of an iteration often miss together and
+  // the first misses find free slots to fill ahead into.
   struct Case {
     Selection selection;
     bool shrinking;
@@ -388,6 +392,7 @@ TEST(SmoPairFillTest, PairPassesChangeNoBit) {
                         {Selection::SecondOrder, false}};
   for (const char* name : {"toy", "webspam"}) {  // dense, CSR
     const auto nd = data::standin(name, 0.3);
+    const bool dense = nd.train.storage() == data::Storage::Dense;
     for (const Case& c : cases) {
       SCOPED_TRACE(std::string(name) + " second-order=" +
                    std::to_string(c.selection == Selection::SecondOrder) +
@@ -397,25 +402,35 @@ TEST(SmoPairFillTest, PairPassesChangeNoBit) {
       opts.selection = c.selection;
       opts.shrinking = c.shrinking;
       opts.shrinkInterval = 100;
-      const SolverResult paired = SmoSolver(opts).solve(nd.train);
+      const SolverResult shared = SmoSolver(opts).solve(nd.train);
       const kernel::Kernel kern(opts.kernel);
-      TwoSingleFillsSource reference(kern, nd.train);
+      SingleFillsSource reference(kern, nd.train);
       opts.rowSource = &reference;
       const SolverResult single = SmoSolver(opts).solve(nd.train);
 
-      EXPECT_EQ(paired.alpha, single.alpha);
-      EXPECT_EQ(paired.iterations, single.iterations);
-      EXPECT_EQ(paired.objective, single.objective);
-      EXPECT_EQ(paired.kernelRowsComputed, single.kernelRowsComputed);
-      EXPECT_EQ(paired.kernelRowHits, single.kernelRowHits);
-      EXPECT_EQ(paired.kernelRowsPaired, single.kernelRowsPaired);
-      // Second-order selection picks iLow from rowHigh: never a pair.
+      EXPECT_EQ(shared.alpha, single.alpha);
+      EXPECT_EQ(shared.iterations, single.iterations);
+      EXPECT_EQ(shared.objective, single.objective);
+      EXPECT_EQ(shared.kernelRowsComputed, single.kernelRowsComputed);
+      EXPECT_EQ(shared.kernelRowHits, single.kernelRowHits);
+      EXPECT_EQ(shared.kernelRowsAhead, single.kernelRowsAhead);
+      EXPECT_EQ(shared.kernelFillSweeps, single.kernelFillSweeps);
+      // Second-order selection picks iLow from rowHigh: one row a sweep.
+      // First-order selection shares sweeps between the pair's misses,
+      // and on dense tiles fills rows ahead while slots are free; CSR
+      // rows share nothing, so nothing is filled ahead there.
       if (c.selection == Selection::FirstOrder) {
-        EXPECT_GT(paired.kernelRowsPaired, 0u);
+        EXPECT_LT(shared.kernelFillSweeps, shared.kernelRowsComputed);
+        if (dense) {
+          EXPECT_GT(shared.kernelRowsAhead, 0u);
+        } else {
+          EXPECT_EQ(shared.kernelRowsAhead, 0u);
+        }
       } else {
-        EXPECT_EQ(paired.kernelRowsPaired, 0u);
+        EXPECT_EQ(shared.kernelFillSweeps, shared.kernelRowsComputed);
+        EXPECT_EQ(shared.kernelRowsAhead, 0u);
       }
-      EXPECT_LE(paired.kernelRowsPaired, paired.kernelRowsComputed);
+      EXPECT_LE(shared.kernelRowsAhead, shared.kernelRowsComputed);
     }
   }
 }
