@@ -15,8 +15,14 @@
 /// One store is shared by all rank threads of a run; operations take an
 /// internal lock (rank checkpoint names are disjoint, but the directory
 /// scan/prune must not race).
+///
+/// A fresh run trusts only the generations it writes itself (beginRun):
+/// state a previous run left in a reused directory is never restored by a
+/// rank retry or a respawn, only by an explicit resume.
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -33,6 +39,13 @@ class CheckpointStore {
   explicit CheckpointStore(std::string dir);
 
   const std::string& dir() const { return dir_; }
+
+  /// Start a training run against this directory. A fresh run (`resume`
+  /// false) hides every generation already on disk from load(),
+  /// loadGenerations() and contains() for the rest of the run, and its own
+  /// saves number above them. A resumed run sees every generation. Forked
+  /// workers inherit the record, so a respawned rank sees what its run saw.
+  void beginRun(bool resume);
 
   /// Persist `payload` as the next generation of `name`. Atomic: a crash
   /// at any point leaves either the previous generations or the previous
@@ -54,12 +67,12 @@ class CheckpointStore {
   std::vector<std::vector<std::byte>> loadGenerations(const std::string& name,
                                                       Kind kind) const;
 
-  /// True when at least one generation file of `name` exists (no
-  /// integrity check — use load() to actually trust it).
+  /// True when at least one generation file of `name` this run may see
+  /// exists (no integrity check — use load() to actually trust it).
   bool contains(const std::string& name) const;
 
-  /// Delete every generation of `name` (e.g. a stale solver snapshot once
-  /// the finished sub-model checkpoint exists).
+  /// Delete every generation of `name`, hidden ones included (e.g. a stale
+  /// solver snapshot once the finished sub-model checkpoint exists).
   void remove(const std::string& name);
 
   /// Corrupt/truncated generation files skipped by load() so far.
@@ -69,13 +82,19 @@ class CheckpointStore {
   static constexpr std::size_t kKeepGenerations = 2;
 
  private:
-  /// (generation, path) pairs for `name`, newest first. Caller holds the lock.
+  /// (generation, path) pairs for `name`, newest first; generations this
+  /// run hides are left out unless `withHidden`. Caller holds the lock.
   std::vector<std::pair<std::uint64_t, std::string>> generationsOf(
-      const std::string& name) const;
+      const std::string& name, bool withHidden = false) const;
+
+  /// Newest generation of `name` that existed when this fresh run began
+  /// (0 = none hidden). Caller holds the lock.
+  std::uint64_t hiddenThrough(const std::string& name) const;
 
   std::string dir_;
   mutable std::mutex mutex_;
   mutable std::size_t corruptSkipped_ = 0;
+  std::map<std::string, std::uint64_t> hiddenThrough_;
 };
 
 }  // namespace casvm::ckpt

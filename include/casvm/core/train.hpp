@@ -83,8 +83,10 @@ struct TrainConfig {
   /// signals). Excluded from the run fingerprint: the trained model is
   /// transport-invariant, so checkpoints interoperate across backends.
   net::TransportKind transport = net::TransportKind::Thread;
-  /// Heartbeat cadence, receive timeout and respawn backoff for the proc
-  /// backend (validated when the engine is configured).
+  /// Heartbeat cadence and receive timeout for the proc backend, and the
+  /// retry backoff of both: the proc supervisor sleeps it before a
+  /// respawn, the thread retry charges it to the virtual clock (validated
+  /// when the engine is configured).
   net::TransportTuning transportTuning;
   /// Supervisor lifecycle log file (proc backend; empty = stderr).
   std::string supervisorLog;
@@ -108,13 +110,12 @@ struct TrainConfig {
   /// mid-stream from its newest consistent snapshot. The resumed model is
   /// bitwise-identical to the uninterrupted run's.
   bool resume = false;
-  /// In-run rank retry budget (partitioned methods, needs `checkpoints`):
-  /// a rank killed by an injected fault during its local training restarts
-  /// its own work from the last checkpoint up to this many times before
-  /// the run falls back to the degraded P-1 path.
+  /// In-run rank retry budget (partitioned methods): a rank killed during
+  /// its local training restarts its own work up to this many times before
+  /// the run falls back to the degraded P-1 path — from this run's newest
+  /// checkpoint when `checkpoints` is set, from scratch otherwise. The
+  /// backoff before each attempt is `transportTuning`'s.
   int rankRetries = 0;
-  /// Virtual-clock backoff charged before retry attempt k (k * this).
-  double retryBackoffSeconds = 0.05;
 
   // --- PBM (Method::Pbm) ---------------------------------------------------
   /// Outer rounds of block-solve + global line search (the comm model's r;

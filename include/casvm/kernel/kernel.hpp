@@ -46,11 +46,11 @@ struct KernelParams {
 /// Human-readable kernel name ("gaussian", ...).
 std::string kernelName(KernelType type);
 
-/// Reusable scratch that accelerates repeated Kernel::row() fills over one
-/// dataset. For dense data it holds a blocked, column-interleaved (k-major,
-/// 16 rows per block) float copy of the sample matrix, built once on first
-/// bind: row fills then run unit-stride load / convert / multiply-add
-/// streams with no per-fill transposition. It also owns the conversion and
+/// Reusable scratch for repeated Kernel::row() fills over one dataset. For
+/// dense data it holds a blocked, column-interleaved (k-major, 16 rows per
+/// block) float copy of the sample matrix, built once on first bind: row
+/// fills then run unit-stride load / convert / multiply-add streams with
+/// no per-fill transposition. It also owns the conversion and
 /// scatter buffers the fill kernels need, so fills allocate nothing.
 ///
 /// Bound to one dataset at a time; binding a different dataset rebuilds the
@@ -95,18 +95,13 @@ class Kernel {
   double evalVectors(std::span<const float> x, double xSelfDot,
                      std::span<const float> z, double zSelfDot) const;
 
-  /// Fill out[j] = K(xi, xj) for all j (one kernel row). Uses blocked,
-  /// storage-aware dot-product kernels (8-row dense blocks; sparse rows via
-  /// a scattered dense copy of row i) and applies the kernel transform in a
-  /// single pass per row, so the KernelType switch runs once per row rather
-  /// than once per element. Bitwise-identical to calling eval per element.
-  void row(const data::Dataset& ds, std::size_t i, std::span<double> out) const;
-
-  /// row() accelerated by a caller-owned workspace: dense fills run over
-  /// the workspace's blocked matrix copy through a runtime-dispatched
-  /// (AVX2 when available) micro-kernel, sparse fills reuse its scatter
-  /// buffer. Results are bitwise-identical to the workspace-free overload —
-  /// every row accumulates serially over ascending k into one double.
+  /// Fill out[j] = K(xi, xj) for all j (one kernel row) over a
+  /// caller-owned workspace: dense fills run over the workspace's blocked
+  /// matrix copy through the runtime-dispatched tile micro-kernel, sparse
+  /// fills scatter row i into its buffer once and stream each row's
+  /// nonzeros against it. The kernel transform runs once per row, not per
+  /// element. Bitwise-identical to calling eval per element — every dot
+  /// accumulates serially over ascending k into one double.
   void row(const data::Dataset& ds, std::size_t i, std::span<double> out,
            RowWorkspace& ws) const;
 
@@ -120,12 +115,8 @@ class Kernel {
   /// Fill out[j] = K(xi, xj) for j in `subset` only; entries of `out`
   /// outside `subset` are left untouched. Lets the solver's row cache
   /// refill evicted rows over the active set while shrinking instead of
-  /// paying a full-m row computation.
-  void row(const data::Dataset& ds, std::size_t i,
-           std::span<const std::size_t> subset, std::span<double> out) const;
-
-  /// Subset row() with a workspace (reuses its scatter buffer for sparse
-  /// data); bitwise-identical to the workspace-free subset overload.
+  /// paying a full-m row computation. Sparse fills reuse the workspace's
+  /// scatter buffer; bitwise-identical to eval per element.
   void row(const data::Dataset& ds, std::size_t i,
            std::span<const std::size_t> subset, std::span<double> out,
            RowWorkspace& ws) const;

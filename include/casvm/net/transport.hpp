@@ -57,9 +57,10 @@ struct TransportTuning {
   /// message for this long throws instead of waiting forever (the proc
   /// replacement for the thread backend's deadlock watchdog).
   int commTimeoutMs = 30000;
-  /// Base of the exponential respawn backoff: attempt k sleeps
-  /// respawnBackoffMs << (k-1) milliseconds (capped) before the rank is
-  /// forked again.
+  /// Base of the exponential rank-retry backoff of both backends: before
+  /// attempt k the proc supervisor sleeps respawnBackoffMs << (k-1)
+  /// milliseconds (capped) and forks the rank again; a thread-transport
+  /// retry charges the same time to the rank's virtual clock.
   int respawnBackoffMs = 50;
 
   /// Throws casvm::Error naming the offending knob and its valid range.

@@ -16,27 +16,28 @@ namespace {
 
 constexpr const char* kSuffix = ".ckpt";
 
-/// Parse "<name>.g<N>.ckpt" → N, or nullopt if `filename` is not a
-/// generation file of `name`.
-std::optional<std::uint64_t> generationOf(const std::string& filename,
-                                          const std::string& name) {
-  const std::string prefix = name + ".g";
-  if (filename.size() <= prefix.size() + std::string(kSuffix).size()) {
+/// Split "<name>.g<N>.ckpt" into (name, N), or nullopt if `filename` is
+/// not a generation file.
+std::optional<std::pair<std::string, std::uint64_t>> parseGenerationFile(
+    const std::string& filename) {
+  const std::string suffix = kSuffix;
+  if (filename.size() <= suffix.size() ||
+      filename.compare(filename.size() - suffix.size(), suffix.size(),
+                       suffix) != 0) {
     return std::nullopt;
   }
-  if (filename.compare(0, prefix.size(), prefix) != 0) return std::nullopt;
-  if (filename.compare(filename.size() - 5, 5, kSuffix) != 0) {
+  const std::string stem = filename.substr(0, filename.size() - suffix.size());
+  const std::size_t mark = stem.rfind(".g");
+  if (mark == std::string::npos || mark + 2 == stem.size()) {
     return std::nullopt;
   }
-  const std::string digits =
-      filename.substr(prefix.size(), filename.size() - prefix.size() - 5);
-  if (digits.empty()) return std::nullopt;
   std::uint64_t gen = 0;
-  for (char c : digits) {
+  for (std::size_t k = mark + 2; k < stem.size(); ++k) {
+    const char c = stem[k];
     if (c < '0' || c > '9') return std::nullopt;
     gen = gen * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  return gen;
+  return std::make_pair(stem.substr(0, mark), gen);
 }
 
 }  // namespace
@@ -49,15 +50,36 @@ CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
               "cannot create checkpoint directory: " + dir_);
 }
 
+void CheckpointStore::beginRun(bool resume) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  hiddenThrough_.clear();
+  if (resume) return;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const auto file = parseGenerationFile(entry.path().filename().string());
+    if (file) {
+      std::uint64_t& newest = hiddenThrough_[file->first];
+      newest = std::max(newest, file->second);
+    }
+  }
+}
+
+std::uint64_t CheckpointStore::hiddenThrough(const std::string& name) const {
+  const auto it = hiddenThrough_.find(name);
+  return it == hiddenThrough_.end() ? 0 : it->second;
+}
+
 std::vector<std::pair<std::uint64_t, std::string>>
-CheckpointStore::generationsOf(const std::string& name) const {
+CheckpointStore::generationsOf(const std::string& name, bool withHidden) const {
+  const std::uint64_t hidden = withHidden ? 0 : hiddenThrough(name);
   std::vector<std::pair<std::uint64_t, std::string>> gens;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string filename = entry.path().filename().string();
-    if (const auto gen = generationOf(filename, name)) {
-      gens.emplace_back(*gen, entry.path().string());
+    const auto file = parseGenerationFile(entry.path().filename().string());
+    if (file && file->first == name && file->second > hidden) {
+      gens.emplace_back(file->second, entry.path().string());
     }
   }
   std::sort(gens.begin(), gens.end(),
@@ -70,8 +92,11 @@ void CheckpointStore::save(const std::string& name, Kind kind,
   CASVM_CHECK(name.find('/') == std::string::npos,
               "checkpoint name must not contain '/': " + name);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto gens = generationsOf(name);
-  const std::uint64_t next = gens.empty() ? 1 : gens.front().first + 1;
+  const auto gens = generationsOf(name, /*withHidden=*/true);
+  // Number above every generation on disk and every hidden one, so a name
+  // removed during this run never reuses a number the run hides.
+  const std::uint64_t next =
+      std::max(gens.empty() ? 0 : gens.front().first, hiddenThrough(name)) + 1;
   const std::string path =
       dir_ + "/" + name + ".g" + std::to_string(next) + kSuffix;
   support::writeFileAtomic(path, encodeFrame(kind, payload));
@@ -132,7 +157,7 @@ bool CheckpointStore::contains(const std::string& name) const {
 
 void CheckpointStore::remove(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [gen, path] : generationsOf(name)) {
+  for (const auto& [gen, path] : generationsOf(name, /*withHidden=*/true)) {
     std::error_code ec;
     fs::remove(path, ec);
   }

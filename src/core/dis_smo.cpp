@@ -103,39 +103,15 @@ void runDisSmo(net::Comm& comm, const MethodContext& ctx) {
   const std::string solverName = "solver.r" + std::to_string(rank);
 
   if (store != nullptr && ctx.config.resume) {
-    // Cross-process resume. Snapshots are written in lock-step (aligned at
-    // iteration multiples, and the blocking collectives keep ranks within
-    // one iteration of each other), so the allreduce-min of each rank's
-    // newest snapshot iteration is a generation every rank still holds —
-    // the store keeps two. The agreement is double-checked: a rank missing
-    // the agreed generation (e.g. a corrupt file) vetoes the restore and
-    // everyone starts fresh together.
-    std::vector<solver::SolverSnapshot> snaps;
-    for (const auto& payload :
-         store->loadGenerations(solverName, ckpt::Kind::DisSmoState)) {
-      solver::SolverSnapshot snap = ckpt::decodeSolverState(payload);
-      // A snapshot of a different placement (row-count mismatch) is stale.
-      if (snap.alpha.size() == mLocal) snaps.push_back(std::move(snap));
-    }
-    long long newest = -1;
-    for (const auto& s : snaps) {
-      newest = std::max(newest, static_cast<long long>(s.iteration));
-    }
-    const long long agreed =
-        comm.allreduce(newest, [](long long a, long long b) {
-          return a < b ? a : b;
-        });
-    if (agreed > 0) {
-      const solver::SolverSnapshot* chosen = nullptr;
-      for (const auto& s : snaps) {
-        if (static_cast<long long>(s.iteration) == agreed) chosen = &s;
-      }
-      int canUse = chosen != nullptr ? 1 : 0;
-      canUse = comm.allreduce(canUse, [](int a, int b) { return a < b ? a : b; });
-      if (canUse != 0) {
-        state = *chosen;
-        ++board.checkpointsLoaded[urank];
-      }
+    // Cross-process resume: snapshots are aligned at iteration multiples,
+    // and the blocking collectives keep ranks within one iteration of each
+    // other, so the agreed generation is the newest common iteration.
+    if (auto snap = restoreAgreedGeneration(
+            comm, *store, solverName, ckpt::Kind::DisSmoState, mLocal,
+            ckpt::decodeSolverState,
+            [](const solver::SolverSnapshot& s) { return s.iteration; })) {
+      state = std::move(*snap);
+      ++board.checkpointsLoaded[urank];
     }
   }
 

@@ -2,10 +2,11 @@
 
 // Shared machinery of the global methods (Dis-SMO, Dis-SMO + shrinking,
 // PBM): the (rank, local index) election encoding, the elected-sample
-// metadata that travels with each broadcast, the replicated row store, and
+// metadata that travels with each broadcast, the replicated row store,
 // GlobalPairSource, the pair source that runs the one SMO loop
-// (casvm/solver/smo_loop.hpp) across ranks. runDisSmo runs the loop for
-// the whole solve; PBM runs it as its cross-block correction.
+// (casvm/solver/smo_loop.hpp) across ranks, and the agreed-generation
+// resume. runDisSmo runs the loop for the whole solve; PBM runs it as its
+// cross-block correction.
 //
 // The source turns the loop's local selection into a MINLOC/MAXLOC
 // election, ships the elected samples to every rank, and fills their
@@ -19,12 +20,15 @@
 // or broadcast results, so all ranks take identical branches.
 
 #include <algorithm>
+#include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "methods.hpp"
+#include "casvm/ckpt/store.hpp"
 #include "casvm/data/dataset.hpp"
 #include "casvm/kernel/kernel.hpp"
 #include "casvm/kernel/row_cache.hpp"
@@ -352,5 +356,41 @@ class GlobalPairSource {
   /// first full fill.
   kernel::ExactRowSource columns_;
 };
+
+/// The global methods' agreed-generation resume. Each rank writes its
+/// snapshot `name` in lock-step with the others, so the allreduce-min of
+/// the ranks' newest generation keys is a generation every rank still
+/// holds (the store keeps two). `decode` turns a payload of `kind` into a
+/// state whose `alpha` covers the rank's `rows` (others are stale) and
+/// `key` gives its generation: Dis-SMO's iteration, PBM's round. A rank
+/// missing the agreed generation (e.g. a corrupt file) vetoes, and every
+/// rank starts fresh together: nullopt. Both allreduces run on every rank.
+template <class Decode, class Key>
+auto restoreAgreedGeneration(net::Comm& comm,
+                             const ckpt::CheckpointStore& store,
+                             const std::string& name, ckpt::Kind kind,
+                             std::size_t rows, Decode decode, Key key)
+    -> std::optional<decltype(decode(std::span<const std::byte>()))> {
+  using State = decltype(decode(std::span<const std::byte>()));
+  const auto minOf = [](auto a, auto b) { return a < b ? a : b; };
+  std::vector<State> snaps;
+  for (const auto& payload : store.loadGenerations(name, kind)) {
+    State snap = decode(payload);
+    if (snap.alpha.size() == rows) snaps.push_back(std::move(snap));
+  }
+  long long newest = -1;
+  for (const State& s : snaps) {
+    newest = std::max(newest, static_cast<long long>(key(s)));
+  }
+  const long long agreed = comm.allreduce(newest, minOf);
+  if (agreed <= 0) return std::nullopt;
+  State* chosen = nullptr;
+  for (State& s : snaps) {
+    if (static_cast<long long>(key(s)) == agreed) chosen = &s;
+  }
+  const int everyRank = comm.allreduce(chosen != nullptr ? 1 : 0, minOf);
+  if (everyRank == 0) return std::nullopt;
+  return std::move(*chosen);
+}
 
 }  // namespace casvm::core::detail

@@ -14,13 +14,10 @@
 #include <optional>
 
 #include "casvm/ckpt/state.hpp"
-#include "casvm/ckpt/store.hpp"
 #include "casvm/net/fault.hpp"
 #include "casvm/cluster/balanced_kmeans.hpp"
 #include "casvm/cluster/fcfs.hpp"
 #include "casvm/cluster/kmeans.hpp"
-#include "casvm/lowrank/lowrank_kernel.hpp"
-#include "casvm/lowrank/nystrom.hpp"
 #include "methods.hpp"
 #include "casvm/support/error.hpp"
 
@@ -43,291 +40,148 @@ std::vector<float> localMeanCenter(const data::Dataset& ds) {
   return center;
 }
 
-}  // namespace
-
-void runPartitioned(net::Comm& comm, const MethodContext& ctx) {
+/// Run the method's partitioner and place the parts: this rank's samples,
+/// its routing center and the K-means loop count, saved when the run has a
+/// store.
+ckpt::PartitionState buildPartition(net::Comm& comm, const MethodContext& ctx) {
   const int rank = comm.rank();
   const auto urank = static_cast<std::size_t>(rank);
   const int P = comm.size();
-  const Method method = ctx.config.method;
-  RankBoard& board = ctx.board;
   const data::Dataset& initial = ctx.initialBlocks[urank];
-
-  ckpt::CheckpointStore* store = ctx.config.checkpoints;
-  const std::string rankTag = ".r" + std::to_string(rank);
-  const std::string partName = "part" + rankTag;
-  const std::string solverName = "solver" + rankTag;
-  const std::string modelName = "model" + rankTag;
-
-  // --- init phase: build the partition and place the parts ---------------
-  data::Dataset mine;
-  std::vector<float> myCenter;
-
-  // Cross-process resume of the partition. The partition phase is
-  // collective (K-means rounds, the all-to-all exchange, the casvm1
-  // scatter), so it can only be skipped if EVERY rank restored its part —
-  // the agreement is an allreduce-AND. RA-CA casvm2 partitions with zero
-  // communication, so each rank decides locally and the method's headline
-  // property is preserved on resume.
-  bool restoredPartition = false;
-  if (store != nullptr && ctx.config.resume) {
-    std::optional<ckpt::PartitionState> part;
-    if (const auto payload = store->load(partName, ckpt::Kind::Partition)) {
-      part = ckpt::decodePartition(*payload);
+  ckpt::PartitionState part;
+  switch (ctx.config.method) {
+  case Method::CpSvm: {
+    cluster::KMeansResult result;
+    {
+      PhaseSpan span(comm, "partition");
+      cluster::KMeansOptions km;
+      km.clusters = P;
+      km.maxLoops = ctx.config.kmeansMaxLoops;
+      km.changeThreshold = ctx.config.kmeansChangeThreshold;
+      km.seed = ctx.config.seed;
+      result = cluster::kmeansDistributed(comm, initial, km);
     }
-    int canSkip = part.has_value() ? 1 : 0;
-    const bool localOnlyInit =
-        method == Method::RaCa && !ctx.config.raInitialDataOnRoot;
-    if (!localOnlyInit) {
-      canSkip = comm.allreduce(
-          canSkip, [](int a, int b) { return a < b ? a : b; });
+    part.kmeansLoops = result.loops;
+    {
+      PhaseSpan span(comm, "scatter");
+      part.local = exchangeToOwners(comm, initial, result.partition.assign);
     }
-    if (canSkip != 0) {
-      mine = std::move(part->local);
-      myCenter = std::move(part->center);
-      board.kmeansLoops[urank] = part->kmeansLoops;
-      ++board.checkpointsLoaded[urank];
-      restoredPartition = true;
-    }
+    part.center = result.partition.centers[urank];
+    break;
   }
-
-  if (!restoredPartition) {
-    switch (method) {
-    case Method::CpSvm: {
-      cluster::KMeansResult result;
-      {
-        PhaseSpan span(comm, "partition");
-        cluster::KMeansOptions km;
-        km.clusters = P;
-        km.maxLoops = ctx.config.kmeansMaxLoops;
-        km.changeThreshold = ctx.config.kmeansChangeThreshold;
-        km.seed = ctx.config.seed;
-        result = cluster::kmeansDistributed(comm, initial, km);
-      }
-      board.kmeansLoops[urank] = result.loops;
-      {
-        PhaseSpan span(comm, "scatter");
-        mine = exchangeToOwners(comm, initial, result.partition.assign);
-      }
-      myCenter = result.partition.centers[urank];
-      break;
+  case Method::BkmCa: {
+    cluster::BalancedKMeansResult result;
+    {
+      PhaseSpan span(comm, "partition");
+      cluster::BalancedKMeansOptions bkm;
+      bkm.parts = P;
+      bkm.ratioBalanced = ctx.config.ratioBalance;
+      bkm.maxKmeansLoops = ctx.config.kmeansMaxLoops;
+      bkm.kmeansChangeThreshold = ctx.config.kmeansChangeThreshold;
+      bkm.seed = ctx.config.seed;
+      result = cluster::balancedKmeansDistributed(comm, initial, bkm);
     }
-    case Method::BkmCa: {
-      cluster::BalancedKMeansResult result;
-      {
-        PhaseSpan span(comm, "partition");
-        cluster::BalancedKMeansOptions bkm;
-        bkm.parts = P;
-        bkm.ratioBalanced = ctx.config.ratioBalance;
-        bkm.maxKmeansLoops = ctx.config.kmeansMaxLoops;
-        bkm.kmeansChangeThreshold = ctx.config.kmeansChangeThreshold;
-        bkm.seed = ctx.config.seed;
-        result = cluster::balancedKmeansDistributed(comm, initial, bkm);
-      }
-      board.kmeansLoops[urank] = result.kmeansLoops;
-      {
-        PhaseSpan span(comm, "scatter");
-        mine = exchangeToOwners(comm, initial, result.partition.assign);
-      }
-      myCenter = result.partition.centers[urank];
-      break;
+    part.kmeansLoops = result.kmeansLoops;
+    {
+      PhaseSpan span(comm, "scatter");
+      part.local = exchangeToOwners(comm, initial, result.partition.assign);
     }
-    case Method::FcfsCa: {
-      cluster::Partition partition;
-      {
-        PhaseSpan span(comm, "partition");
-        cluster::FcfsOptions fcfs;
-        fcfs.parts = P;
-        fcfs.ratioBalanced = ctx.config.ratioBalance;
-        fcfs.seed = ctx.config.seed;
-        partition = cluster::fcfsPartitionDistributed(comm, initial, fcfs);
-      }
-      {
-        PhaseSpan span(comm, "scatter");
-        mine = exchangeToOwners(comm, initial, partition.assign);
-      }
-      myCenter = partition.centers[urank];
-      break;
+    part.center = result.partition.centers[urank];
+    break;
+  }
+  case Method::FcfsCa: {
+    cluster::Partition partition;
+    {
+      PhaseSpan span(comm, "partition");
+      cluster::FcfsOptions fcfs;
+      fcfs.parts = P;
+      fcfs.ratioBalanced = ctx.config.ratioBalance;
+      fcfs.seed = ctx.config.seed;
+      partition = cluster::fcfsPartitionDistributed(comm, initial, fcfs);
     }
-    case Method::RaCa: {
-      if (ctx.config.raInitialDataOnRoot) {
-        // casvm1: the whole dataset starts on rank 0, which deals random
-        // even parts to everyone — this distribution is RA-CA's only
-        // communication, shown in the paper's Fig. 9 as casvm1.
-        PhaseSpan span(comm, "scatter");
-        if (rank == 0) {
-          const cluster::Partition part = cluster::randomPartition(
-              initial, P, ctx.config.seed);
-          const auto groups = part.groups();
-          for (int dst = 1; dst < P; ++dst) {
-            const std::vector<std::byte> packed =
-                initial.pack(groups[static_cast<std::size_t>(dst)]);
-            comm.sendBytes(dst, kScatterTag, packed.data(), packed.size());
-          }
-          mine = initial.subset(groups[0]);
-        } else {
-          mine = data::Dataset::unpack(comm.recvBytes(0, kScatterTag));
+    {
+      PhaseSpan span(comm, "scatter");
+      part.local = exchangeToOwners(comm, initial, partition.assign);
+    }
+    part.center = partition.centers[urank];
+    break;
+  }
+  case Method::RaCa: {
+    if (ctx.config.raInitialDataOnRoot) {
+      // casvm1: the whole dataset starts on rank 0, which deals random
+      // even parts to everyone — this distribution is RA-CA's only
+      // communication, shown in the paper's Fig. 9 as casvm1.
+      PhaseSpan span(comm, "scatter");
+      if (rank == 0) {
+        const cluster::Partition random = cluster::randomPartition(
+            initial, P, ctx.config.seed);
+        const auto groups = random.groups();
+        for (int dst = 1; dst < P; ++dst) {
+          const std::vector<std::byte> packed =
+              initial.pack(groups[static_cast<std::size_t>(dst)]);
+          comm.sendBytes(dst, kScatterTag, packed.data(), packed.size());
         }
+        part.local = initial.subset(groups[0]);
       } else {
-        // casvm2: data is born distributed; no communication at all.
-        PhaseSpan span(comm, "partition");
-        mine = initial;
+        part.local = data::Dataset::unpack(comm.recvBytes(0, kScatterTag));
       }
-      myCenter = localMeanCenter(mine);
-      break;
+    } else {
+      // casvm2: data is born distributed; no communication at all.
+      PhaseSpan span(comm, "partition");
+      part.local = initial;
     }
-    default:
-      throw Error("runPartitioned called with a non-partitioned method");
-    }
-
-    if (store != nullptr) {
-      ckpt::PartitionState part;
-      part.local = mine;
-      part.center = myCenter;
-      part.kmeansLoops = board.kmeansLoops[urank];
-      store->save(partName, ckpt::Kind::Partition,
-                  ckpt::encodePartition(part));
-    }
+    part.center = localMeanCenter(part.local);
+    break;
   }
+  default:
+    throw Error("runPartitioned called with a non-partitioned method");
+  }
+  ctx.board.kmeansLoops[urank] = part.kmeansLoops;
+  savePartition(comm, ctx, part);
+  return part;
+}
 
-  board.samples[urank] = static_cast<long long>(mine.rows());
-  board.positives[urank] = static_cast<long long>(mine.positives());
+}  // namespace
+
+void runPartitioned(net::Comm& comm, const MethodContext& ctx) {
+  const auto urank = static_cast<std::size_t>(comm.rank());
+  RankBoard& board = ctx.board;
+
+  // --- init phase: build (or, on resume, restore) the partition ----------
+  // Skipping the partition phase needs every rank's agreement where it is
+  // collective (K-means rounds, the all-to-all exchange, the casvm1
+  // scatter). RA-CA casvm2 partitions with zero communication, so each
+  // rank decides alone and the method's headline property holds on resume.
+  std::optional<ckpt::PartitionState> part;
+  if (ctx.config.checkpoints != nullptr && ctx.config.resume) {
+    const bool localPlacement =
+        ctx.config.method == Method::RaCa && !ctx.config.raInitialDataOnRoot;
+    part = restorePartition(comm, ctx, !localPlacement);
+  }
+  if (!part.has_value()) part = buildPartition(comm, ctx);
+
+  board.samples[urank] = static_cast<long long>(part->local.rows());
+  board.positives[urank] = static_cast<long long>(part->local.positives());
   markInitEnd(comm, ctx);
-
-  // Completed sub-model from a previous process: the whole training phase
-  // of this rank is done, deposit it and return. Purely local.
-  if (store != nullptr && ctx.config.resume) {
-    if (const auto payload = store->load(modelName, ckpt::Kind::SubModel)) {
-      ckpt::SubModelState sub = ckpt::decodeSubModel(*payload);
-      ++board.checkpointsLoaded[urank];
-      markTrainEnd(comm, ctx);
-      board.models[urank] = std::move(sub.model);
-      board.centers[urank] = std::move(myCenter);
-      // Iteration counters report solver work done in THIS run; a restored
-      // sub-model cost zero iterations here.
-      board.iterations[urank] = 0;
-      board.svs[urank] = sub.svs;
-      return;
-    }
-  }
 
   // --- training phase: one fully independent sub-SVM ----------------------
   // From here to the board deposits this rank performs no communication
   // (that is the point of the partitioned methods), so an injected crash
   // can be retried locally: no peer is waiting on a collective we would
-  // re-enter. Each attempt resumes from the newest solver snapshot.
+  // re-enter. The partition stays in memory, so a retry needs no store.
   const int maxAttempts = 1 + std::max(0, ctx.config.rankRetries);
-  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
+  for (int attempt = 0;; ++attempt) {
     try {
-      // The phase=train crash point, inside the retry window (see
-      // markInitEnd). A clause with times=N kills the first N attempts.
-      comm.faultCheckpoint("train");
-
-      solver::SolverOptions sopts = ctx.config.solver;
-      if (comm.traceLane() != nullptr) {
-        sopts.trace = comm.traceLane();
-        sopts.traceTimeOffset = virtualNow(comm);
-      }
-      std::optional<solver::SolverSnapshot> resumeSnap;
-      if (store != nullptr) {
-        if (ctx.config.resume || attempt > 0) {
-          if (const auto payload =
-                  store->load(solverName, ckpt::Kind::SolverState)) {
-            resumeSnap = ckpt::decodeSolverState(*payload);
-            if (resumeSnap->alpha.size() == mine.rows()) {
-              ++board.checkpointsLoaded[urank];
-            } else {
-              resumeSnap.reset();  // stale snapshot of a different part
-            }
-          }
-        }
-        if (resumeSnap.has_value()) sopts.resumeFrom = &*resumeSnap;
-        sopts.snapshotInterval = ctx.config.checkpointEvery;
-        sopts.snapshotSink = [&](const solver::SolverSnapshot& snap) {
-          store->save(solverName, ckpt::Kind::SolverState,
-                      ckpt::encodeSolverState(snap));
-          // Durable-first ordering: when a crash fires at this solve
-          // checkpoint, the snapshot it would resume from is already on
-          // disk — mid-solve interrupts are exactly resumable.
-          comm.faultCheckpoint("solve");
-        };
-      }
-
-      // Low-rank backend: this rank's partition IS its cluster, so the
-      // per-cluster Nyström factor is built right here from local rows —
-      // zero communication, composing with whichever partitioner ran
-      // above. The factor is durable (Kind::LowRankFactor): a retry or
-      // resume restores it instead of rebuilding, and because the build is
-      // deterministic both paths yield the bitwise-identical factor.
-      std::optional<lowrank::LowRankKernel> lowrankSource;
-      const std::string factorName = "lowrank" + rankTag;
-      if (ctx.config.solverBackend == SolverBackend::Nystrom &&
-          mine.rows() > 0) {
-        std::optional<lowrank::NystromFactor> factor;
-        if (store != nullptr && (ctx.config.resume || attempt > 0)) {
-          if (const auto payload =
-                  store->load(factorName, ckpt::Kind::LowRankFactor)) {
-            lowrank::NystromFactor restored =
-                lowrank::NystromFactor::decode(*payload);
-            if (restored.rows() == mine.rows()) {
-              factor = std::move(restored);
-              ++board.checkpointsLoaded[urank];
-            }
-          }
-        }
-        if (!factor.has_value()) {
-          PhaseSpan span(comm, "lowrank");
-          lowrank::NystromOptions nopts;
-          nopts.landmarks = ctx.config.nystromLandmarks;
-          nopts.strategy = ctx.config.nystromStrategy;
-          nopts.eigenFloor = ctx.config.nystromEigenFloor;
-          // Salt the seed per rank so each cluster selects its own
-          // landmarks independently.
-          nopts.seed = ctx.config.seed ^ (0x9E3779B97F4A7C15ull *
-                                          static_cast<std::uint64_t>(rank + 1));
-          const kernel::Kernel kern(sopts.kernel);
-          factor = lowrank::NystromFactor::build(kern, mine, nopts);
-          if (store != nullptr) {
-            store->save(factorName, ckpt::Kind::LowRankFactor,
-                        factor->encode());
-          }
-        }
-        lowrankSource.emplace(std::move(*factor));
-        sopts.rowSource = &*lowrankSource;
-      }
-
-      LocalSolve solve;
-      {
-        PhaseSpan span(comm, "solve");
-        solve = trainLocalSvm(mine, sopts);
-      }
-
-      if (store != nullptr) {
-        ckpt::SubModelState sub;
-        sub.model = solve.model;
-        sub.iterations = solve.iterations;
-        sub.svs = solve.svs;
-        store->save(modelName, ckpt::Kind::SubModel,
-                    ckpt::encodeSubModel(sub));
-        store->remove(solverName);  // mid-solve state is now obsolete
-        store->remove(factorName);  // so is the low-rank factor
-      }
-      markTrainEnd(comm, ctx);
-
-      board.models[urank] = solve.model;
-      board.centers[urank] = std::move(myCenter);
-      board.iterations[urank] = solve.iterations;
-      board.svs[urank] = solve.svs;
-      board.retries[urank] = attempt;
-      if (attempt > 0) board.recovered[urank] = 1;
+      finishRank(comm, ctx, *part, attempt);
       return;
     } catch (const net::RankCrash&) {
       board.retries[urank] = attempt;
       if (attempt + 1 >= maxAttempts) throw;  // budget spent: degraded path
-      // Bounded linear backoff, charged to the virtual clock like any
-      // local work (a real system would sleep before respawning).
-      comm.clock().addCompute(ctx.config.retryBackoffSeconds *
-                              static_cast<double>(attempt + 1));
+      // The respawn backoff of both transports, charged to the virtual
+      // clock like any local work (a real system would sleep first).
+      comm.clock().addCompute(
+          ctx.config.transportTuning.backoffForAttemptMs(attempt + 1) /
+          1000.0);
     }
   }
 }
@@ -341,124 +195,27 @@ void resumeRankLocal(net::Comm& comm, const MethodContext& ctx, int attempt) {
   const int rank = comm.rank();
   const auto urank = static_cast<std::size_t>(rank);
   RankBoard& board = ctx.board;
-  ckpt::CheckpointStore* store = ctx.config.checkpoints;
-  CASVM_CHECK(store != nullptr,
+  CASVM_CHECK(ctx.config.checkpoints != nullptr,
               "resumeRankLocal needs a checkpoint store (the driver only "
               "installs a respawn entry when one is configured)");
-  const std::string rankTag = ".r" + std::to_string(rank);
-  const std::string partName = "part" + rankTag;
-  const std::string solverName = "solver" + rankTag;
-  const std::string modelName = "model" + rankTag;
-  const std::string factorName = "lowrank" + rankTag;
 
   // The partition is the resume anchor: without it there is no local data
   // to retrain on, so the rank stays dead and the run degrades around it.
-  std::optional<ckpt::PartitionState> part;
-  if (const auto payload = store->load(partName, ckpt::Kind::Partition)) {
-    part = ckpt::decodePartition(*payload);
-  }
+  std::optional<ckpt::PartitionState> part =
+      restorePartition(comm, ctx, /*collective=*/false);
   if (!part.has_value()) {
     throw net::RankCrash(
         rank, "respawned rank " + std::to_string(rank) +
                   " found no partition checkpoint to resume from (the worker "
                   "died before the partition phase completed)");
   }
-  data::Dataset mine = std::move(part->local);
-  std::vector<float> myCenter = std::move(part->center);
-  board.kmeansLoops[urank] = part->kmeansLoops;
-  ++board.checkpointsLoaded[urank];
-  board.samples[urank] = static_cast<long long>(mine.rows());
-  board.positives[urank] = static_cast<long long>(mine.positives());
+  board.samples[urank] = static_cast<long long>(part->local.rows());
+  board.positives[urank] = static_cast<long long>(part->local.positives());
   // The respawned incarnation's clock starts fresh; its init phase is the
   // checkpoint load that just happened. No instrumentation fence — that is
   // a collective, and the fence already ran in the first incarnation.
   board.initEndVirtual[urank] = virtualNow(comm);
-
-  // The previous incarnation may have finished the solve and died between
-  // the sub-model save and its result frame — then the work is done.
-  if (const auto payload = store->load(modelName, ckpt::Kind::SubModel)) {
-    ckpt::SubModelState sub = ckpt::decodeSubModel(*payload);
-    ++board.checkpointsLoaded[urank];
-    markTrainEnd(comm, ctx);
-    board.models[urank] = std::move(sub.model);
-    board.centers[urank] = std::move(myCenter);
-    board.iterations[urank] = 0;
-    board.svs[urank] = sub.svs;
-    board.retries[urank] = attempt;
-    board.recovered[urank] = 1;
-    return;
-  }
-
-  solver::SolverOptions sopts = ctx.config.solver;
-  if (comm.traceLane() != nullptr) {
-    sopts.trace = comm.traceLane();
-    sopts.traceTimeOffset = virtualNow(comm);
-  }
-  std::optional<solver::SolverSnapshot> resumeSnap;
-  if (const auto payload = store->load(solverName, ckpt::Kind::SolverState)) {
-    resumeSnap = ckpt::decodeSolverState(*payload);
-    if (resumeSnap->alpha.size() == mine.rows()) {
-      ++board.checkpointsLoaded[urank];
-    } else {
-      resumeSnap.reset();  // stale snapshot of a different part
-    }
-  }
-  if (resumeSnap.has_value()) sopts.resumeFrom = &*resumeSnap;
-  sopts.snapshotInterval = ctx.config.checkpointEvery;
-  sopts.snapshotSink = [&](const solver::SolverSnapshot& snap) {
-    store->save(solverName, ckpt::Kind::SolverState,
-                ckpt::encodeSolverState(snap));
-  };
-
-  std::optional<lowrank::LowRankKernel> lowrankSource;
-  if (ctx.config.solverBackend == SolverBackend::Nystrom && mine.rows() > 0) {
-    std::optional<lowrank::NystromFactor> factor;
-    if (const auto payload =
-            store->load(factorName, ckpt::Kind::LowRankFactor)) {
-      lowrank::NystromFactor restored =
-          lowrank::NystromFactor::decode(*payload);
-      if (restored.rows() == mine.rows()) {
-        factor = std::move(restored);
-        ++board.checkpointsLoaded[urank];
-      }
-    }
-    if (!factor.has_value()) {
-      PhaseSpan span(comm, "lowrank");
-      lowrank::NystromOptions nopts;
-      nopts.landmarks = ctx.config.nystromLandmarks;
-      nopts.strategy = ctx.config.nystromStrategy;
-      nopts.eigenFloor = ctx.config.nystromEigenFloor;
-      nopts.seed = ctx.config.seed ^ (0x9E3779B97F4A7C15ull *
-                                      static_cast<std::uint64_t>(rank + 1));
-      const kernel::Kernel kern(sopts.kernel);
-      factor = lowrank::NystromFactor::build(kern, mine, nopts);
-      store->save(factorName, ckpt::Kind::LowRankFactor, factor->encode());
-    }
-    lowrankSource.emplace(std::move(*factor));
-    sopts.rowSource = &*lowrankSource;
-  }
-
-  LocalSolve solve;
-  {
-    PhaseSpan span(comm, "solve");
-    solve = trainLocalSvm(mine, sopts);
-  }
-
-  ckpt::SubModelState sub;
-  sub.model = solve.model;
-  sub.iterations = solve.iterations;
-  sub.svs = solve.svs;
-  store->save(modelName, ckpt::Kind::SubModel, ckpt::encodeSubModel(sub));
-  store->remove(solverName);
-  store->remove(factorName);
-  markTrainEnd(comm, ctx);
-
-  board.models[urank] = solve.model;
-  board.centers[urank] = std::move(myCenter);
-  board.iterations[urank] = solve.iterations;
-  board.svs[urank] = solve.svs;
-  board.retries[urank] = attempt;
-  board.recovered[urank] = 1;
+  finishRank(comm, ctx, *part, attempt);
 }
 
 }  // namespace casvm::core::detail

@@ -96,39 +96,18 @@ void runPbm(net::Comm& comm, const MethodContext& ctx) {
   const std::string solverName = "solver.r" + std::to_string(rank);
 
   if (store != nullptr && ctx.config.resume) {
-    // Same agreed-generation protocol as the Dis-SMO resume: snapshots are
-    // written in lock-step at the top of each round, so the allreduce-min
-    // of the newest round every rank holds is restorable everywhere (the
-    // store keeps two generations), and any rank missing it vetoes.
-    std::vector<ckpt::PbmRoundState> snaps;
-    for (const auto& payload :
-         store->loadGenerations(solverName, ckpt::Kind::PbmRound)) {
-      ckpt::PbmRoundState snap = ckpt::decodePbmRound(payload);
-      if (snap.alpha.size() == mLocal) snaps.push_back(std::move(snap));
-    }
-    long long newest = -1;
-    for (const auto& s : snaps) {
-      newest = std::max(newest, static_cast<long long>(s.round));
-    }
-    const long long agreed =
-        comm.allreduce(newest, [](long long a, long long b) {
-          return a < b ? a : b;
-        });
-    if (agreed > 0) {
-      const ckpt::PbmRoundState* chosen = nullptr;
-      for (const auto& s : snaps) {
-        if (static_cast<long long>(s.round) == agreed) chosen = &s;
-      }
-      int canUse = chosen != nullptr ? 1 : 0;
-      canUse = comm.allreduce(canUse, [](int a, int b) { return a < b ? a : b; });
-      if (canUse != 0) {
-        alpha = chosen->alpha;
-        f = chosen->f;
-        blockIters = chosen->blockIterations;
-        state.iteration = static_cast<std::size_t>(chosen->pairIterations);
-        startRound = chosen->round;
-        ++board.checkpointsLoaded[urank];
-      }
+    // Snapshots are written in lock-step at the top of each round, so the
+    // agreed generation is the newest round every rank holds.
+    if (auto snap = restoreAgreedGeneration(
+            comm, *store, solverName, ckpt::Kind::PbmRound, mLocal,
+            ckpt::decodePbmRound,
+            [](const ckpt::PbmRoundState& s) { return s.round; })) {
+      alpha = std::move(snap->alpha);
+      f = std::move(snap->f);
+      blockIters = snap->blockIterations;
+      state.iteration = static_cast<std::size_t>(snap->pairIterations);
+      startRound = snap->round;
+      ++board.checkpointsLoaded[urank];
     }
   }
 

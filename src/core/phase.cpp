@@ -12,10 +12,10 @@ void markInitEnd(net::Comm& comm, const MethodContext& ctx) {
     ctx.board.initSnapshot = comm.trafficSnapshot();
   });
   // The phase=train crash point is NOT injected here: each method body
-  // places its own comm.faultCheckpoint("train") right after this call —
-  // the partitioned methods inside their retry loop, so a crashed rank
-  // can re-enter the checkpoint (and survive it once the clause's crash
-  // budget is spent) without repeating the instrumentation fence above.
+  // places its own comm.faultCheckpoint("train") after this call — the
+  // partitioned methods in finishRank, inside their retry loop, so a
+  // crashed rank can re-enter the checkpoint (and survive it once the
+  // clause's crash budget is spent) without repeating the fence above.
 }
 
 void markTrainEnd(net::Comm& comm, const MethodContext& ctx) {

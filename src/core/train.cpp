@@ -162,11 +162,13 @@ TrainResult train(const data::Dataset& trainSet, const TrainConfig& config) {
   }
 
   // Checkpoint-directory identity: a fresh run stamps the directory with
-  // the run's fingerprint; a resume refuses to blend state from a different
-  // config or dataset into nonsense.
+  // the run's fingerprint and hides whatever an earlier run left there (a
+  // retry or respawn restores only this run's state); a resume refuses to
+  // blend state from a different config or dataset into nonsense.
   if (config.checkpoints != nullptr) {
     CASVM_CHECK(config.checkpointEvery > 0,
                 "checkpointEvery must be > 0 when checkpointing is enabled");
+    config.checkpoints->beginRun(config.resume);
     ckpt::RunMeta meta;
     meta.fingerprint = runFingerprint(trainSet, config);
     meta.method = static_cast<std::uint32_t>(config.method);

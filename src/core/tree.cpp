@@ -17,8 +17,6 @@
 #include "casvm/ckpt/state.hpp"
 #include "casvm/ckpt/store.hpp"
 #include "casvm/cluster/kmeans.hpp"
-#include "casvm/lowrank/lowrank_kernel.hpp"
-#include "casvm/lowrank/nystrom.hpp"
 #include "methods.hpp"
 #include "casvm/support/error.hpp"
 
@@ -55,38 +53,21 @@ void runTree(net::Comm& comm, const MethodContext& ctx) {
 
   ckpt::CheckpointStore* store = ctx.config.checkpoints;
   const std::string rankTag = ".r" + std::to_string(rank);
-  const std::string partName = "part" + rankTag;
 
   // --- init phase: place the data ----------------------------------------
-  data::Dataset current;
-
   // Cross-process resume of the partition. For DC-SVM / DC-Filter the
   // partition phase is collective (K-means + all-to-all), so skipping it
-  // needs agreement from every rank: an allreduce-AND. Cascade's even-block
-  // placement is purely local, so each rank decides on its own.
-  bool restoredPartition = false;
+  // needs every rank's agreement. Cascade's even-block placement is purely
+  // local, so each rank decides on its own.
+  std::optional<ckpt::PartitionState> part;
   if (store != nullptr && ctx.config.resume) {
-    std::optional<ckpt::PartitionState> part;
-    if (const auto payload = store->load(partName, ckpt::Kind::Partition)) {
-      part = ckpt::decodePartition(*payload);
-    }
-    int canSkip = part.has_value() ? 1 : 0;
-    if (method != Method::Cascade) {
-      canSkip =
-          comm.allreduce(canSkip, [](int a, int b) { return a < b ? a : b; });
-    }
-    if (canSkip != 0) {
-      current = std::move(part->local);
-      board.kmeansLoops[urank] = part->kmeansLoops;
-      ++board.checkpointsLoaded[urank];
-      restoredPartition = true;
-    }
+    part = restorePartition(comm, ctx, method != Method::Cascade);
   }
-
-  if (!restoredPartition) {
+  if (!part.has_value()) {
+    part.emplace();
     if (method == Method::Cascade) {
       PhaseSpan span(comm, "partition");
-      current = ctx.initialBlocks[urank];  // even blocks, no communication
+      part->local = ctx.initialBlocks[urank];  // even blocks, no communication
     } else {
       // DC-SVM / DC-Filter: distributed K-means over the initial blocks,
       // then an all-to-all moving each sample to its cluster's owner rank.
@@ -100,20 +81,15 @@ void runTree(net::Comm& comm, const MethodContext& ctx) {
         km.seed = ctx.config.seed;
         result = cluster::kmeansDistributed(comm, ctx.initialBlocks[urank], km);
       }
+      part->kmeansLoops = result.loops;
       board.kmeansLoops[urank] = result.loops;
       PhaseSpan span(comm, "scatter");
-      current = exchangeToOwners(comm, ctx.initialBlocks[urank],
-                                 result.partition.assign);
+      part->local = exchangeToOwners(comm, ctx.initialBlocks[urank],
+                                     result.partition.assign);
     }
-
-    if (store != nullptr) {
-      ckpt::PartitionState part;
-      part.local = current;
-      part.kmeansLoops = board.kmeansLoops[urank];
-      store->save(partName, ckpt::Kind::Partition,
-                  ckpt::encodePartition(part));
-    }
+    savePartition(comm, ctx, *part);
   }
+  data::Dataset current = std::move(part->local);
 
   board.samples[urank] = static_cast<long long>(current.rows());
   board.positives[urank] = static_cast<long long>(current.positives());
@@ -170,10 +146,8 @@ void runTree(net::Comm& comm, const MethodContext& ctx) {
       // Layers keep counting across passes so per-layer checkpoint names
       // and stats stay unique.
       const int globalLayer = (pass - 1) * layers + layer;
-      const std::string layerName =
-          "tree" + rankTag + ".l" + std::to_string(globalLayer);
-      const std::string solverName =
-          "solver" + rankTag + ".l" + std::to_string(globalLayer);
+      const std::string layerTag = rankTag + ".l" + std::to_string(globalLayer);
+      const std::string layerName = "tree" + layerTag;
 
       // Cross-process resume of a completed layer: restore its post-filter
       // output instead of re-solving. The merge above still ran — on resume
@@ -204,93 +178,23 @@ void runTree(net::Comm& comm, const MethodContext& ctx) {
           board.svs[0] = done->svs;
         }
       } else {
-        solver::SolverOptions sopts = ctx.config.solver;
-        if (comm.traceLane() != nullptr) {
-          sopts.trace = comm.traceLane();
-          sopts.traceTimeOffset = virtualNow(comm);
-        }
-        std::optional<solver::SolverSnapshot> resumeSnap;
-        if (store != nullptr) {
-          if (ctx.config.resume) {
-            if (const auto payload =
-                    store->load(solverName, ckpt::Kind::SolverState)) {
-              resumeSnap = ckpt::decodeSolverState(*payload);
-              if (resumeSnap->alpha.size() == current.rows()) {
-                ++board.checkpointsLoaded[urank];
-              } else {
-                resumeSnap.reset();  // snapshot of a different merge state
-              }
-            }
-          }
-          if (resumeSnap.has_value()) sopts.resumeFrom = &*resumeSnap;
-          sopts.snapshotInterval = ctx.config.checkpointEvery;
-          sopts.snapshotSink = [&](const solver::SolverSnapshot& snap) {
-            store->save(solverName, ckpt::Kind::SolverState,
-                        ckpt::encodeSolverState(snap));
-            // Durable-first: a crash at this checkpoint always has its
-            // resume snapshot already on disk.
-            comm.faultCheckpoint("solve");
-          };
-        }
-        // Low-rank backend: each layer's merged working set is this rank's
-        // cluster at that depth, so a fresh per-layer factor keeps the
-        // approximation anchored to the data actually being solved. The
-        // factor is durable per (rank, layer); a mid-layer resume restores
-        // it, and the deterministic build makes restore == rebuild bitwise.
-        std::optional<lowrank::LowRankKernel> lowrankSource;
-        const std::string factorName =
-            "lowrank" + rankTag + ".l" + std::to_string(globalLayer);
-        if (ctx.config.solverBackend == SolverBackend::Nystrom &&
-            current.rows() > 0) {
-          std::optional<lowrank::NystromFactor> factor;
-          if (store != nullptr && ctx.config.resume) {
-            if (const auto payload =
-                    store->load(factorName, ckpt::Kind::LowRankFactor)) {
-              lowrank::NystromFactor restored =
-                  lowrank::NystromFactor::decode(*payload);
-              if (restored.rows() == current.rows()) {
-                factor = std::move(restored);
-                ++board.checkpointsLoaded[urank];
-              }
-            }
-          }
-          if (!factor.has_value()) {
-            PhaseSpan span(comm, "lowrank", globalLayer);
-            lowrank::NystromOptions nopts;
-            nopts.landmarks = ctx.config.nystromLandmarks;
-            nopts.strategy = ctx.config.nystromStrategy;
-            nopts.eigenFloor = ctx.config.nystromEigenFloor;
-            // Salt the seed per (rank, layer): every layer's working set is
-            // a different cluster and selects its own landmarks.
-            const std::uint64_t salt =
-                (static_cast<std::uint64_t>(rank) << 32) |
-                static_cast<std::uint64_t>(globalLayer);
-            nopts.seed = ctx.config.seed ^ (0x9E3779B97F4A7C15ull * (salt + 1));
-            const kernel::Kernel kern(sopts.kernel);
-            factor = lowrank::NystromFactor::build(kern, current, nopts);
-            if (store != nullptr) {
-              store->save(factorName, ckpt::Kind::LowRankFactor,
-                          factor->encode());
-            }
-          }
-          lowrankSource.emplace(std::move(*factor));
-          sopts.rowSource = &*lowrankSource;
-        }
-
-        const double t0 = virtualNow(comm);
-        LocalSolve solve;
-        {
-          PhaseSpan span(comm, "solve", globalLayer);
-          solve = trainLocalSvm(
-              current, sopts,
-              ctx.config.treeWarmStart ? std::span<const double>(currentAlpha)
-                                       : std::span<const double>());
-        }
-        const double t1 = virtualNow(comm);
+        // Each layer's merged working set is this rank's cluster at that
+        // depth: a mid-layer resume restores its snapshot and factor, and
+        // the factor's seed is salted per (rank, layer) so every layer
+        // selects its own landmarks.
+        const std::uint64_t salt = (static_cast<std::uint64_t>(rank) << 32) |
+                                   static_cast<std::uint64_t>(globalLayer);
+        const CheckpointedSolve layerSolve = solveCheckpointed(
+            comm, ctx, current, layerTag, ctx.config.resume, salt + 1,
+            globalLayer,
+            ctx.config.treeWarmStart ? std::span<const double>(currentAlpha)
+                                     : std::span<const double>());
+        const LocalSolve& solve = layerSolve.solve;
 
         const auto layerSamples = static_cast<long long>(current.rows());
-        board.layerRecords[urank].push_back(
-            {globalLayer, layerSamples, solve.iterations, solve.svs, t1 - t0});
+        board.layerRecords[urank].push_back({globalLayer, layerSamples,
+                                             solve.iterations, solve.svs,
+                                             layerSolve.seconds});
 
         // Prepare this layer's output: everything for DC-SVM, only the
         // support vectors (with their alphas, the warm start for the next
@@ -323,12 +227,12 @@ void runTree(net::Comm& comm, const MethodContext& ctx) {
           state.samples = layerSamples;
           state.iterations = solve.iterations;
           state.svs = solve.svs;
-          state.seconds = t1 - t0;
+          state.seconds = layerSolve.seconds;
           if (layer == layers) state.model = solve.model;
           store->save(layerName, ckpt::Kind::TreeLayer,
                       ckpt::encodeTreeLayer(state));
-          store->remove(solverName);  // mid-solve state is now obsolete
-          store->remove(factorName);  // so is the layer's low-rank factor
+          store->remove("solver" + layerTag);   // mid-solve state is obsolete
+          store->remove("lowrank" + layerTag);  // so is the layer's factor
         }
 
         if (layer == layers) {

@@ -89,47 +89,6 @@ double Kernel::evalVectors(std::span<const float> x, double xSelfDot,
 
 namespace {
 
-/// Rows per block of the dense row micro-kernel: xi[k] is loaded once and
-/// multiplied into eight contiguous row streams, which the compiler turns
-/// into wide FMA code without any per-element call or type dispatch.
-constexpr std::size_t kDenseBlock = 8;
-
-/// out[j] = xi . xj for j in [0, m), dense row-major storage.
-void denseDotRow(const data::Dataset& ds, std::size_t i,
-                 std::span<double> out) {
-  const std::span<const float> xi = ds.denseRow(i);
-  const std::size_t m = ds.rows();
-  const std::size_t n = ds.cols();
-  std::size_t j = 0;
-  for (; j + kDenseBlock <= m; j += kDenseBlock) {
-    const float* rows[kDenseBlock];
-    for (std::size_t b = 0; b < kDenseBlock; ++b) {
-      rows[b] = ds.denseRow(j + b).data();
-    }
-    double acc[kDenseBlock] = {};
-    for (std::size_t k = 0; k < n; ++k) {
-      const double x = double(xi[k]);
-      for (std::size_t b = 0; b < kDenseBlock; ++b) {
-        acc[b] += x * double(rows[b][k]);
-      }
-    }
-    for (std::size_t b = 0; b < kDenseBlock; ++b) out[j + b] = acc[b];
-  }
-  for (; j < m; ++j) {
-    const float* rj = ds.denseRow(j).data();
-    double acc = 0.0;
-    for (std::size_t k = 0; k < n; ++k) acc += double(xi[k]) * double(rj[k]);
-    out[j] = acc;
-  }
-}
-
-/// Scratch for the scattered dense copy of sparse row i; reused across row
-/// fills so the only per-fill cost is an O(n) clear.
-std::vector<float>& sparseScatterScratch() {
-  static thread_local std::vector<float> scratch;
-  return scratch;
-}
-
 /// Scatter sparse row i into the dense buffer `xd` (resized to cols()).
 void scatterSparseRow(const data::Dataset& ds, std::size_t i,
                       std::vector<float>& xd) {
@@ -211,17 +170,6 @@ void Kernel::transformDots(std::span<const double> selfDots, double selfX,
   }
 }
 
-void Kernel::row(const data::Dataset& ds, std::size_t i,
-                 std::span<double> out) const {
-  CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
-  if (ds.storage() == data::Storage::Dense) {
-    denseDotRow(ds, i, out);
-  } else {
-    sparseDotRow(ds, i, out, sparseScatterScratch());
-  }
-  transformDots(ds.selfDots(), ds.selfDot(i), out);
-}
-
 // A dense row is the column against the row's own bytes.
 void Kernel::row(const data::Dataset& ds, std::size_t i, std::span<double> out,
                  RowWorkspace& ws) const {
@@ -291,13 +239,11 @@ void Kernel::transformSubset(const data::Dataset& ds, double selfX,
   }
 }
 
-namespace {
-
-/// Subset dot fills, shared by both subset row() overloads. `xd` is the
-/// sparse scatter scratch (unused for dense storage).
-void subsetDotRow(const data::Dataset& ds, std::size_t i,
-                  std::span<const std::size_t> subset, std::span<double> out,
-                  std::vector<float>& xd) {
+void Kernel::row(const data::Dataset& ds, std::size_t i,
+                 std::span<const std::size_t> subset, std::span<double> out,
+                 RowWorkspace& ws) const {
+  CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
+  ws.bind(ds);
   if (ds.storage() == data::Storage::Dense) {
     const std::span<const float> xi = ds.denseRow(i);
     const std::size_t n = ds.cols();
@@ -308,6 +254,7 @@ void subsetDotRow(const data::Dataset& ds, std::size_t i,
       out[j] = acc;
     }
   } else {
+    std::vector<float>& xd = ws.scatter_;
     scatterSparseRow(ds, i, xd);
     for (std::size_t j : subset) {
       const auto ji = ds.sparseIndices(j);
@@ -319,24 +266,6 @@ void subsetDotRow(const data::Dataset& ds, std::size_t i,
       out[j] = acc;
     }
   }
-}
-
-}  // namespace
-
-void Kernel::row(const data::Dataset& ds, std::size_t i,
-                 std::span<const std::size_t> subset,
-                 std::span<double> out) const {
-  CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
-  subsetDotRow(ds, i, subset, out, sparseScatterScratch());
-  transformSubset(ds, ds.selfDot(i), subset, out);
-}
-
-void Kernel::row(const data::Dataset& ds, std::size_t i,
-                 std::span<const std::size_t> subset, std::span<double> out,
-                 RowWorkspace& ws) const {
-  CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
-  ws.bind(ds);
-  subsetDotRow(ds, i, subset, out, ws.scatter_);
   transformSubset(ds, ds.selfDot(i), subset, out);
 }
 

@@ -154,6 +154,32 @@ TEST(CheckpointStoreTest, RemoveDeletesEveryGeneration) {
   EXPECT_FALSE(store.load("solver.r0", Kind::SolverState).has_value());
 }
 
+TEST(CheckpointStoreTest, FreshRunSeesOnlyItsOwnGenerations) {
+  CheckpointStore store(freshDir("store_fresh_run"));
+  store.save("solver.r0", Kind::SolverState, toBytes("earlier run"));
+
+  store.beginRun(/*resume=*/false);
+  EXPECT_FALSE(store.load("solver.r0", Kind::SolverState).has_value());
+  EXPECT_TRUE(store.loadGenerations("solver.r0", Kind::SolverState).empty());
+  EXPECT_FALSE(store.contains("solver.r0"));
+  store.save("solver.r0", Kind::SolverState, toBytes("this run"));
+  EXPECT_EQ(store.load("solver.r0", Kind::SolverState), toBytes("this run"));
+  EXPECT_EQ(store.loadGenerations("solver.r0", Kind::SolverState).size(), 1u);
+
+  // A name removed mid-run numbers its next save above the hidden ones.
+  store.remove("solver.r0");
+  store.save("solver.r0", Kind::SolverState, toBytes("after remove"));
+  EXPECT_EQ(store.load("solver.r0", Kind::SolverState),
+            toBytes("after remove"));
+
+  // The next fresh run hides this run's state; a resumed run sees it.
+  store.save("meta", Kind::Meta, toBytes("this run's meta"));
+  store.beginRun(/*resume=*/false);
+  EXPECT_FALSE(store.load("meta", Kind::Meta).has_value());
+  store.beginRun(/*resume=*/true);
+  EXPECT_EQ(store.load("meta", Kind::Meta), toBytes("this run's meta"));
+}
+
 TEST(CheckpointStoreTest, NamesWithSlashesAreRejected) {
   CheckpointStore store(freshDir("store_slash"));
   EXPECT_THROW(store.save("../escape", Kind::Meta, {}), Error);

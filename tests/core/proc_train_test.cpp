@@ -5,7 +5,8 @@
 //  * Real-kill chaos: a worker process SIGKILLed mid-solve is respawned
 //    by the supervisor, resumes from the newest checkpoint generation,
 //    and the recovered run's model is bitwise-identical to the fault-free
-//    run's (the acceptance property of the process-isolation PR).
+//    run's (the acceptance property of the process-isolation PR), also
+//    when an earlier run's checkpoints share the directory.
 //  * Degraded fallback: a kill with no respawn budget — or a respawn that
 //    finds no checkpoint to resume from — falls back to the surviving
 //    P-1 partitions exactly like the thread backend's degraded path.
@@ -100,6 +101,34 @@ TEST(ProcTrainTest, KilledWorkerMidSolveRecoversBitwiseExact) {
   EXPECT_GE(res.retriesPerRank[2], 1);
   EXPECT_GT(res.checkpointsLoaded, 0u);
   EXPECT_EQ(res.coveredFraction, 1.0);
+  EXPECT_EQ(res.model.pack(), expected)
+      << "recovered model differs from the fault-free run";
+}
+
+TEST(ProcTrainTest, RespawnInAReusedDirectoryTrustsOnlyItsOwnRun) {
+  // The first run finishes and leaves every rank's sub-model behind.
+  const std::string dir = freshDir("proc_reused_dir");
+  ckpt::CheckpointStore store(dir);
+  TrainConfig first = procConfig();
+  first.checkpoints = &store;
+  ASSERT_FALSE(train(toy().train, first).degraded);
+
+  // A fresh run of another config in the same directory: the respawned
+  // rank 2 must finish its own solve, not deposit the first run's model.
+  TrainConfig second = procConfig();
+  second.solver.C = toy().suggestedC / 10;
+  const std::vector<std::byte> expected =
+      train(toy().train, second).model.pack();
+  second.checkpoints = &store;
+  second.rankRetries = 1;
+  second.faults = net::FaultPlan::parse("kill:rank=2,phase=solve");
+  second.supervisorLog = dir + "/supervisor.log";
+  const TrainResult res = train(toy().train, second);
+  EXPECT_FALSE(res.degraded);
+  ASSERT_EQ(res.recoveredRanks, std::vector<int>{2});
+  ASSERT_EQ(res.iterationsPerRank.size(), 4u);
+  EXPECT_GT(res.iterationsPerRank[2], 0)
+      << "the respawned worker deposited the previous run's sub-model";
   EXPECT_EQ(res.model.pack(), expected)
       << "recovered model differs from the fault-free run";
 }

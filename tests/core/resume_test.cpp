@@ -8,7 +8,8 @@
 //  * In-run rank retry: a crashed rank in a partitioned method respawns
 //    from its last checkpoint and restores full-P coverage (degraded is
 //    false, the rank is reported recovered, not failed); when the retry
-//    budget is exhausted the run falls back to PR 1's degraded path.
+//    budget is exhausted the run falls back to the degraded path. A
+//    fresh run in a reused directory retries from its own state only.
 //  * Corrupt checkpoints are never trusted: a damaged generation is
 //    detected and skipped in favor of the previous one, and the resumed
 //    model is still exact.
@@ -390,6 +391,33 @@ TEST(RetryTest, RetryWorksWithoutACheckpointStoreByResolving) {
   const TrainResult res = train(toy().train, cfg);
   EXPECT_FALSE(res.degraded);
   EXPECT_EQ(res.recoveredRanks, std::vector<int>{1});
+}
+
+TEST(RetryTest, FreshRunInAReusedDirectoryRetriesFromItsOwnState) {
+  // The first run dies mid-solve and leaves rank 2's snapshot behind.
+  const std::string dir = freshDir("retry_reused_dir");
+  ckpt::CheckpointStore store(dir);
+  TrainConfig first = baseConfig(Method::RaCa, true);
+  first.checkpoints = &store;
+  first.faults = net::FaultPlan::parse("crash:rank=2,phase=solve,nth=3");
+  ASSERT_TRUE(train(toy().train, first).degraded);
+  ASSERT_TRUE(store.contains("solver.r2"));
+
+  // A fresh run of another config in the same directory: its retry of
+  // rank 2 must re-solve, not continue the first run's snapshot.
+  TrainConfig second = baseConfig(Method::RaCa, true);
+  second.solver.C = toy().suggestedC / 10;
+  const std::vector<std::byte> expected =
+      train(toy().train, second).model.pack();
+  second.checkpoints = &store;
+  second.rankRetries = 1;
+  second.faults = net::FaultPlan::parse("crash:rank=2,phase=train");
+  const TrainResult res = train(toy().train, second);
+  EXPECT_FALSE(res.degraded);
+  EXPECT_EQ(res.recoveredRanks, std::vector<int>{2});
+  EXPECT_EQ(res.checkpointsLoaded, 0u)
+      << "the retry restored the previous run's snapshot";
+  EXPECT_EQ(res.model.pack(), expected);
 }
 
 // ---------------------------------------------------------------------------

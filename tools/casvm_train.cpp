@@ -61,7 +61,9 @@ constexpr const char* kUsage = R"(usage: casvm-train [options]
                        and need --transport proc
   --fault-seed <s>     seed for probabilistic fault clauses (default 0)
   --checkpoint-dir <d> persist training state into <d> (crash-consistent,
-                       CRC-guarded); enables --resume and --rank-retries
+                       CRC-guarded); enables --resume, and lets
+                       --rank-retries continue from a snapshot. A run
+                       without --resume ignores what earlier runs left
   --checkpoint-every <n> solver snapshot cadence in iterations (default 4096)
   --resume             restart from the newest consistent checkpoints in
                        --checkpoint-dir (bitwise-identical final model)
@@ -76,8 +78,9 @@ constexpr const char* kUsage = R"(usage: casvm-train [options]
   --heartbeat-ms <n>   proc worker heartbeat cadence (default 50; a rank
                        is declared hung past 10x this, floor 500ms)
   --comm-timeout-ms <n> proc bounded-receive timeout (default 30000)
-  --respawn-backoff-ms <n> base respawn delay, doubled per attempt
-                       (default 50)
+  --respawn-backoff-ms <n> base rank-retry delay, doubled per attempt
+                       (default 50): proc sleeps it before a respawn,
+                       thread charges it to the rank's virtual clock
   --supervisor-log <f> append proc supervisor lifecycle events to <f>
   --trace <file>       write a Chrome trace (chrome://tracing) of the run
                        (flushed even when the run aborts)
