@@ -97,11 +97,20 @@ class Dataset {
 
   // --- restructuring -----------------------------------------------------
 
+  // subset() and concat() carry each row's cached squared norm with it: a
+  // norm is a function of the row's bytes alone.
+
   /// New dataset containing rows idx[0], idx[1], ... in that order.
   Dataset subset(std::span<const std::size_t> idx) const;
 
   /// Concatenate two datasets with identical cols() and storage.
   static Dataset concat(const Dataset& a, const Dataset& b);
+
+  /// The rows of parts[0], parts[1], ... in that order, built in one
+  /// allocation per array. Empty parts are skipped; the others must agree
+  /// on cols() and storage. With no non-empty part the result is a copy of
+  /// the last part (or an empty dataset when there is none).
+  static Dataset concat(std::span<const Dataset* const> parts);
 
   /// Same samples with replaced labels (one +-1 label per row). Used by
   /// the multi-class decomposition to remap class pairs onto +-1.

@@ -53,6 +53,10 @@ std::string kernelName(KernelType type);
 /// no per-fill transposition. It also owns the conversion and
 /// scatter buffers the fill kernels need, so fills allocate nothing.
 ///
+/// Consecutive dense fills alternate the order they visit the blocked copy
+/// in (tile::sweep), so each fill starts on the blocks the previous one
+/// read last, which a part too large for L2 still holds there.
+///
 /// Bound to one dataset at a time; binding a different dataset rebuilds the
 /// blocked copy (one full row fill's worth of work). Not thread-safe — each
 /// RowCache owns its own workspace.
@@ -71,6 +75,7 @@ class RowWorkspace {
   std::vector<float> tiles_;    ///< dense: ceil(m/16) blocks of cols*16 floats
   std::vector<double> xd_;      ///< dense: up to four queries widened to double
   std::vector<float> scatter_;  ///< sparse: dense copy of row i
+  bool reverse_ = false;        ///< dense: the next fill's block order
 };
 
 /// Kernel evaluator bound to parameters (not to a dataset).
@@ -160,7 +165,8 @@ class Kernel {
   /// Apply the kernel transform in place to raw dot products against one
   /// query with squared norm `selfX`: out[j] = K given out[j] = x_j . x
   /// and selfDots[j] = ||x_j||^2, for j < selfDots.size(). One KernelType
-  /// dispatch per call; Gaussian values come from kernel::exp's row pass.
+  /// dispatch per call; Gaussian exponents and kernel::exp's row pass run
+  /// one L1-sized block at a time.
   /// Bit for bit what eval/evalWith return for the same dot and norms —
   /// every row fill and serving's batch scoring run through it.
   void transformDots(std::span<const double> selfDots, double selfX,

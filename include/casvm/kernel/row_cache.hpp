@@ -60,8 +60,8 @@
 /// only when a row is computed, never its values, so a pair fetch leaves
 /// the same rows, counts and generations as two single fetches.
 ///
-/// Lookahead fills. A pass over dense tiles costs about the same for one
-/// row as for four, and the rows SMO asks for next are predictable: free
+/// Lookahead fills. A pass over dense tiles streams them once for up to
+/// four rows, and the rows SMO asks for next are predictable: free
 /// samples sit at the violator extremes and keep being selected. So when a
 /// full pair fetch misses and the cache still has free slots, the pass
 /// also fills rows the caller ranks as wanted next (Ahead), up to the

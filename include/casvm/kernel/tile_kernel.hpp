@@ -16,8 +16,12 @@
 /// One pass takes one to kMaxQueries queries and streams the tiles once
 /// for all of them; each output keeps its own serial sum, so every output
 /// is bitwise what a one-query pass gives. At 4k rows × 200 features a
-/// part's tiles (3.2 MB) exceed L2, so a pass costs about the same for one
-/// query as for several.
+/// part's tiles (3.2 MB) exceed a 2 MB L2, so a pass streams most of them
+/// from L3 and is bound by that stream more than by its arithmetic.
+/// sweep() runs a pass over the blocks in reverse chunk order, and
+/// RowWorkspace alternates the two orders, so each sweep starts on the
+/// tiles the previous one left in L2; block order never changes an
+/// output, since each output row sums over k alone.
 ///
 /// Rounding: the portable pass and the AVX2 lanes keep multiplies and
 /// adds apart. The AVX-512 lanes use one fused multiply-add per product,
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "casvm/data/dataset.hpp"
+#include "casvm/support/isa.hpp"
 
 namespace casvm::kernel::tile {
 
@@ -61,18 +66,28 @@ using DotFn = void (*)(const float* tiles, const double* xs, std::size_t q,
                        std::size_t m, std::size_t n, double* const* out);
 
 /// The runtime-dispatched pass: AVX-512F when the CPU supports it (a lone
-/// query there runs the AVX2 one-query body, which keeps more chains in
+/// query there steps four blocks at a time, eight accumulator chains in
 /// flight), else AVX2, else portable. Every variant produces
 /// bitwise-identical sums.
 DotFn dotFn();
 
-/// Instruction sets with a pass of their own.
-enum class Isa : std::uint8_t { Avx2, Avx512 };
+using casvm::Isa;
 
 /// The pass of one instruction set, or nullptr where this CPU or build
 /// lacks it. dotFn() picks among these; tests run each against the
 /// portable pass.
 DotFn dotFnFor(Isa isa);
+
+/// Blocks per chunk of a reversed sweep: 256 rows, 200 KB of tiles at 200
+/// features, a tenth of a 2 MB L2.
+inline constexpr std::size_t kChunkBlocks = 16;
+
+/// One pass of `fn` with dotFn's arguments over all m rows: in ascending
+/// block order, or, when `reverse`, chunk by chunk of kChunkBlocks blocks
+/// from the last chunk to the first (ascending within each chunk). The
+/// outputs are bitwise the same either way.
+void sweep(DotFn fn, const float* tiles, const double* xs, std::size_t q,
+           std::size_t m, std::size_t n, double* const* out, bool reverse);
 
 /// The portable pass: what dotFn() falls back to without AVX2, and the
 /// reference the dispatched passes are tested against.

@@ -148,6 +148,7 @@ class SmoLoop {
   /// zero for every shrunk one, so a selection is one dense masked pass.
   std::vector<std::uint8_t> inHigh_, inLow_;
   const SelectFn select_ = selectFn();
+  const UpdateFn update_ = updateFn();
   double bHigh_ = 0.0, bLow_ = 0.0;
   bool degenerateRetried_ = false;
   long long shrinkEngaged_;
@@ -251,17 +252,16 @@ bool SmoLoop<Source>::run(std::size_t maxIterations) {
     src_.commit(p, aHighNew, aLowNew, aHighNew > 0.0 && aHighNew < cHigh,
                 aLowNew > 0.0 && aLowNew < cLow);
 
-    // Gradient update with the two columns (eqn. 5), active rows only: a
-    // dense loop over the whole block, or over `active` while shrunk,
-    // where the columns are valid only there.
+    // Gradient update with the two columns (eqn. 5), active rows only: the
+    // dispatched dense pass over the whole block, or a loop over `active`
+    // while shrunk, where the columns are valid only there. Both round
+    // each sample's update alike.
     const auto [colHigh, colLow] = src_.columns(s.active);
     const double coefHigh = dHigh * p.yHigh;
     const double coefLow = dLow * p.yLow;
     double* f = s.f.data();
     if (s.active.size() == m) {
-      for (std::size_t k = 0; k < m; ++k) {
-        f[k] += coefHigh * double(colHigh[k]) + coefLow * double(colLow[k]);
-      }
+      update_(f, colHigh.data(), colLow.data(), coefHigh, coefLow, m);
     } else {
       for (std::size_t k : s.active) {
         f[k] += coefHigh * double(colHigh[k]) + coefLow * double(colLow[k]);

@@ -1,23 +1,26 @@
 #pragma once
 
 /// \file working_set.hpp
-/// The SMO index sets (Keerthi et al.'s I_high and I_low) and the pass
-/// that picks the maximal violating pair from them.
+/// The SMO index sets (Keerthi et al.'s I_high and I_low), the pass that
+/// picks the maximal violating pair from them, and the dense gradient
+/// update that follows each step.
 ///
 /// The serial solver and the global methods (Dis-SMO, Dis-SMO + shrinking,
 /// PBM) share one definition of the sets. `SmoSolver` keeps one high-set
 /// and one low-set membership byte per sample (1 = member, 0 = not, or
 /// shrunk away), so a selection is one dense pass over f and the two byte
 /// arrays with no per-sample branch on label or alpha: the minimal f over
-/// the high set and the maximal f over the low set. The pass is runtime
-/// dispatched like kernel::tile::dotFn (AVX2 when the CPU supports it, the
-/// portable reference otherwise), and both variants return the same
-/// indices and values: the first index wins ties (+0.0 and -0.0 tie), NaN
-/// is never chosen, and an empty set yields m with +inf (high) or -inf
-/// (low).
+/// the high set and the maximal f over the low set. Both passes are
+/// runtime dispatched like kernel::tile::dotFn (AVX-512F, else AVX2, else
+/// the portable reference; see isa.hpp), and every variant gives the
+/// portable result bit for bit. A selection returns the same indices and
+/// values: the first index wins ties (+0.0 and -0.0 tie), NaN is never
+/// chosen, and an empty set yields m with +inf (high) or -inf (low).
 
 #include <cstddef>
 #include <cstdint>
+
+#include "casvm/support/isa.hpp"
 
 namespace casvm::solver {
 
@@ -52,12 +55,34 @@ struct PairPick {
 using SelectFn = PairPick (*)(const double* f, const std::uint8_t* high,
                               const std::uint8_t* low, std::size_t m);
 
-/// The runtime-dispatched pass (AVX2 when available, portable otherwise).
+/// The runtime-dispatched selection.
 SelectFn selectFn();
 
-/// The portable pass: what selectFn() falls back to without AVX2, and the
-/// reference the dispatched pass is tested against.
+/// The selection of one instruction set, or nullptr where this CPU or
+/// build lacks it. selectFn() picks among these; tests run each of them.
+SelectFn selectFnFor(Isa isa);
+
+/// The portable selection: what selectFn() falls back to without AVX2, and
+/// the reference the other variants are tested against.
 PairPick selectPortable(const double* f, const std::uint8_t* high,
                         const std::uint8_t* low, std::size_t m);
+
+/// The gradient update (eqn. 5) over m samples: f[k] += a * double(h[k]) +
+/// b * double(l[k]), with the two kernel columns as the row cache stores
+/// them. Every variant keeps the products and the adds apart.
+using UpdateFn = void (*)(double* f, const float* h, const float* l,
+                          double a, double b, std::size_t m);
+
+/// The runtime-dispatched update.
+UpdateFn updateFn();
+
+/// The update of one instruction set, or nullptr where this CPU or build
+/// lacks it.
+UpdateFn updateFnFor(Isa isa);
+
+/// The portable update, the reference the other variants are tested
+/// against.
+void updatePortable(double* f, const float* h, const float* l, double a,
+                    double b, std::size_t m);
 
 }  // namespace casvm::solver

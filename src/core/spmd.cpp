@@ -1,5 +1,7 @@
 #include "casvm/core/spmd.hpp"
 
+#include <utility>
+
 #include "casvm/obs/trace.hpp"
 #include "casvm/support/error.hpp"
 
@@ -58,14 +60,21 @@ data::Dataset exchangeToOwners(net::Comm& comm, const data::Dataset& local,
   const std::vector<std::vector<std::byte>> incoming =
       comm.alltoallvBytes(std::move(outgoing));
 
-  data::Dataset merged = local.subset(buckets[static_cast<std::size_t>(rank)]);
+  // The own bucket first, then every other rank's in rank order, merged in
+  // one allocation.
+  std::vector<data::Dataset> parts;
+  parts.reserve(static_cast<std::size_t>(size));
+  parts.push_back(local.subset(buckets[static_cast<std::size_t>(rank)]));
   for (int src = 0; src < size; ++src) {
     if (src == rank) continue;
     data::Dataset part =
         data::Dataset::unpack(incoming[static_cast<std::size_t>(src)]);
-    if (!part.empty()) merged = data::Dataset::concat(merged, part);
+    if (!part.empty()) parts.push_back(std::move(part));
   }
-  return merged;
+  std::vector<const data::Dataset*> merged;
+  merged.reserve(parts.size());
+  for (const data::Dataset& part : parts) merged.push_back(&part);
+  return data::Dataset::concat(merged);
 }
 
 double virtualNow(net::Comm& comm) {

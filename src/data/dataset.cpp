@@ -179,58 +179,91 @@ void Dataset::copyRowDense(std::size_t i, std::span<float> out) const {
 }
 
 Dataset Dataset::subset(std::span<const std::size_t> idx) const {
-  std::vector<std::int8_t> labels;
-  labels.reserve(idx.size());
+  Dataset ds;
+  ds.storage_ = storage_;
+  ds.cols_ = cols_;
+  ds.labels_.reserve(idx.size());
+  ds.selfDots_.reserve(idx.size());
   for (std::size_t i : idx) {
     CASVM_CHECK(i < rows(), "subset index out of range");
-    labels.push_back(labels_[i]);
+    ds.labels_.push_back(labels_[i]);
+    ds.selfDots_.push_back(selfDots_[i]);
   }
   if (storage_ == Storage::Dense) {
-    std::vector<float> values;
-    values.reserve(idx.size() * cols_);
+    ds.dense_.reserve(idx.size() * cols_);
     for (std::size_t i : idx) {
       const float* a = dense_.data() + i * cols_;
-      values.insert(values.end(), a, a + cols_);
+      ds.dense_.insert(ds.dense_.end(), a, a + cols_);
     }
-    return fromDense(cols_, std::move(values), std::move(labels));
+    return ds;
   }
-  std::vector<std::size_t> rowPtr{0};
-  std::vector<std::uint32_t> colIdx;
-  std::vector<float> values;
+  ds.rowPtr_.reserve(idx.size() + 1);
+  ds.rowPtr_.push_back(0);
   for (std::size_t i : idx) {
-    for (std::size_t p = rowPtr_[i]; p < rowPtr_[i + 1]; ++p) {
-      colIdx.push_back(colIdx_[p]);
-      values.push_back(sparseVals_[p]);
-    }
-    rowPtr.push_back(colIdx.size());
+    ds.colIdx_.insert(ds.colIdx_.end(), colIdx_.begin() + rowPtr_[i],
+                      colIdx_.begin() + rowPtr_[i + 1]);
+    ds.sparseVals_.insert(ds.sparseVals_.end(),
+                          sparseVals_.begin() + rowPtr_[i],
+                          sparseVals_.begin() + rowPtr_[i + 1]);
+    ds.rowPtr_.push_back(ds.colIdx_.size());
   }
-  return fromSparse(cols_, std::move(rowPtr), std::move(colIdx),
-                    std::move(values), std::move(labels));
+  return ds;
 }
 
 Dataset Dataset::concat(const Dataset& a, const Dataset& b) {
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  CASVM_CHECK(a.cols_ == b.cols_, "concat: feature counts differ");
-  CASVM_CHECK(a.storage_ == b.storage_, "concat: storage kinds differ");
-  std::vector<std::int8_t> labels = a.labels_;
-  labels.insert(labels.end(), b.labels_.begin(), b.labels_.end());
-  if (a.storage_ == Storage::Dense) {
-    std::vector<float> values = a.dense_;
-    values.insert(values.end(), b.dense_.begin(), b.dense_.end());
-    return fromDense(a.cols_, std::move(values), std::move(labels));
+  const Dataset* const parts[] = {&a, &b};
+  return concat(parts);
+}
+
+Dataset Dataset::concat(std::span<const Dataset* const> parts) {
+  const Dataset* first = nullptr;
+  std::size_t nonEmpty = 0, rows = 0, nnz = 0;
+  for (const Dataset* p : parts) {
+    if (p->empty()) continue;
+    if (first == nullptr) first = p;
+    CASVM_CHECK(p->cols_ == first->cols_, "concat: feature counts differ");
+    CASVM_CHECK(p->storage_ == first->storage_, "concat: storage kinds differ");
+    ++nonEmpty;
+    rows += p->rows();
+    nnz += p->storage_ == Storage::Dense ? p->dense_.size()
+                                         : p->sparseVals_.size();
   }
-  std::vector<std::size_t> rowPtr = a.rowPtr_;
-  const std::size_t offset = a.sparseVals_.size();
-  for (std::size_t i = 1; i < b.rowPtr_.size(); ++i) {
-    rowPtr.push_back(b.rowPtr_[i] + offset);
+  if (nonEmpty <= 1) {
+    if (first != nullptr) return *first;
+    return parts.empty() ? Dataset() : *parts.back();
   }
-  std::vector<std::uint32_t> colIdx = a.colIdx_;
-  colIdx.insert(colIdx.end(), b.colIdx_.begin(), b.colIdx_.end());
-  std::vector<float> values = a.sparseVals_;
-  values.insert(values.end(), b.sparseVals_.begin(), b.sparseVals_.end());
-  return fromSparse(a.cols_, std::move(rowPtr), std::move(colIdx),
-                    std::move(values), std::move(labels));
+  Dataset ds;
+  ds.storage_ = first->storage_;
+  ds.cols_ = first->cols_;
+  ds.labels_.reserve(rows);
+  ds.selfDots_.reserve(rows);
+  const bool dense = ds.storage_ == Storage::Dense;
+  if (dense) {
+    ds.dense_.reserve(nnz);
+  } else {
+    ds.rowPtr_.reserve(rows + 1);
+    ds.rowPtr_.push_back(0);
+    ds.colIdx_.reserve(nnz);
+    ds.sparseVals_.reserve(nnz);
+  }
+  for (const Dataset* p : parts) {
+    if (p->empty()) continue;
+    ds.labels_.insert(ds.labels_.end(), p->labels_.begin(), p->labels_.end());
+    ds.selfDots_.insert(ds.selfDots_.end(), p->selfDots_.begin(),
+                        p->selfDots_.end());
+    if (dense) {
+      ds.dense_.insert(ds.dense_.end(), p->dense_.begin(), p->dense_.end());
+      continue;
+    }
+    const std::size_t offset = ds.sparseVals_.size();
+    for (std::size_t i = 1; i < p->rowPtr_.size(); ++i) {
+      ds.rowPtr_.push_back(p->rowPtr_[i] + offset);
+    }
+    ds.colIdx_.insert(ds.colIdx_.end(), p->colIdx_.begin(), p->colIdx_.end());
+    ds.sparseVals_.insert(ds.sparseVals_.end(), p->sparseVals_.begin(),
+                          p->sparseVals_.end());
+  }
+  return ds;
 }
 
 Dataset Dataset::relabel(Dataset ds, std::vector<std::int8_t> labels) {
@@ -316,8 +349,31 @@ Dataset Dataset::unpack(std::span<const std::byte> bytes) {
 }
 
 void Dataset::computeSelfDots() {
-  selfDots_.resize(rows());
-  for (std::size_t i = 0; i < rows(); ++i) {
+  const std::size_t m = rows();
+  selfDots_.resize(m);
+  std::size_t i = 0;
+  if (storage_ == Storage::Dense) {
+    // Four rows side by side: four independent chains, each row still one
+    // serial sum over ascending k.
+    for (; i + 4 <= m; i += 4) {
+      const float* a = dense_.data() + i * cols_;
+      const float* b = a + cols_;
+      const float* c = b + cols_;
+      const float* d = c + cols_;
+      double sa = 0.0, sb = 0.0, sc = 0.0, sd = 0.0;
+      for (std::size_t k = 0; k < cols_; ++k) {
+        sa += double(a[k]) * double(a[k]);
+        sb += double(b[k]) * double(b[k]);
+        sc += double(c[k]) * double(c[k]);
+        sd += double(d[k]) * double(d[k]);
+      }
+      selfDots_[i] = sa;
+      selfDots_[i + 1] = sb;
+      selfDots_[i + 2] = sc;
+      selfDots_[i + 3] = sd;
+    }
+  }
+  for (; i < m; ++i) {
     double acc = 0.0;
     if (storage_ == Storage::Dense) {
       const float* a = dense_.data() + i * cols_;

@@ -70,6 +70,7 @@ void expRowPortable(double* v, std::size_t n) {
 namespace {
 
 #ifdef CASVM_EXP_X86
+CASVM_NO_FMA_BEGIN
 #define CASVM_AVX2_INLINE __attribute__((target("avx2"), always_inline)) inline
 
 /// pow2() in four lanes.
@@ -80,8 +81,7 @@ CASVM_AVX2_INLINE __m256d pow2Lanes(__m256d k) {
       b, _mm256_set1_epi64x(static_cast<long long>(kExpBias))));
 }
 
-/// The scalar exp(), operation for operation, in four lanes. The target is
-/// avx2 without fma, so no multiply-add is contracted.
+/// The scalar exp(), operation for operation, in four lanes.
 CASVM_AVX2_INLINE __m256d expLanes(__m256d x) {
   const __m256d shifter = _mm256_set1_pd(kShifter);
   __m256d xc = _mm256_max_pd(x, _mm256_set1_pd(-kClamp));
@@ -128,17 +128,93 @@ void expRowAvx2(double* v, std::size_t n) {
 }
 
 #undef CASVM_AVX2_INLINE
+#define CASVM_AVX512_INLINE \
+  __attribute__((target("avx512f"), always_inline)) inline
+
+/// pow2() in eight lanes. (Shifts, MAXPD and MINPD take the zero-masked
+/// form under an all-ones mask, which is the plain operation; GCC 12's
+/// unmasked intrinsics warn on their own bodies.)
+CASVM_AVX512_INLINE __m512d pow2Lanes(__m512d k) {
+  const __m512i b = _mm512_maskz_slli_epi64(
+      0xFF, _mm512_castpd_si512(_mm512_add_pd(k, _mm512_set1_pd(kShifter))),
+      52);
+  return _mm512_castsi512_pd(_mm512_add_epi64(
+      b, _mm512_set1_epi64(static_cast<long long>(kExpBias))));
+}
+
+/// expLanes() in eight lanes: the same operations in the same order.
+/// MAXPD and MINPD return their second operand when either is NaN, in
+/// both widths.
+CASVM_AVX512_INLINE __m512d expLanes(__m512d x) {
+  const __m512d shifter = _mm512_set1_pd(kShifter);
+  __m512d xc = _mm512_maskz_max_pd(0xFF, x, _mm512_set1_pd(-kClamp));
+  xc = _mm512_maskz_min_pd(0xFF, xc, _mm512_set1_pd(kClamp));
+  const __m512d k = _mm512_sub_pd(
+      _mm512_add_pd(_mm512_mul_pd(xc, _mm512_set1_pd(kInvLn2)), shifter),
+      shifter);
+  const __m512d hi =
+      _mm512_sub_pd(xc, _mm512_mul_pd(k, _mm512_set1_pd(kLn2Hi)));
+  const __m512d lo = _mm512_mul_pd(k, _mm512_set1_pd(kLn2Lo));
+  const __m512d r = _mm512_sub_pd(hi, lo);
+  const __m512d t = _mm512_mul_pd(r, r);
+  __m512d p = _mm512_add_pd(_mm512_set1_pd(kP4),
+                            _mm512_mul_pd(t, _mm512_set1_pd(kP5)));
+  p = _mm512_add_pd(_mm512_set1_pd(kP3), _mm512_mul_pd(t, p));
+  p = _mm512_add_pd(_mm512_set1_pd(kP2), _mm512_mul_pd(t, p));
+  p = _mm512_add_pd(_mm512_set1_pd(kP1), _mm512_mul_pd(t, p));
+  const __m512d c = _mm512_sub_pd(r, _mm512_mul_pd(t, p));
+  const __m512d q = _mm512_div_pd(_mm512_mul_pd(r, c),
+                                  _mm512_sub_pd(_mm512_set1_pd(2.0), c));
+  const __m512d y = _mm512_sub_pd(
+      _mm512_set1_pd(1.0), _mm512_sub_pd(_mm512_sub_pd(lo, q), hi));
+  const __m512d k1 = _mm512_sub_pd(
+      _mm512_add_pd(_mm512_mul_pd(k, _mm512_set1_pd(0.5)), shifter), shifter);
+  const __m512d k2 = _mm512_sub_pd(k, k1);
+  const __m512d result =
+      _mm512_mul_pd(_mm512_mul_pd(y, pow2Lanes(k1)), pow2Lanes(k2));
+  return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(x, x, _CMP_UNORD_Q), result,
+                              x);
+}
+
+// Two vectors per step, as in the AVX2 pass; the ragged end runs masked
+// lanes (a masked-off lane loads 0 and is never stored).
+__attribute__((target("avx512f")))
+void expRowAvx512(double* v, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512d a = expLanes(_mm512_loadu_pd(v + i));
+    const __m512d b = expLanes(_mm512_loadu_pd(v + i + 8));
+    _mm512_storeu_pd(v + i, a);
+    _mm512_storeu_pd(v + i + 8, b);
+  }
+  for (; i < n; i += 8) {
+    const std::size_t left = n - i;
+    const __mmask8 mask =
+        left >= 8 ? 0xFF : static_cast<__mmask8>((1u << left) - 1);
+    _mm512_mask_storeu_pd(v + i, mask,
+                          expLanes(_mm512_maskz_loadu_pd(mask, v + i)));
+  }
+}
+
+#undef CASVM_AVX512_INLINE
+CASVM_NO_FMA_END
 #endif  // CASVM_EXP_X86
 
 }  // namespace
 
-ExpRowFn expRowFn() {
+ExpRowFn expRowFnFor(Isa isa) {
+  if (!cpuHas(isa)) return nullptr;
 #ifdef CASVM_EXP_X86
-  static const ExpRowFn fn =
-      __builtin_cpu_supports("avx2") ? &expRowAvx2 : &expRowPortable;
-#else
-  static const ExpRowFn fn = &expRowPortable;
+  switch (isa) {
+    case Isa::Avx2: return &expRowAvx2;
+    case Isa::Avx512: return &expRowAvx512;
+  }
 #endif
+  return nullptr;
+}
+
+ExpRowFn expRowFn() {
+  static const ExpRowFn fn = widest(&expRowFnFor, &expRowPortable);
   return fn;
 }
 

@@ -7,6 +7,7 @@
 #include "casvm/kernel/exp.hpp"
 #include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
+#include "casvm/support/isa.hpp"
 
 namespace casvm::kernel {
 
@@ -117,6 +118,20 @@ void sparseDotRow(const data::Dataset& ds, std::size_t i,
   }
 }
 
+/// out[j] = -gamma * max(selfX + selfDots[j] - 2 out[j], 0) for j < n: the
+/// Gaussian exponents from raw dots, as fromDot forms them.
+CASVM_NO_FMA_BEGIN
+CASVM_ISA_CLONES void exponents(const double* __restrict selfDots,
+                                double selfX, double gamma,
+                                double* __restrict out, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double d2 = selfX + selfDots[j] - 2.0 * out[j];
+    // Guard tiny negative values from floating-point cancellation.
+    out[j] = -gamma * (d2 > 0.0 ? d2 : 0.0);
+  }
+}
+CASVM_NO_FMA_END
+
 }  // namespace
 
 // The workspace keeps the dense matrix in the blocked k-major tiling of
@@ -151,17 +166,22 @@ void Kernel::transformDots(std::span<const double> selfDots, double selfX,
         out[j] = std::pow(params_.a * out[j] + params_.r, params_.degree);
       }
       break;
-    case KernelType::Gaussian:
-      // The exponents first, then one vector exp pass over them: the same
-      // operations as fromDot, element for element. eval adds the two
-      // self-dots in this order and evalWith (row j first) in the other;
-      // IEEE addition is commutative, so both match bit for bit.
-      for (std::size_t j = 0; j < m; ++j) {
-        const double d2 = selfX + selfDots[j] - 2.0 * out[j];
-        out[j] = -params_.gamma * (d2 > 0.0 ? d2 : 0.0);
+    case KernelType::Gaussian: {
+      // Per block, the exponents first, then the vector exp pass over them
+      // while they are still in L1: the same operations as fromDot, element
+      // for element. eval adds the two self-dots in this order and evalWith
+      // (row j first) in the other; IEEE addition is commutative, so both
+      // match bit for bit.
+      constexpr std::size_t kBlock = 512;
+      const ExpRowFn expRow = expRowFn();
+      for (std::size_t b = 0; b < m; b += kBlock) {
+        const std::size_t n = std::min(kBlock, m - b);
+        exponents(selfDots.data() + b, selfX, params_.gamma, out.data() + b,
+                  n);
+        expRow(out.data() + b, n);
       }
-      expRowFn()(out.data(), m);
       break;
+    }
     case KernelType::Sigmoid:
       for (std::size_t j = 0; j < m; ++j) {
         out[j] = std::tanh(params_.a * out[j] + params_.r);
@@ -308,7 +328,9 @@ void Kernel::rowsWith(const data::Dataset& ds,
       std::copy(xs[t].begin(), xs[t].end(), ws.xd_.begin() + t * ws.cols_);
       out[t] = outs[t].data();
     }
-    tile::dotFn()(ws.tiles_.data(), ws.xd_.data(), q, ws.rows_, ws.cols_, out);
+    tile::sweep(tile::dotFn(), ws.tiles_.data(), ws.xd_.data(), q, ws.rows_,
+                ws.cols_, out, ws.reverse_);
+    ws.reverse_ = !ws.reverse_;
   } else {
     for (std::size_t t = 0; t < q; ++t) {
       for (std::size_t j = 0; j < ds.rows(); ++j) {

@@ -5,6 +5,7 @@
 
 #include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
+#include "casvm/support/isa.hpp"
 
 namespace casvm::kernel {
 
@@ -16,6 +17,13 @@ std::size_t capacityFor(std::size_t rows, std::size_t budgetBytes) {
   const std::size_t rowBytes =
       std::max<std::size_t>(1, rows) * sizeof(CacheValue);
   return std::max<std::size_t>(2, budgetBytes / rowBytes);
+}
+
+/// dst[k] = CacheValue(src[k]) for k < m: a filled row rounded once, as
+/// the cache stores it (a conversion rounds alike at every width).
+CASVM_ISA_CLONES void roundRow(const double* __restrict src,
+                               CacheValue* __restrict dst, std::size_t m) {
+  for (std::size_t k = 0; k < m; ++k) dst[k] = static_cast<CacheValue>(src[k]);
 }
 
 }  // namespace
@@ -135,8 +143,7 @@ void RowCache::fillFull(const std::size_t* rows, Slot* const* slots,
   }
   ++fillSweeps_;
   for (std::size_t t = 0; t < q; ++t) {
-    std::transform(outs[t].begin(), outs[t].end(), slots[t]->values.begin(),
-                   [](double v) { return static_cast<CacheValue>(v); });
+    roundRow(outs[t].data(), slots[t]->values.data(), outs[t].size());
   }
 }
 

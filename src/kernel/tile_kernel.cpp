@@ -164,6 +164,33 @@ void dotAvx2(const float* tiles, const double* xs, std::size_t q,
 
 #undef CASVM_AVX2_INLINE
 
+#define CASVM_AVX512_INLINE \
+  __attribute__((target("avx512f"), always_inline)) inline
+
+/// Rows 0-7 and 8-15 of tile row tk, widened to double. (The zero-masked
+/// form under an all-ones mask is the plain conversion; GCC 12's unmasked
+/// intrinsic warns on its own body.)
+CASVM_AVX512_INLINE __m512d lanesLo(const float* tk) {
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(tk));
+}
+CASVM_AVX512_INLINE __m512d lanesHi(const float* tk) {
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(tk + 8));
+}
+
+/// Store one block's two accumulators: all 16 rows, or the first `cnt` of
+/// a ragged tail block.
+CASVM_AVX512_INLINE void storeBlock512(double* out, std::size_t cnt,
+                                       __m512d lo, __m512d hi) {
+  const __mmask8 mLo =
+      cnt >= 8 ? 0xFF : static_cast<__mmask8>((1u << cnt) - 1);
+  _mm512_mask_storeu_pd(out, mLo, lo);
+  if (cnt > 8) {
+    const __mmask8 mHi =
+        cnt >= kRows ? 0xFF : static_cast<__mmask8>((1u << (cnt - 8)) - 1);
+    _mm512_mask_storeu_pd(out + 8, mHi, hi);
+  }
+}
+
 // Q queries per sweep of each 16-row block: two zmm accumulators per query
 // (rows 0-7 and 8-15), each chain a serial sum over ascending k. The fused
 // multiply-add is bitwise the separate multiply and add here (see the
@@ -185,10 +212,8 @@ void dotAvx512Q(const float* tiles, const double* xs, std::size_t m,
     }
     for (std::size_t k = 0; k < n; ++k) {
       const float* tk = t + k * kRows;
-      // (The zero-masked form under an all-ones mask is the plain
-      // conversion; GCC 12's unmasked intrinsic warns on its own body.)
-      const __m512d v0 = _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(tk));
-      const __m512d v1 = _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(tk + 8));
+      const __m512d v0 = lanesLo(tk);
+      const __m512d v1 = lanesHi(tk);
 #pragma GCC unroll 4
       for (std::size_t s = 0; s < Q; ++s) {
         const __m512d x = _mm512_set1_pd(xs[s * n + k]);
@@ -196,60 +221,97 @@ void dotAvx512Q(const float* tiles, const double* xs, std::size_t m,
         hi[s] = _mm512_fmadd_pd(x, v1, hi[s]);
       }
     }
-    // A ragged tail block stores only its first `cnt` rows.
     const std::size_t base = b * kRows;
-    const std::size_t cnt = std::min(kRows, m - base);
-    const __mmask8 mLo = cnt >= 8 ? 0xFF : static_cast<__mmask8>((1u << cnt) - 1);
-    const __mmask8 mHi =
-        cnt <= 8 ? 0 : static_cast<__mmask8>((1u << (cnt - 8)) - 1);
 #pragma GCC unroll 4
     for (std::size_t s = 0; s < Q; ++s) {
-      _mm512_mask_storeu_pd(out[s] + base, mLo, lo[s]);
-      if (cnt > 8) _mm512_mask_storeu_pd(out[s] + base + 8, mHi, hi[s]);
+      storeBlock512(out[s] + base, m - base, lo[s], hi[s]);
     }
   }
 }
 
-/// One query runs the AVX2 body, whose two-block sweep keeps eight
-/// accumulator chains in flight; a one-block AVX-512 sweep has two and
-/// read 12% slower at 8k × 200 (431 against 385 µs).
+// One query steps four blocks at a time: eight accumulator chains in
+// flight, where a one-block step has two and waits on the fma latency.
+// A ragged end of one to three blocks runs the Q = 1 body.
+__attribute__((target("avx512f")))
+void dot1Avx512(const float* tiles, const double* xd, std::size_t m,
+                std::size_t n, double* out) {
+  constexpr std::size_t kStep = 4;
+  const std::size_t blocks = blockCount(m);
+  const std::size_t stride = n * kRows;
+  std::size_t b = 0;
+  for (; b + kStep <= blocks; b += kStep) {
+    const float* t = tiles + b * stride;
+    __m512d lo[kStep], hi[kStep];
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < kStep; ++s) {
+      lo[s] = _mm512_setzero_pd();
+      hi[s] = _mm512_setzero_pd();
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const __m512d x = _mm512_set1_pd(xd[k]);
+#pragma GCC unroll 4
+      for (std::size_t s = 0; s < kStep; ++s) {
+        const float* tk = t + s * stride + k * kRows;
+        lo[s] = _mm512_fmadd_pd(x, lanesLo(tk), lo[s]);
+        hi[s] = _mm512_fmadd_pd(x, lanesHi(tk), hi[s]);
+      }
+    }
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < kStep; ++s) {
+      const std::size_t base = (b + s) * kRows;
+      storeBlock512(out + base, m - base, lo[s], hi[s]);
+    }
+  }
+  if (b < blocks) {
+    double* const rest[] = {out + b * kRows};
+    dotAvx512Q<1>(tiles + b * stride, xd, m - b * kRows, n, rest);
+  }
+}
+
 void dotAvx512(const float* tiles, const double* xs, std::size_t q,
                std::size_t m, std::size_t n, double* const* out) {
   switch (q) {
-    case 1: dot1Avx2(tiles, xs, m, n, out[0]); return;
+    case 1: dot1Avx512(tiles, xs, m, n, out[0]); return;
     case 2: dotAvx512Q<2>(tiles, xs, m, n, out); return;
     case 3: dotAvx512Q<3>(tiles, xs, m, n, out); return;
     default: dotAvx512Q<4>(tiles, xs, m, n, out); return;
   }
 }
+
+#undef CASVM_AVX512_INLINE
 #endif  // CASVM_TILE_X86
 
 }  // namespace
 
 DotFn dotFnFor(Isa isa) {
+  if (!cpuHas(isa)) return nullptr;
 #ifdef CASVM_TILE_X86
   switch (isa) {
-    case Isa::Avx2:
-      return __builtin_cpu_supports("avx2") ? &dotAvx2 : nullptr;
-    case Isa::Avx512:
-      return __builtin_cpu_supports("avx512f") &&
-                     __builtin_cpu_supports("avx2")
-                 ? &dotAvx512
-                 : nullptr;
+    case Isa::Avx2: return &dotAvx2;
+    case Isa::Avx512: return &dotAvx512;
   }
 #endif
-  (void)isa;
   return nullptr;
 }
 
 DotFn dotFn() {
-  static const DotFn fn = [] {
-    for (const Isa isa : {Isa::Avx512, Isa::Avx2}) {
-      if (const DotFn f = dotFnFor(isa)) return f;
-    }
-    return &dotPortable;
-  }();
+  static const DotFn fn = widest(&dotFnFor, &dotPortable);
   return fn;
+}
+
+void sweep(DotFn fn, const float* tiles, const double* xs, std::size_t q,
+           std::size_t m, std::size_t n, double* const* out, bool reverse) {
+  if (!reverse) {
+    fn(tiles, xs, q, m, n, out);
+    return;
+  }
+  constexpr std::size_t kChunkRows = kChunkBlocks * kRows;
+  double* chunkOut[kMaxQueries];
+  for (std::size_t c = (m + kChunkRows - 1) / kChunkRows; c-- > 0;) {
+    const std::size_t base = c * kChunkRows;
+    for (std::size_t t = 0; t < q; ++t) chunkOut[t] = out[t] + base;
+    fn(tiles + base * n, xs, q, std::min(kChunkRows, m - base), n, chunkOut);
+  }
 }
 
 }  // namespace casvm::kernel::tile

@@ -31,6 +31,18 @@ void scanFrom(PairPick& p, const double* f, const std::uint8_t* high,
   }
 }
 
+/// The update as one plain loop; each variant below is this loop compiled
+/// for its instruction set.
+[[gnu::always_inline]] inline void updateLoop(double* __restrict f,
+                                              const float* __restrict h,
+                                              const float* __restrict l,
+                                              double a, double b,
+                                              std::size_t m) {
+  for (std::size_t k = 0; k < m; ++k) {
+    f[k] += a * double(h[k]) + b * double(l[k]);
+  }
+}
+
 }  // namespace
 
 PairPick selectPortable(const double* f, const std::uint8_t* high,
@@ -40,9 +52,15 @@ PairPick selectPortable(const double* f, const std::uint8_t* high,
   return p;
 }
 
+void updatePortable(double* f, const float* h, const float* l, double a,
+                    double b, std::size_t m) {
+  updateLoop(f, h, l, a, b, m);
+}
+
 namespace {
 
 #ifdef CASVM_SELECT_X86
+CASVM_NO_FMA_BEGIN
 #define CASVM_AVX2_INLINE __attribute__((target("avx2"), always_inline)) inline
 
 /// Membership bytes p[0..3] as four all-ones (member) or zero lanes.
@@ -71,8 +89,21 @@ CASVM_AVX2_INLINE void step(Lanes& s, __m256d v, __m256d idx, __m256d mh,
   s.li = _mm256_blendv_pd(s.li, idx, gt);
 }
 
-/// Fold one set of lanes into the pick: the smaller value wins, and on a
-/// tie (including +0.0 against -0.0) the smaller index.
+/// Fold one lane into the pick: the smaller value wins, and on a tie
+/// (including +0.0 against -0.0) the smaller index. Lanes that never took
+/// a sample hold +-inf with index m and lose every fold.
+void foldLane(PairPick& p, double hv, std::size_t hi, double lv,
+              std::size_t li) {
+  if (hv < p.bHigh || (hv == p.bHigh && hi < p.high)) {
+    p.bHigh = hv;
+    p.high = hi;
+  }
+  if (lv > p.bLow || (lv == p.bLow && li < p.low)) {
+    p.bLow = lv;
+    p.low = li;
+  }
+}
+
 CASVM_AVX2_INLINE void fold(PairPick& p, const Lanes& s) {
   alignas(32) double hv[4], hi[4], lv[4], li[4];
   _mm256_store_pd(hv, s.hv);
@@ -80,16 +111,8 @@ CASVM_AVX2_INLINE void fold(PairPick& p, const Lanes& s) {
   _mm256_store_pd(lv, s.lv);
   _mm256_store_pd(li, s.li);
   for (int l = 0; l < 4; ++l) {
-    const auto h = static_cast<std::size_t>(hi[l]);
-    if (hv[l] < p.bHigh || (hv[l] == p.bHigh && h < p.high)) {
-      p.bHigh = hv[l];
-      p.high = h;
-    }
-    const auto w = static_cast<std::size_t>(li[l]);
-    if (lv[l] > p.bLow || (lv[l] == p.bLow && w < p.low)) {
-      p.bLow = lv[l];
-      p.low = w;
-    }
+    foldLane(p, hv[l], static_cast<std::size_t>(hi[l]), lv[l],
+             static_cast<std::size_t>(li[l]));
   }
 }
 
@@ -120,18 +143,118 @@ PairPick selectAvx2(const double* f, const std::uint8_t* high,
   return p;
 }
 
+__attribute__((target("avx2")))
+void updateAvx2(double* f, const float* h, const float* l, double a, double b,
+                std::size_t m) {
+  updateLoop(f, h, l, a, b, m);
+}
+
 #undef CASVM_AVX2_INLINE
+#define CASVM_AVX512_INLINE \
+  __attribute__((target("avx512f"), always_inline)) inline
+
+/// Membership bytes p[0..7] as an eight-lane mask (a nonzero byte is a
+/// member). (The zero-masked widening under an all-ones mask is the plain
+/// one; GCC 12's unmasked intrinsic warns on its own body.)
+CASVM_AVX512_INLINE __mmask8 memberMask(const std::uint8_t* p) {
+  const __m512i b = _mm512_maskz_cvtepu8_epi64(
+      0xFF, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  return _mm512_test_epi64_mask(b, b);
+}
+
+/// Lanes in eight lanes, with the indices as integers.
+struct Lanes512 {
+  __m512d hv, lv;
+  __m512i hi, li;
+};
+
+CASVM_AVX512_INLINE void step(Lanes512& s, __m512d v, __m512i idx,
+                              __mmask8 mh, __mmask8 ml) {
+  // Ordered compares under the membership masks: a NaN never wins.
+  const __mmask8 lt = _mm512_mask_cmp_pd_mask(mh, v, s.hv, _CMP_LT_OQ);
+  const __mmask8 gt = _mm512_mask_cmp_pd_mask(ml, v, s.lv, _CMP_GT_OQ);
+  s.hv = _mm512_mask_mov_pd(s.hv, lt, v);
+  s.hi = _mm512_mask_mov_epi64(s.hi, lt, idx);
+  s.lv = _mm512_mask_mov_pd(s.lv, gt, v);
+  s.li = _mm512_mask_mov_epi64(s.li, gt, idx);
+}
+
+CASVM_AVX512_INLINE void fold(PairPick& p, const Lanes512& s) {
+  alignas(64) double hv[8], lv[8];
+  alignas(64) std::uint64_t hi[8], li[8];
+  _mm512_store_pd(hv, s.hv);
+  _mm512_store_pd(lv, s.lv);
+  _mm512_store_si512(hi, s.hi);
+  _mm512_store_si512(li, s.li);
+  for (int l = 0; l < 8; ++l) foldLane(p, hv[l], hi[l], lv[l], li[l]);
+}
+
+// Two sets of eight lanes (sixteen samples a step), as in the AVX2 pass.
+__attribute__((target("avx512f")))
+PairPick selectAvx512(const double* f, const std::uint8_t* high,
+                      const std::uint8_t* low, std::size_t m) {
+  const __m512i none = _mm512_set1_epi64(static_cast<long long>(m));
+  Lanes512 a{_mm512_set1_pd(kInf), _mm512_set1_pd(-kInf), none, none};
+  Lanes512 b = a;
+  __m512i idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m512i eight = _mm512_set1_epi64(8);
+  const __m512i sixteen = _mm512_set1_epi64(16);
+  std::size_t i = 0;
+  for (; i + 16 <= m; i += 16) {
+    step(a, _mm512_loadu_pd(f + i), idx, memberMask(high + i),
+         memberMask(low + i));
+    step(b, _mm512_loadu_pd(f + i + 8), _mm512_add_epi64(idx, eight),
+         memberMask(high + i + 8), memberMask(low + i + 8));
+    idx = _mm512_add_epi64(idx, sixteen);
+  }
+  PairPick p{m, m, kInf, -kInf};
+  fold(p, a);
+  fold(p, b);
+  scanFrom(p, f, high, low, i, m);
+  return p;
+}
+
+__attribute__((target("avx512f")))
+void updateAvx512(double* f, const float* h, const float* l, double a,
+                  double b, std::size_t m) {
+  updateLoop(f, h, l, a, b, m);
+}
+
+#undef CASVM_AVX512_INLINE
+CASVM_NO_FMA_END
 #endif  // CASVM_SELECT_X86
 
 }  // namespace
 
-SelectFn selectFn() {
+SelectFn selectFnFor(Isa isa) {
+  if (!cpuHas(isa)) return nullptr;
 #ifdef CASVM_SELECT_X86
-  static const SelectFn fn =
-      __builtin_cpu_supports("avx2") ? &selectAvx2 : &selectPortable;
-#else
-  static const SelectFn fn = &selectPortable;
+  switch (isa) {
+    case Isa::Avx2: return &selectAvx2;
+    case Isa::Avx512: return &selectAvx512;
+  }
 #endif
+  return nullptr;
+}
+
+SelectFn selectFn() {
+  static const SelectFn fn = widest(&selectFnFor, &selectPortable);
+  return fn;
+}
+
+UpdateFn updateFnFor(Isa isa) {
+  if (!cpuHas(isa)) return nullptr;
+#ifdef CASVM_SELECT_X86
+  switch (isa) {
+    case Isa::Avx2: return &updateAvx2;
+    case Isa::Avx512: return &updateAvx512;
+  }
+#endif
+  return nullptr;
+}
+
+UpdateFn updateFn() {
+  static const UpdateFn fn = widest(&updateFnFor, &updatePortable);
   return fn;
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
+#include <vector>
 
 #include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
@@ -188,6 +191,71 @@ TEST(DatasetTest, ConcatMismatchThrows) {
   const Dataset b = Dataset::fromDense(3, {1, 2, 3}, {1});
   EXPECT_THROW((void)Dataset::concat(a, b), Error);
   EXPECT_THROW((void)Dataset::concat(a, smallSparse()), Error);
+}
+
+/// Random rows over `cols` features in either storage; about a third of
+/// the sparse entries are absent.
+Dataset randomRows(Storage storage, std::size_t rows, std::size_t cols,
+                   std::mt19937& rng) {
+  std::uniform_real_distribution<float> u(-3.0f, 3.0f);
+  std::vector<float> dense(rows * cols);
+  std::vector<std::int8_t> labels(rows);
+  std::vector<std::size_t> rowPtr{0};
+  std::vector<std::uint32_t> colIdx;
+  std::vector<float> values;
+  for (std::size_t i = 0; i < rows; ++i) {
+    labels[i] = rng() % 2 == 0 ? 1 : -1;
+    for (std::size_t k = 0; k < cols; ++k) {
+      dense[i * cols + k] = u(rng);
+      if (rng() % 3 != 0) {
+        colIdx.push_back(static_cast<std::uint32_t>(k));
+        values.push_back(dense[i * cols + k]);
+      }
+    }
+    rowPtr.push_back(colIdx.size());
+  }
+  if (storage == Storage::Dense) {
+    return Dataset::fromDense(cols, std::move(dense), std::move(labels));
+  }
+  return Dataset::fromSparse(cols, std::move(rowPtr), std::move(colIdx),
+                             std::move(values), std::move(labels));
+}
+
+/// Every self-dot is its row's serial sum, however many rows are summed
+/// side by side, and subset() and concat() carry them: merging subsets of
+/// a dataset, empty ones among them, gives the rows, labels and self-dots
+/// (bit for bit) of the dataset built afresh from the same rows.
+TEST(DatasetTest, ManyPartConcatCarriesSelfDots) {
+  std::mt19937 rng(7);
+  for (const Storage storage : {Storage::Dense, Storage::Sparse}) {
+    const Dataset ds = randomRows(storage, 11, 37, rng);
+    for (std::size_t i = 0; i < ds.rows(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ds.selfDot(i)),
+                std::bit_cast<std::uint64_t>(ds.dot(i, i)))
+          << "row " << i;
+    }
+    const std::vector<std::size_t> front{0, 4, 9}, back{10, 2, 5, 7};
+    const Dataset a = ds.subset(front);
+    const Dataset b = ds.subset(back);
+    const Dataset none = ds.subset(std::vector<std::size_t>{});
+    const Dataset* const parts[] = {&none, &a, &none, &b, &a};
+    const Dataset merged = Dataset::concat(parts);
+    std::vector<std::size_t> order = front;
+    order.insert(order.end(), back.begin(), back.end());
+    order.insert(order.end(), front.begin(), front.end());
+    const Dataset fresh = Dataset::unpack(ds.pack(order));
+    ASSERT_EQ(merged.rows(), order.size());
+    EXPECT_EQ(merged.storage(), storage);
+    EXPECT_EQ(merged.packAll(), fresh.packAll());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(merged.selfDot(i)),
+                std::bit_cast<std::uint64_t>(fresh.selfDot(i)))
+          << "row " << i;
+    }
+    const Dataset* const empties[] = {&none, &none};
+    EXPECT_TRUE(Dataset::concat(empties).empty());
+    EXPECT_EQ(Dataset::concat(empties).cols(), ds.cols());
+  }
 }
 
 TEST(DatasetPackTest, DenseRoundTrip) {

@@ -40,33 +40,68 @@ std::vector<double> gaussianArguments() {
   return args;
 }
 
-/// The dispatched row pass (AVX2 on most hosts) and the portable one are
-/// the scalar exp bit for bit — zero, subnormal and -0.0 arguments
-/// included — at every row length, so ragged ends are covered too.
-TEST(ExpTest, RowPassesMatchScalarBitwise) {
+/// A row pass is the scalar exp bit for bit: over the Gaussian range, zero,
+/// subnormal and -0.0 arguments included; at every row length up to past
+/// twice the widest step (16 values), so each ragged end is covered; and
+/// for NaN, the infinities and arguments past the clamp.
+void expectRowPassMatchesScalar(ExpRowFn fn) {
   const std::vector<double> args = gaussianArguments();
   ASSERT_GE(args.size(), std::size_t{1} << 20);
-  std::vector<double> fast = args, portable = args;
-  expRowFn()(fast.data(), fast.size());
-  expRowPortable(portable.data(), portable.size());
+  std::vector<double> row = args;
+  fn(row.data(), row.size());
   std::size_t subnormal = 0, zero = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const double ref = exp(args[i]);
-    ASSERT_EQ(bits(fast[i]), bits(ref)) << "x=" << args[i];
-    ASSERT_EQ(bits(portable[i]), bits(ref)) << "x=" << args[i];
+    ASSERT_EQ(bits(row[i]), bits(ref)) << "x=" << args[i];
     if (ref == 0.0) ++zero;
     if (ref != 0.0 && !std::isnormal(ref)) ++subnormal;
   }
   EXPECT_GT(subnormal, 0u);
   EXPECT_GT(zero, 0u);
-  for (std::size_t n = 0; n <= 19; ++n) {
-    std::vector<double> row(args.end() - 19, args.end() - 19 + n);
-    expRowFn()(row.data(), n);
+  constexpr std::size_t kMaxLen = 40;
+  const auto tail = args.end() - kMaxLen;
+  for (std::size_t n = 0; n <= kMaxLen; ++n) {
+    std::vector<double> part(tail, tail + n);
+    part.push_back(-5.0);  // past the end: must stay as it is
+    fn(part.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(bits(row[i]), bits(exp(args[args.size() - 19 + i])))
-          << "n=" << n << " i=" << i;
+      EXPECT_EQ(bits(part[i]), bits(exp(tail[i]))) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(part[n], -5.0) << "n=" << n << " wrote past the end";
+  }
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> special = {nan,  -inf, inf, 710.0, -746.0, 1.0,
+                                       -1.0, -0.0, 0.0, -0.0,  nan,    -inf,
+                                       2.5,  -2.5, inf, -0.0,  nan};
+  std::vector<double> got = special;
+  fn(got.data(), got.size());
+  for (std::size_t i = 0; i < special.size(); ++i) {
+    if (std::isnan(special[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << "i=" << i;
+    } else {
+      EXPECT_EQ(bits(got[i]), bits(exp(special[i]))) << "x=" << special[i];
     }
   }
+}
+
+/// The dispatched pass and the portable one; the per-ISA tests below run
+/// the lanes this host does not dispatch to.
+TEST(ExpTest, RowPassesMatchScalarBitwise) {
+  expectRowPassMatchesScalar(expRowFn());
+  expectRowPassMatchesScalar(&expRowPortable);
+}
+
+TEST(ExpTest, Avx512RowPassMatchesScalarBitwise) {
+  const ExpRowFn fn = expRowFnFor(Isa::Avx512);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX-512F pass";
+  expectRowPassMatchesScalar(fn);
+}
+
+TEST(ExpTest, Avx2RowPassMatchesScalarBitwise) {
+  const ExpRowFn fn = expRowFnFor(Isa::Avx2);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX2 pass";
+  expectRowPassMatchesScalar(fn);
 }
 
 /// Where the result is normal it is within 2 ulp of the C library's exp,

@@ -389,13 +389,16 @@ TEST(KernelSubsetTest, GaussianSubsetAcrossExpBlocksMatchesEval) {
 }
 
 /// A tile pass must reproduce the portable pass bit for bit, for one to
-/// four queries, and the portable pass must give each query what a
-/// one-query pass gives. The row counts cover one block, a ragged block,
-/// an odd block count, and ragged last blocks after one and two full ones.
-/// Zeros, subnormals and +-FLT_MAX sit in both the tiles and the queries:
-/// the AVX-512 lanes fuse each multiply-add, which is exact only because a
-/// product of two floats is, and these are the extremes of that claim.
-/// Outputs past m must stay untouched.
+/// four queries, in both sweep orders, and the portable pass must give
+/// each query what a one-query pass gives. The row counts cover one block,
+/// a ragged block, an odd block count, ragged last blocks after one and
+/// two full ones, the AVX-512 one-query step of four blocks with one to
+/// three left over, and one to three reversed chunks (tile::kChunkBlocks
+/// blocks each), the first of them ragged. Zeros, subnormals and
+/// +-FLT_MAX sit in both the tiles and the queries: the AVX-512 lanes fuse
+/// each multiply-add, which is exact only because a product of two floats
+/// is, and these are the extremes of that claim. Outputs past m must stay
+/// untouched.
 void expectPassMatchesPortable(tile::DotFn fn) {
   const std::size_t n = 7;
   std::mt19937 rng(11);
@@ -409,7 +412,8 @@ void expectPassMatchesPortable(tile::DotFn fn) {
   std::vector<double> xs(tile::kMaxQueries * n);
   for (double& v : xs) v = draw();
   constexpr double kSentinel = -7.5;
-  for (std::size_t m : {1, 15, 16, 17, 31, 32, 33, 45}) {
+  for (std::size_t m : {1,  15,  16,  17,  31,  32,  33,  45, 64,
+                        65, 100, 127, 255, 256, 257, 300, 555}) {
     std::vector<float> tiles(tile::blockCount(m) * n * tile::kRows);
     for (float& v : tiles) v = draw();
     std::vector<std::vector<double>> one(tile::kMaxQueries,
@@ -419,33 +423,41 @@ void expectPassMatchesPortable(tile::DotFn fn) {
       tile::dotPortable(tiles.data(), xs.data() + t * n, 1, m, n, o);
     }
     for (std::size_t q = 1; q <= tile::kMaxQueries; ++q) {
-      std::vector<std::vector<double>> port(q, std::vector<double>(m));
-      std::vector<std::vector<double>> got(
-          q, std::vector<double>(m + tile::kRows, kSentinel));
-      double* portOut[tile::kMaxQueries];
-      double* gotOut[tile::kMaxQueries];
-      for (std::size_t t = 0; t < q; ++t) {
-        portOut[t] = port[t].data();
-        gotOut[t] = got[t].data();
-      }
-      tile::dotPortable(tiles.data(), xs.data(), q, m, n, portOut);
-      fn(tiles.data(), xs.data(), q, m, n, gotOut);
-      for (std::size_t t = 0; t < q; ++t) {
-        for (std::size_t j = 0; j < m; ++j) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(port[t][j]),
-                    std::bit_cast<std::uint64_t>(one[t][j]))
-              << "portable q=" << q << " m=" << m << " t=" << t << " j=" << j;
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t][j]),
-                    std::bit_cast<std::uint64_t>(one[t][j]))
-              << "q=" << q << " m=" << m << " t=" << t << " j=" << j;
+      for (const bool reverse : {false, true}) {
+        std::vector<std::vector<double>> port(q, std::vector<double>(m));
+        std::vector<std::vector<double>> got(
+            q, std::vector<double>(m + tile::kRows, kSentinel));
+        double* portOut[tile::kMaxQueries];
+        double* gotOut[tile::kMaxQueries];
+        for (std::size_t t = 0; t < q; ++t) {
+          portOut[t] = port[t].data();
+          gotOut[t] = got[t].data();
         }
-        for (std::size_t j = m; j < got[t].size(); ++j) {
-          EXPECT_EQ(got[t][j], kSentinel) << "q=" << q << " m=" << m
-                                          << " wrote past m at j=" << j;
+        tile::dotPortable(tiles.data(), xs.data(), q, m, n, portOut);
+        tile::sweep(fn, tiles.data(), xs.data(), q, m, n, gotOut, reverse);
+        for (std::size_t t = 0; t < q; ++t) {
+          for (std::size_t j = 0; j < m; ++j) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(port[t][j]),
+                      std::bit_cast<std::uint64_t>(one[t][j]))
+                << "portable q=" << q << " m=" << m << " t=" << t << " j=" << j;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t][j]),
+                      std::bit_cast<std::uint64_t>(one[t][j]))
+                << "q=" << q << " m=" << m << " reverse=" << reverse
+                << " t=" << t << " j=" << j;
+          }
+          for (std::size_t j = m; j < got[t].size(); ++j) {
+            EXPECT_EQ(got[t][j], kSentinel)
+                << "q=" << q << " m=" << m << " reverse=" << reverse
+                << " wrote past m at j=" << j;
+          }
         }
       }
     }
   }
+}
+
+TEST(TileKernelTest, PortablePassesMatchInBothOrders) {
+  expectPassMatchesPortable(&tile::dotPortable);
 }
 
 TEST(TileKernelTest, DispatchedPassesMatchPortable) {
