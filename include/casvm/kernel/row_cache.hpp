@@ -22,9 +22,11 @@
 ///    et al., 1406.5161). Retained rows live in a second recency list and
 ///    are evicted only when no unpinned row of the first is left. A row
 ///    that changes list joins the cold end of its new list.
-/// A victim is the coldest unpinned row of a list: two std::lists and
-/// splices, O(1) per miss. DESIGN.md §2.7 has the replayed fill counts
-/// (LRU, cold insertion, retention and Belady's optimum).
+/// A victim is the coldest unpinned row of a list: std::lists and
+/// splices, O(1) per miss (a third list, of rows filled ahead and not yet
+/// read, gives up rows last; see Lookahead fills below). DESIGN.md §2.7
+/// has the replayed fill counts (LRU, cold insertion, retention and
+/// Belady's optimum).
 ///
 /// Rows are stored as float, as LIBSVM's Qfloat cache stores them: the
 /// source fills each row in double, the cache rounds every value once, on
@@ -61,21 +63,34 @@
 /// the same rows, counts and generations as two single fetches.
 ///
 /// Lookahead fills. A pass over dense tiles streams them once for up to
-/// four rows, and the rows SMO asks for next are predictable: free
-/// samples sit at the violator extremes and keep being selected. So when a
-/// full pair fetch misses and the cache still has free slots, the pass
-/// also fills rows the caller ranks as wanted next (Ahead), up to the
-/// source's fill width: candidates already cached, repeated or in the pair
-/// are skipped. Rows filled ahead take free slots only, so they never
-/// evict a row, and they enter at the cold end of the unretained list, so
-/// they are the first victims once the cache is full; from then on a
-/// fetch fills only its own rows, as it would without lookahead. The
-/// fetch of rows i and j is itself unchanged: the rows ahead are claimed
-/// after both lookups, so i's and j's counts, recency moves, pins and
-/// generations are those of two single fetches. misses() still counts
-/// demand misses; aheadFills() counts the rows filled ahead and
-/// fillSweeps() the full-row fills asked of the source. DESIGN.md §2.7 has
-/// the replayed sweep counts.
+/// four rows, and the rows SMO asks for next are predictable: they belong
+/// to the samples nearest the violating extremes. So when a full pair
+/// fetch misses, the pass also fills rows the caller ranks as wanted next
+/// (Ahead), up to the source's fill width: candidates already held,
+/// repeated or in the pair are skipped. Four rules place them:
+///  1. While the cache has a free slot, a row filled ahead takes it, at
+///     the cold end of the unretained list.
+///  2. Once the cache is full, a row filled ahead waits in a third list,
+///     the unread list, of at most S = capacity / 16 rows (at least one).
+///     While the list holds fewer than S rows, the new row takes the
+///     coldest unpinned main row's slot (the main lists are the
+///     unretained and retained ones); otherwise it takes the oldest
+///     unread row's slot.
+///  3. A demand miss takes a free slot or the coldest unpinned main row's
+///     slot, and an unread row's slot only when no unpinned main row is
+///     left, so demand misses do not evict rows filled ahead.
+///  4. The first read of an unread row moves it to the cold end of the
+///     unretained list, where a fill would have put it. That read is a
+///     hit: misses() still counts the reads that needed a fill, so the
+///     rows computed are misses() + aheadFills().
+/// Rows in the unread list are never pinned, and the rows held never
+/// exceed the capacity on their account. The fetch of rows i and j is
+/// itself unchanged: the rows ahead are claimed after both lookups, so
+/// i's and j's counts, recency moves, pins and generations are those of
+/// two single fetches. A source of width one shares no pass, so it never
+/// fills ahead, and its cache never holds an unread row. fillSweeps()
+/// counts the full-row fills asked of the source. DESIGN.md §2.7 has the
+/// sweep counts.
 
 #include <cstddef>
 #include <cstdint>
@@ -142,9 +157,9 @@ class RowCache {
   /// misses, recency order, pins and generations of rows i and j are
   /// exactly those of row(i); pin(i); row(j); pin(j), but the rows that
   /// take a full fill are filled in one RowSource::fillRows pass. When that
-  /// pass runs and slots are free, it also fills the first uncached
-  /// candidates of `ahead` that fit the source's fill width and the free
-  /// slots, each into a free slot at the cold end of the unretained list.
+  /// pass runs, it also fills the first candidates of `ahead` the cache
+  /// does not hold, up to the source's fill width, each placed by the
+  /// lookahead rules above.
   RowPair rows(std::size_t i, std::size_t j, Ahead ahead = {});
 
   /// rows() under the active-set rules of row(i, active): partial fills
@@ -153,14 +168,14 @@ class RowCache {
                std::span<const std::size_t> active);
 
   /// How many candidates a full pair fetch of rows i and j would fill
-  /// ahead, at most: zero unless row i or j needs a fill and a slot is
-  /// still free after theirs; otherwise the free slots left, capped by the
+  /// ahead, at most: zero unless row i or j needs a fill, otherwise the
   /// source's fill width less the demand rows.
   std::size_t aheadRoom(std::size_t i, std::size_t j) const;
 
-  /// Whether row i is cached (a full or a partial fill). The ranking of
-  /// lookahead candidates tests it for every sample.
-  bool holds(std::size_t i) const { return slot_[i] != nullptr; }
+  /// One byte per row: 1 where the cache holds the row (a full or a
+  /// partial fill, in any list), else 0. The ranking of lookahead
+  /// candidates reads it for every sample.
+  std::span<const std::uint8_t> held() const { return held_; }
 
   /// Pin row i (must be currently cached): excluded from eviction until
   /// unpinned. Pins nest.
@@ -187,6 +202,8 @@ class RowCache {
   /// with generation `gen`. Compiled out under CASVM_NO_ASSERT.
   void checkLive(std::size_t i, std::uint64_t gen) const;
 
+  /// Reads served by a held row, first reads of rows filled ahead
+  /// included.
   std::size_t hits() const { return hits_; }
   /// Demand misses: reads that found no usable row.
   std::size_t misses() const { return misses_; }
@@ -202,12 +219,14 @@ class RowCache {
  private:
   struct Slot;
   using SlotList = std::list<Slot>;
+  /// Which of lists_ holds a slot.
+  enum List : std::uint8_t { kUnretained, kRetained, kUnread };
   struct Slot {
     std::size_t rowIndex = 0;
     std::vector<CacheValue> values;
     int pins = 0;
     bool partial = false;
-    bool retained = false;  ///< which of lists_ holds the slot
+    List list = kUnretained;
     std::uint64_t generation = 0;
     SlotList::iterator self;  ///< the slot's place in its list
   };
@@ -236,12 +255,33 @@ class RowCache {
   RowPair fetchPair(std::size_t i, std::size_t j,
                     const std::span<const std::size_t>* active, Ahead ahead);
 
-  /// Slot to (re)fill for a miss on row i: at capacity the coldest unpinned
-  /// unretained slot, else the coldest unpinned retained one; a fresh slot
-  /// below capacity. The returned slot is indexed under i, sits at the
-  /// cold end of the unretained list and carries a fresh generation.
+  /// Slot to (re)fill for a demand miss on row i (rule 3): a fresh slot
+  /// below capacity, else the coldest unpinned main row's, else the oldest
+  /// unread row's. The returned slot is indexed under i, sits at the cold
+  /// end of the unretained list and carries a fresh generation.
   Slot& claimSlot(std::size_t i);
-  std::size_t size() const { return lists_[0].size() + lists_[1].size(); }
+  /// Slot to fill row i ahead of demand (rules 1 and 2), indexed and
+  /// stamped like claimSlot's, or null when every candidate slot is
+  /// pinned.
+  Slot* claimAhead(std::size_t i);
+  /// The coldest unpinned main row, unretained rows first, or null.
+  Slot* coldestMain();
+  /// The oldest unpinned unread row, or null.
+  Slot* oldestUnread();
+  /// A new slot at the cold end of the unretained list.
+  Slot& freshSlot();
+  /// Index `slot` (new, or unindexed) under row i with a fresh
+  /// generation, and move() it to `to`.
+  Slot& place(Slot& slot, std::size_t i, List to);
+  /// Move `slot` to the cold end of main list `to`, or to the new end of
+  /// the unread list.
+  void move(Slot& slot, List to);
+  /// Stop indexing the row `slot` holds.
+  void unindex(const Slot& slot);
+  std::size_t size() const {
+    return lists_[kUnretained].size() + lists_[kRetained].size() +
+           lists_[kUnread].size();
+  }
 
   /// Scratch row k in the source's double precision.
   std::span<double> scratch(std::size_t k);
@@ -253,11 +293,16 @@ class RowCache {
   std::size_t fillWidth_;  ///< the source's, clamped to [1, kMaxQueries]
   /// max(2, fillWidth_) rows in the source's double precision.
   std::vector<double> scratch_;
-  /// Recency lists, front = hot end, back = cold end: [0] the unretained
-  /// rows, [1] the retained ones. Splices keep the slots in place.
-  SlotList lists_[2];
+  /// Rows the unread list holds at most (S).
+  std::size_t unreadLimit_;
+  /// The recency lists (front = hot end, back = cold end) of the
+  /// unretained and the retained rows, and the unread list (front =
+  /// newest, back = oldest). Splices keep the slots in place.
+  SlotList lists_[3];
   /// slot_[i]: the slot holding row i, or null. One pointer per row.
   std::vector<Slot*> slot_;
+  /// held_[i]: whether slot_[i] is set, as one byte per row.
+  std::vector<std::uint8_t> held_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t partialFills_ = 0;

@@ -87,6 +87,13 @@ class NystromFactor {
 
   /// K̃(i, x) = z_i · z for a map()ped external vector.
   double zdot(std::size_t i, std::span<const double> z) const;
+  /// Columns against q external vectors in one tile pass, 1 <= q <=
+  /// tile::kMaxQueries: outs[t][j] = zdot(j, z_t) bitwise for every row j,
+  /// where z_t is the rank() entries at zs[t * rank()]. Each entry of each
+  /// z_t must be a float widened to double, as the Z rows are (the tile
+  /// pass's products must be exact).
+  void zdots(std::span<const double> zs,
+             std::span<const std::span<double>> outs) const;
 
   /// Raw-bit serialization (checkpoint payload; see ckpt Kind::LowRankFactor).
   std::vector<std::byte> encode() const;

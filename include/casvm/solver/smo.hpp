@@ -131,7 +131,8 @@ struct SolverResult {
   /// partial fills) plus the rows it filled ahead of demand.
   std::size_t kernelRowsComputed = 0;
   /// Of kernelRowsComputed, rows filled ahead of demand (first-order
-  /// selection with nothing shrunk and a free cache slot only).
+  /// selection with nothing shrunk, on a source whose fills share a pass;
+  /// once the cache is full they wait in its unread list).
   std::size_t kernelRowsAhead = 0;
   /// Full-row fills asked of the source; each fills up to four rows in
   /// one pass over dense tiles.

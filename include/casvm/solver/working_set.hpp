@@ -16,6 +16,11 @@
 /// portable result bit for bit. A selection returns the same indices and
 /// values: the first index wins ties (+0.0 and -0.0 tie), NaN is never
 /// chosen, and an empty set yields m with +inf (high) or -inf (low).
+///
+/// A third dispatched pass ranks the samples whose kernel rows a pair
+/// fetch fills ahead of demand (see row_cache.hpp): the members of either
+/// set nearest their set's threshold, among the rows the cache does not
+/// hold.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,6 +71,36 @@ SelectFn selectFnFor(Isa isa);
 /// the reference the other variants are tested against.
 PairPick selectPortable(const double* f, const std::uint8_t* high,
                         const std::uint8_t* low, std::size_t m);
+
+/// Most samples one ranking pass returns.
+inline constexpr std::size_t kMaxRanked = 4;
+
+/// One ranking pass over m samples: up to `room` samples (at most
+/// kMaxRanked) whose `held` byte is 0, smallest score first, written to
+/// out[0..count); returns the count. A sample's score is the smaller of
+/// f - bHigh where it is a high-set member and bLow - f where it is a
+/// low-set member, with the thresholds of `pair`, the election; the pair
+/// itself is skipped. A score of +inf (neither set) or NaN is never
+/// chosen, and ties go to the first index.
+using RankFn = std::size_t (*)(const double* f, const std::uint8_t* high,
+                               const std::uint8_t* low,
+                               const std::uint8_t* held, std::size_t m,
+                               const PairPick& pair, std::size_t room,
+                               std::size_t* out);
+
+/// The runtime-dispatched ranking.
+RankFn rankFn();
+
+/// The ranking of one instruction set, or nullptr where this CPU or build
+/// lacks it.
+RankFn rankFnFor(Isa isa);
+
+/// The portable ranking, the reference the other variants are tested
+/// against.
+std::size_t rankPortable(const double* f, const std::uint8_t* high,
+                         const std::uint8_t* low, const std::uint8_t* held,
+                         std::size_t m, const PairPick& pair,
+                         std::size_t room, std::size_t* out);
 
 /// The gradient update (eqn. 5) over m samples: f[k] += a * double(h[k]) +
 /// b * double(l[k]), with the two kernel columns as the row cache stores

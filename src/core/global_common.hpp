@@ -179,10 +179,9 @@ class GlobalPairSource {
         store_(store),
         xHigh_(local.cols()),
         xLow_(local.cols()),
-        zHigh_(lowrank != nullptr ? lowrank->rank() : 0),
-        zLow_(zHigh_.size()),
-        fillHigh_(lowrank != nullptr ? 0 : local.rows()),
-        fillLow_(fillHigh_.size()),
+        zs_(lowrank != nullptr ? 2 * lowrank->rank() : 0),
+        fillHigh_(local.rows()),
+        fillLow_(local.rows()),
         colHigh_(local.rows()),
         colLow_(local.rows()),
         columns_(kern, local) {}
@@ -212,11 +211,11 @@ class GlobalPairSource {
     metaLow_ = shipElected(comm_, local_, s.alpha, keyLow_, xLow_, store_);
     double kHH, kLL, kHL;
     if (lowrank_ != nullptr) {
-      zImage(xHigh_, metaHigh_.selfDot, zHigh_);
-      zImage(xLow_, metaLow_.selfDot, zLow_);
-      kHH = kernel::asCached(zdotVectors(zHigh_, zHigh_));
-      kLL = kernel::asCached(zdotVectors(zLow_, zLow_));
-      kHL = kernel::asCached(zdotVectors(zHigh_, zLow_));
+      zImage(xHigh_, metaHigh_.selfDot, zHigh());
+      zImage(xLow_, metaLow_.selfDot, zLow());
+      kHH = kernel::asCached(zdotVectors(zHigh(), zHigh()));
+      kLL = kernel::asCached(zdotVectors(zLow(), zLow()));
+      kHL = kernel::asCached(zdotVectors(zHigh(), zLow()));
     } else {
       kHH = kernel::asCached(kern_.evalVectors(xHigh_, metaHigh_.selfDot,
                                                xHigh_, metaHigh_.selfDot));
@@ -241,20 +240,25 @@ class GlobalPairSource {
 
   /// The two elected samples' columns over the owned `active` rows: the
   /// 2mn/P term of eqn. (9), cut to the surviving fraction once shrunk,
-  /// or m·r/P z-dots under the Nyström backend.
+  /// or m·r/P z-dots under the Nyström backend: one two-query tile pass
+  /// over the factor while nothing is shrunk, one z-dot per active row and
+  /// sample once shrunk.
   kernel::RowCache::RowPair columns(std::span<const std::size_t> active) {
-    if (lowrank_ != nullptr) {
-      for (std::size_t i : active) {
-        colHigh_[i] = kernel::CacheValue(lowrank_->zdot(i, zHigh_));
-        colLow_[i] = kernel::CacheValue(lowrank_->zdot(i, zLow_));
-      }
-    } else {
+    if (lowrank_ == nullptr) {
       columns_.fillColumns(xHigh_, metaHigh_.selfDot, xLow_, metaLow_.selfDot,
                            active, fillHigh_, fillLow_);
+    } else if (active.size() == local_.rows()) {
+      const std::span<double> outs[] = {fillHigh_, fillLow_};
+      lowrank_->zdots(zs_, outs);
+    } else {
       for (std::size_t i : active) {
-        colHigh_[i] = kernel::CacheValue(fillHigh_[i]);
-        colLow_[i] = kernel::CacheValue(fillLow_[i]);
+        fillHigh_[i] = lowrank_->zdot(i, zHigh());
+        fillLow_[i] = lowrank_->zdot(i, zLow());
       }
+    }
+    for (std::size_t i : active) {
+      colHigh_[i] = kernel::CacheValue(fillHigh_[i]);
+      colLow_[i] = kernel::CacheValue(fillLow_[i]);
     }
     return {colHigh_, colLow_};
   }
@@ -299,9 +303,9 @@ class GlobalPairSource {
     for (std::size_t j = 0; j < allCoefs.size(); ++j) {
       const std::span<const float> x = rows.subspan(j * n, n);
       if (lowrank_ != nullptr) {
-        zImage(x, allDots[j], zHigh_);  // free between steps
+        zImage(x, allDots[j], zHigh());  // free between steps
         for (std::size_t i : stale) {
-          s.f[i] += allCoefs[j] * kernel::asCached(lowrank_->zdot(i, zHigh_));
+          s.f[i] += allCoefs[j] * kernel::asCached(lowrank_->zdot(i, zHigh()));
         }
       } else {
         fillColumn(x, allDots[j], stale, fillHigh_);
@@ -333,6 +337,11 @@ class GlobalPairSource {
     for (double& v : z) v = double(static_cast<float>(v));
   }
 
+  /// The z-images of the elected samples (Nyström), side by side in zs_
+  /// so one tile pass takes both.
+  std::span<double> zHigh() { return std::span(zs_).first(zs_.size() / 2); }
+  std::span<double> zLow() { return std::span(zs_).last(zs_.size() / 2); }
+
   /// Fixed-order dot of two z-images (identical on every rank).
   static double zdotVectors(std::span<const double> a,
                             std::span<const double> b) {
@@ -349,8 +358,8 @@ class GlobalPairSource {
   long long keyHigh_ = -1, keyLow_ = -1;
   ElectedMeta metaHigh_{}, metaLow_{};
   std::vector<float> xHigh_, xLow_;      ///< the elected rows
-  std::vector<double> zHigh_, zLow_;     ///< their z-images (Nyström)
-  std::vector<double> fillHigh_, fillLow_;  ///< exact column fills
+  std::vector<double> zs_;                ///< their z-images (Nyström)
+  std::vector<double> fillHigh_, fillLow_;  ///< columns before rounding
   std::vector<kernel::CacheValue> colHigh_, colLow_;
   /// The exact column source; its tiled copy of the block is built on the
   /// first full fill.

@@ -26,6 +26,9 @@ CASVM_ISA_CLONES void roundRow(const double* __restrict src,
   for (std::size_t k = 0; k < m; ++k) dst[k] = static_cast<CacheValue>(src[k]);
 }
 
+/// The unread list holds at most capacity / kUnreadShare rows.
+constexpr std::size_t kUnreadShare = 16;
+
 }  // namespace
 
 RowCache::RowCache(const Kernel& kernel, const data::Dataset& ds,
@@ -36,7 +39,9 @@ RowCache::RowCache(const Kernel& kernel, const data::Dataset& ds,
       fillWidth_(std::clamp<std::size_t>(src_->fillWidth(), 1,
                                          tile::kMaxQueries)),
       scratch_(std::max<std::size_t>(2, fillWidth_) * src_->rows()),
-      slot_(src_->rows(), nullptr) {}
+      unreadLimit_(std::max<std::size_t>(1, capacityRows_ / kUnreadShare)),
+      slot_(src_->rows(), nullptr),
+      held_(src_->rows(), 0) {}
 
 RowCache::RowCache(RowSource& source, std::size_t budgetBytes)
     : src_(&source),
@@ -44,39 +49,87 @@ RowCache::RowCache(RowSource& source, std::size_t budgetBytes)
       fillWidth_(std::clamp<std::size_t>(src_->fillWidth(), 1,
                                          tile::kMaxQueries)),
       scratch_(std::max<std::size_t>(2, fillWidth_) * src_->rows()),
-      slot_(src_->rows(), nullptr) {}
+      unreadLimit_(std::max<std::size_t>(1, capacityRows_ / kUnreadShare)),
+      slot_(src_->rows(), nullptr),
+      held_(src_->rows(), 0) {}
+
+RowCache::Slot* RowCache::coldestMain() {
+  // A pinned row backs a span the solver currently holds, and recycling
+  // it would silently corrupt that span. At most the iteration's two rows
+  // (and, during a pass, the rows it claims ahead) are pinned, so each
+  // walk stops within a few steps.
+  for (const List l : {kUnretained, kRetained}) {
+    SlotList& list = lists_[l];
+    for (auto it = list.end(); it != list.begin();) {
+      if ((--it)->pins == 0) return &*it;
+    }
+  }
+  return nullptr;
+}
+
+RowCache::Slot* RowCache::oldestUnread() {
+  SlotList& unread = lists_[kUnread];
+  for (auto it = unread.end(); it != unread.begin();) {
+    if ((--it)->pins == 0) return &*it;
+  }
+  return nullptr;
+}
+
+RowCache::Slot& RowCache::freshSlot() {
+  SlotList& unretained = lists_[kUnretained];
+  Slot& fresh = unretained.emplace_back();
+  fresh.values.resize(src_->rows());
+  fresh.self = std::prev(unretained.end());
+  return fresh;
+}
+
+void RowCache::unindex(const Slot& slot) {
+  slot_[slot.rowIndex] = nullptr;
+  held_[slot.rowIndex] = 0;
+}
+
+void RowCache::move(Slot& slot, List to) {
+  SlotList& dst = lists_[to];
+  dst.splice(to == kUnread ? dst.begin() : dst.end(), lists_[slot.list],
+             slot.self);
+  slot.list = to;
+}
+
+RowCache::Slot& RowCache::place(Slot& slot, std::size_t i, List to) {
+  move(slot, to);
+  slot.rowIndex = i;
+  slot.generation = nextGeneration_++;
+  slot_[i] = &slot;
+  held_[i] = 1;
+  return slot;
+}
 
 RowCache::Slot& RowCache::claimSlot(std::size_t i) {
-  SlotList& unretained = lists_[0];
-  const auto claim = [&](Slot& slot) -> Slot& {
-    slot.rowIndex = i;
-    slot.generation = nextGeneration_++;
-    slot_[i] = &slot;
-    return slot;
-  };
   if (size() >= capacityRows_) {
-    // Recycle the coldest *unpinned* slot's allocation, retained rows
-    // last: a pinned row backs a span the solver currently holds, and
-    // recycling it would silently corrupt that span. At most the
-    // iteration's two rows are pinned, so each walk stops within three
-    // steps.
-    for (SlotList& list : lists_) {
-      for (auto it = list.end(); it != list.begin();) {
-        if ((--it)->pins != 0) continue;
-        slot_[it->rowIndex] = nullptr;
-        it->retained = false;
-        unretained.splice(unretained.end(), list, it);
-        return claim(*it);
-      }
+    // Rows filled ahead and not yet read give up their slots last.
+    Slot* victim = coldestMain();
+    if (victim == nullptr) victim = oldestUnread();
+    if (victim != nullptr) {
+      unindex(*victim);
+      return place(*victim, i, kUnretained);
     }
     // Every slot is pinned (cannot happen with the solver's at-most-two
     // pins and the two-slot capacity floor, but stay safe): grow past the
     // budget for this fill rather than corrupt a live span.
   }
-  Slot& fresh = unretained.emplace_back();
-  fresh.values.resize(src_->rows());
-  fresh.self = std::prev(unretained.end());
-  return claim(fresh);
+  return place(freshSlot(), i, kUnretained);
+}
+
+RowCache::Slot* RowCache::claimAhead(std::size_t i) {
+  if (size() < capacityRows_) return &place(freshSlot(), i, kUnretained);
+  // The unread list grows to its limit on the coldest main rows, then
+  // displaces its own oldest row. It never grows past the budget.
+  Slot* victim =
+      lists_[kUnread].size() < unreadLimit_ ? coldestMain() : nullptr;
+  if (victim == nullptr) victim = oldestUnread();
+  if (victim == nullptr) return nullptr;
+  unindex(*victim);
+  return &place(*victim, i, kUnread);
 }
 
 std::span<double> RowCache::scratch(std::size_t k) {
@@ -90,8 +143,14 @@ RowCache::Lookup RowCache::lookup(std::size_t i,
   Need need = Need::Full;
   Slot* slot = slot_[i];
   if (slot != nullptr) {
-    SlotList& list = lists_[slot->retained];
-    list.splice(list.begin(), list, slot->self);
+    if (slot->list == kUnread) {
+      // The first read of a row filled ahead: it joins the main lists
+      // where its fill would have put it.
+      move(*slot, kUnretained);
+    } else {
+      SlotList& list = lists_[slot->list];
+      list.splice(list.begin(), list, slot->self);
+    }
     // Full rows serve any read. A partial fill serves active-set reads,
     // which are subsets of the set it was computed with while the solver
     // only shrinks (invalidatePartial() handles the grow-back); a
@@ -181,21 +240,26 @@ RowCache::RowPair RowCache::fetchPair(
     }
   }
   if (q == 0) return {first.slot->values, second.slot->values};
-  // Rows filled ahead ride along in the demand rows' pass: free slots
-  // only, so they never evict, and claimed after the demand rows, so they
-  // sit coldest. The pair and rows claimed here are cached by now, so the
-  // residency test skips them as it skips resident candidates.
+  // Rows filled ahead ride along in the demand rows' pass, claimed after
+  // the demand rows. The pair and rows claimed here are held by now, so
+  // the residency test skips them as it skips held candidates; each row
+  // claimed here stays pinned until the pass has filled it, so a later
+  // claim of the same pass cannot take its slot.
+  const std::size_t demand = q;
   for (std::size_t c : ahead.candidates) {
-    if (q >= fillWidth_ || size() >= capacityRows_) break;
+    if (q >= fillWidth_) break;
     CASVM_CHECK(c < src_->rows(), "lookahead row out of range");
     if (slot_[c] != nullptr) continue;
-    Slot& slot = claimSlot(c);
-    slot.partial = false;
+    Slot* slot = claimAhead(c);
+    if (slot == nullptr) break;
+    slot->partial = false;
+    ++slot->pins;
     rows[q] = c;
-    slots[q++] = &slot;
+    slots[q++] = slot;
     ++aheadFills_;
   }
   fillFull(rows, slots, q);
+  for (std::size_t t = demand; t < q; ++t) --slots[t]->pins;
   return {first.slot->values, second.slot->values};
 }
 
@@ -209,14 +273,11 @@ RowCache::RowPair RowCache::rows(std::size_t i, std::size_t j,
 }
 
 std::size_t RowCache::aheadRoom(std::size_t i, std::size_t j) const {
-  const auto fresh = [&](std::size_t r) { return slot_[r] == nullptr; };
   const auto needsFill = [&](std::size_t r) {
-    return fresh(r) || slot_[r]->partial;
+    return slot_[r] == nullptr || slot_[r]->partial;
   };
   const std::size_t demand = needsFill(i) + (j != i && needsFill(j));
-  const std::size_t used = size() + fresh(i) + (j != i && fresh(j));
-  if (demand == 0 || demand >= fillWidth_ || used >= capacityRows_) return 0;
-  return std::min(fillWidth_ - demand, capacityRows_ - used);
+  return demand == 0 || demand >= fillWidth_ ? 0 : fillWidth_ - demand;
 }
 
 void RowCache::pin(std::size_t i) {
@@ -235,10 +296,8 @@ void RowCache::unpin(std::size_t i) {
 void RowCache::retain(std::size_t i, bool keep) {
   CASVM_ASSERT(i < slot_.size() && slot_[i] != nullptr,
                "retain of a row that is not cached");
-  Slot& slot = *slot_[i];
-  if (slot.retained == keep) return;
-  lists_[keep].splice(lists_[keep].end(), lists_[slot.retained], slot.self);
-  slot.retained = keep;
+  const List to = keep ? kRetained : kUnretained;
+  if (slot_[i]->list != to) move(*slot_[i], to);
 }
 
 void RowCache::invalidatePartial() {
@@ -250,7 +309,7 @@ void RowCache::invalidatePartial() {
       }
       CASVM_ASSERT(it->pins == 0,
                    "invalidatePartial with a pinned partial row");
-      slot_[it->rowIndex] = nullptr;
+      unindex(*it);
       it = list.erase(it);
     }
   }

@@ -264,13 +264,14 @@ void NystromFactor::map(const kernel::Kernel& kern, std::span<const float> x,
   }
 }
 
-// Cache-line aligned: the serial accumulation loop below is the hot loop
-// of the Nyström Dis-SMO gradient, and its speed depends on placement.
-// In one GCC 12 Release build the loop straddled two 64-byte lines and ran
-// that solve 20-40% slower on a 4-core Xeon than with the function start
-// aligned. The attribute only fixes where the function starts; where the
-// loop lands inside it is the compiler's, and no other compiler was
-// measured.
+// Cache-line aligned: the serial accumulation loop below computes the
+// Nyström Dis-SMO columns while the solve is shrunk and the unshrink
+// rebuild's (unshrunk columns come from zdots' tile pass), and its speed
+// depends on placement. When it computed every column, in one GCC 12
+// Release build the loop straddled two 64-byte lines and ran that solve
+// 20-40% slower on a 4-core Xeon than with the function start aligned.
+// The attribute only fixes where the function starts; where the loop
+// lands inside it is the compiler's, and no other compiler was measured.
 [[gnu::aligned(64)]] double NystromFactor::zdot(
     std::size_t i, std::span<const double> z) const {
   CASVM_CHECK(i < m_, "nystrom zdot row out of range");
@@ -283,6 +284,20 @@ void NystromFactor::map(const kernel::Kernel& kern, std::span<const float> x,
            z[k];
   }
   return acc;
+}
+
+void NystromFactor::zdots(std::span<const double> zs,
+                          std::span<const std::span<double>> outs) const {
+  const std::size_t q = outs.size();
+  CASVM_CHECK(q >= 1 && q <= kernel::tile::kMaxQueries,
+              "nystrom zdots take one to four vectors");
+  CASVM_CHECK(zs.size() == q * r_, "nystrom zdots: vectors have wrong length");
+  double* out[kernel::tile::kMaxQueries];
+  for (std::size_t t = 0; t < q; ++t) {
+    CASVM_CHECK(outs[t].size() == m_, "nystrom column output has wrong length");
+    out[t] = outs[t].data();
+  }
+  kernel::tile::dotFn()(tiles_.data(), zs.data(), q, m_, r_, out);
 }
 
 std::vector<std::byte> NystromFactor::encode() const {

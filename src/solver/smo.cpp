@@ -17,8 +17,8 @@ namespace {
 
 /// The serial solve's pair source: both rows from the row cache, kept
 /// pinned while the iteration holds their spans, and the identity for
-/// every agreement. When a full pair fetch will miss with cache slots
-/// free, it ranks the rows the cache fills ahead in the same pass.
+/// every agreement. When a full pair fetch will miss, it ranks the rows
+/// the cache fills ahead in the same pass.
 class LocalPairSource {
  public:
   LocalPairSource(kernel::RowCache& cache, const data::Dataset& ds,
@@ -50,15 +50,20 @@ class LocalPairSource {
     // the second fetch (and any refill) can never recycle their storage.
     // First-order selection has picked both rows already: fetch them
     // together, and the misses fill in one pass, with the rows ranked to
-    // come next while nothing is shrunk and slots are free.
+    // come next while nothing is shrunk: the members of either index set
+    // nearest their set's threshold, among the rows the cache does not
+    // hold.
     if (opts_.selection == Selection::FirstOrder) {
       if (active.size() < m) {
         std::tie(rowHigh_, rowLow_) = cache_.rows(high_, low_, active);
       } else {
-        const std::size_t room = cache_.aheadRoom(high_, low_);
+        const std::size_t room =
+            std::min(cache_.aheadRoom(high_, low_), kMaxAhead);
+        const std::size_t ranked =
+            rank_(s.f.data(), inHigh, inLow, cache_.held().data(), m,
+                  elected, room, ahead_);
         std::tie(rowHigh_, rowLow_) = cache_.rows(
-            high_, low_,
-            kernel::RowCache::Ahead{rankAhead(s, inHigh, inLow, room)});
+            high_, low_, kernel::RowCache::Ahead{{ahead_, ranked}});
       }
     } else {
       rowHigh_ = fetch(high_);
@@ -98,42 +103,6 @@ class LocalPairSource {
             double(rowHigh_[high_]),
             double(rowLow_[low_]),
             double(rowHigh_[low_])};
-  }
-
-  /// Up to `room` samples to fill ahead, most wanted first: the most
-  /// violating uncached members of the missing sample's index set, the
-  /// high set (smallest f) when the high row misses, else the low set
-  /// (largest f), the pair excluded. Ties keep the first index. With no
-  /// room there is no pass.
-  std::span<const std::size_t> rankAhead(const SolverSnapshot& s,
-                                         const std::uint8_t* inHigh,
-                                         const std::uint8_t* inLow,
-                                         std::size_t room) {
-    room = std::min(room, kMaxAhead);
-    if (room == 0) return {};
-    const bool highSide = !cache_.holds(high_);
-    const std::uint8_t* member = highSide ? inHigh : inLow;
-    const double sign = highSide ? 1.0 : -1.0;
-    double key[kMaxAhead];
-    std::fill_n(key, room, std::numeric_limits<double>::infinity());
-    std::size_t found = 0;
-    const std::size_t m = s.f.size();
-    for (std::size_t j = 0; j < m; ++j) {
-      if (member[j] == 0) continue;
-      const double v = sign * s.f[j];
-      if (!(v < key[room - 1]) || cache_.holds(j) || j == high_ || j == low_) {
-        continue;
-      }
-      std::size_t p = room - 1;
-      for (; p > 0 && v < key[p - 1]; --p) {
-        key[p] = key[p - 1];
-        ahead_[p] = ahead_[p - 1];
-      }
-      key[p] = v;
-      ahead_[p] = j;
-      found = std::min(found + 1, room);
-    }
-    return {ahead_, found};
   }
 
   /// Free samples keep being selected; samples at a bound rarely return.
@@ -192,6 +161,8 @@ class LocalPairSource {
   const double traceCpuStart_;
   /// Rows one pass fills beyond the iteration's own.
   static constexpr std::size_t kMaxAhead = kernel::tile::kMaxQueries - 1;
+  static_assert(kMaxAhead <= kMaxRanked);
+  const RankFn rank_ = rankFn();
   std::size_t high_ = 0, low_ = 0;
   std::size_t ahead_[kMaxAhead] = {};
   std::span<const kernel::CacheValue> rowHigh_, rowLow_;

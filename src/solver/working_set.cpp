@@ -1,5 +1,6 @@
 #include "casvm/solver/working_set.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -31,6 +32,70 @@ void scanFrom(PairPick& p, const double* f, const std::uint8_t* high,
   }
 }
 
+/// A sample's ranking score: its distance to the threshold of each set it
+/// belongs to, the smaller one, or +inf. Strict comparisons drop a NaN
+/// distance.
+inline double rankScore(double f, bool inHigh, bool inLow, double bHigh,
+                        double bLow) {
+  double score = kInf;
+  const double toHigh = f - bHigh;
+  if (inHigh && toHigh < score) score = toHigh;
+  const double toLow = bLow - f;
+  if (inLow && toLow < score) score = toLow;
+  return score;
+}
+
+/// The samples a ranking pass keeps, smallest score first.
+class Ranked {
+ public:
+  Ranked(std::size_t room, std::size_t* out)
+      : room_(std::min(room, kMaxRanked)), out_(out) {
+    std::fill_n(key_, kMaxRanked, kInf);
+  }
+
+  std::size_t room() const { return room_; }
+  std::size_t count() const { return count_; }
+  /// The score a sample must beat to be kept: the last kept key, +inf
+  /// while room is left. A +inf or NaN score never beats it.
+  double bar() const { return key_[room_ - 1]; }
+
+  /// Keep sample j, whose score beats bar(): after every equal key, so
+  /// offered in ascending index order the first index keeps a tie.
+  void offer(double score, std::size_t j) {
+    std::size_t p = room_ - 1;
+    for (; p > 0 && score < key_[p - 1]; --p) {
+      key_[p] = key_[p - 1];
+      out_[p] = out_[p - 1];
+    }
+    key_[p] = score;
+    out_[p] = j;
+    count_ = std::min(count_ + 1, room_);
+  }
+
+  /// Offer sample j if it beats bar() and is not the pair.
+  void consider(double score, std::size_t j, const PairPick& pair) {
+    if (score < bar() && j != pair.high && j != pair.low) offer(score, j);
+  }
+
+ private:
+  std::size_t room_;
+  std::size_t* out_;
+  double key_[kMaxRanked];
+  std::size_t count_ = 0;
+};
+
+/// The scalar ranking over samples [begin, m).
+void rankFrom(Ranked& r, const double* f, const std::uint8_t* high,
+              const std::uint8_t* low, const std::uint8_t* held,
+              const PairPick& pair, std::size_t begin, std::size_t m) {
+  for (std::size_t j = begin; j < m; ++j) {
+    if (held[j] != 0) continue;
+    r.consider(rankScore(f[j], high[j] != 0, low[j] != 0, pair.bHigh,
+                         pair.bLow),
+               j, pair);
+  }
+}
+
 /// The update as one plain loop; each variant below is this loop compiled
 /// for its instruction set.
 [[gnu::always_inline]] inline void updateLoop(double* __restrict f,
@@ -55,6 +120,16 @@ PairPick selectPortable(const double* f, const std::uint8_t* high,
 void updatePortable(double* f, const float* h, const float* l, double a,
                     double b, std::size_t m) {
   updateLoop(f, h, l, a, b, m);
+}
+
+std::size_t rankPortable(const double* f, const std::uint8_t* high,
+                         const std::uint8_t* low, const std::uint8_t* held,
+                         std::size_t m, const PairPick& pair,
+                         std::size_t room, std::size_t* out) {
+  Ranked r(room, out);
+  if (r.room() == 0) return 0;
+  rankFrom(r, f, high, low, held, pair, 0, m);
+  return r.count();
 }
 
 namespace {
@@ -149,6 +224,46 @@ void updateAvx2(double* f, const float* h, const float* l, double a, double b,
   updateLoop(f, h, l, a, b, m);
 }
 
+// Four samples a step: the scores as rankScore computes them, then one
+// compare against the bar; the few lanes that beat it are offered in
+// index order, each checked again against the bar it has then.
+__attribute__((target("avx2")))
+std::size_t rankAvx2(const double* f, const std::uint8_t* high,
+                     const std::uint8_t* low, const std::uint8_t* held,
+                     std::size_t m, const PairPick& pair, std::size_t room,
+                     std::size_t* out) {
+  Ranked r(room, out);
+  if (r.room() == 0) return 0;
+  const __m256d inf = _mm256_set1_pd(kInf);
+  const __m256d bHigh = _mm256_set1_pd(pair.bHigh);
+  const __m256d bLow = _mm256_set1_pd(pair.bLow);
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const __m256d v = _mm256_loadu_pd(f + i);
+    const __m256d toHigh = _mm256_sub_pd(v, bHigh);
+    const __m256d toLow = _mm256_sub_pd(bLow, v);
+    __m256d take = _mm256_and_pd(memberLanes(high + i),
+                                 _mm256_cmp_pd(toHigh, inf, _CMP_LT_OQ));
+    __m256d score = _mm256_blendv_pd(inf, toHigh, take);
+    take = _mm256_and_pd(memberLanes(low + i),
+                         _mm256_cmp_pd(toLow, score, _CMP_LT_OQ));
+    score = _mm256_blendv_pd(score, toLow, take);
+    const __m256d beats = _mm256_andnot_pd(
+        memberLanes(held + i),
+        _mm256_cmp_pd(score, _mm256_set1_pd(r.bar()), _CMP_LT_OQ));
+    int hit = _mm256_movemask_pd(beats);
+    if (hit == 0) continue;
+    alignas(32) double s[4];
+    _mm256_store_pd(s, score);
+    for (; hit != 0; hit &= hit - 1) {
+      const int l = __builtin_ctz(static_cast<unsigned>(hit));
+      r.consider(s[l], i + static_cast<std::size_t>(l), pair);
+    }
+  }
+  rankFrom(r, f, high, low, held, pair, i, m);
+  return r.count();
+}
+
 #undef CASVM_AVX2_INLINE
 #define CASVM_AVX512_INLINE \
   __attribute__((target("avx512f"), always_inline)) inline
@@ -220,6 +335,44 @@ void updateAvx512(double* f, const float* h, const float* l, double a,
   updateLoop(f, h, l, a, b, m);
 }
 
+// Eight samples a step, as in the AVX2 pass, with the membership and
+// residency bytes as masks.
+__attribute__((target("avx512f")))
+std::size_t rankAvx512(const double* f, const std::uint8_t* high,
+                       const std::uint8_t* low, const std::uint8_t* held,
+                       std::size_t m, const PairPick& pair, std::size_t room,
+                       std::size_t* out) {
+  Ranked r(room, out);
+  if (r.room() == 0) return 0;
+  const __m512d inf = _mm512_set1_pd(kInf);
+  const __m512d bHigh = _mm512_set1_pd(pair.bHigh);
+  const __m512d bLow = _mm512_set1_pd(pair.bLow);
+  std::size_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    const __m512d v = _mm512_loadu_pd(f + i);
+    const __m512d toHigh = _mm512_sub_pd(v, bHigh);
+    const __m512d toLow = _mm512_sub_pd(bLow, v);
+    __mmask8 take =
+        _mm512_mask_cmp_pd_mask(memberMask(high + i), toHigh, inf, _CMP_LT_OQ);
+    __m512d score = _mm512_mask_mov_pd(inf, take, toHigh);
+    take = _mm512_mask_cmp_pd_mask(memberMask(low + i), toLow, score,
+                                   _CMP_LT_OQ);
+    score = _mm512_mask_mov_pd(score, take, toLow);
+    const __mmask8 free = static_cast<__mmask8>(~memberMask(held + i));
+    unsigned hit = _mm512_mask_cmp_pd_mask(
+        free, score, _mm512_set1_pd(r.bar()), _CMP_LT_OQ);
+    if (hit == 0) continue;
+    alignas(64) double s[8];
+    _mm512_store_pd(s, score);
+    for (; hit != 0; hit &= hit - 1) {
+      const int l = __builtin_ctz(hit);
+      r.consider(s[l], i + static_cast<std::size_t>(l), pair);
+    }
+  }
+  rankFrom(r, f, high, low, held, pair, i, m);
+  return r.count();
+}
+
 #undef CASVM_AVX512_INLINE
 CASVM_NO_FMA_END
 #endif  // CASVM_SELECT_X86
@@ -255,6 +408,22 @@ UpdateFn updateFnFor(Isa isa) {
 
 UpdateFn updateFn() {
   static const UpdateFn fn = widest(&updateFnFor, &updatePortable);
+  return fn;
+}
+
+RankFn rankFnFor(Isa isa) {
+  if (!cpuHas(isa)) return nullptr;
+#ifdef CASVM_SELECT_X86
+  switch (isa) {
+    case Isa::Avx2: return &rankAvx2;
+    case Isa::Avx512: return &rankAvx512;
+  }
+#endif
+  return nullptr;
+}
+
+RankFn rankFn() {
+  static const RankFn fn = widest(&rankFnFor, &rankPortable);
   return fn;
 }
 

@@ -404,37 +404,42 @@ TEST(RowCacheTest, PairFetchFillsTwoMissesInOnePass) {
   ahead.unpin(0);
   ahead.unpin(1);
 
-  // One slot stays free after the missing row takes its own: one row
-  // ahead, and the next candidate waits rather than evicts.
+  // The cache fills up. Room is the width less the demand row: the first
+  // candidate takes the last free slot, the second waits in the unread
+  // list (at most one row in a cache of seven) on the slot of row 3, the
+  // coldest unpinned main row, and the third finds that list full with a
+  // row of this very pass, so it is not filled.
   std::vector<std::uint64_t> gens;
-  for (std::size_t r : {9, 0, 1, 2, 3}) gens.push_back(ahead.generation(r));
+  for (std::size_t r : {9, 0, 1, 2}) gens.push_back(ahead.generation(r));
   const std::vector<std::size_t> more = {5, 6, 7};
-  EXPECT_EQ(ahead.aheadRoom(4, 0), 1u);
+  EXPECT_EQ(ahead.aheadRoom(4, 0), 3u);
   (void)ahead.rows(4, 0, RowCache::Ahead{more});
-  EXPECT_EQ(wide.multis.back(), (std::vector<std::size_t>{4, 5}));
-  EXPECT_EQ(ahead.aheadFills(), 3u);
-  EXPECT_EQ(ahead.generation(6), 0u);
+  EXPECT_EQ(wide.multis.back(), (std::vector<std::size_t>{4, 5, 6}));
+  EXPECT_EQ(ahead.aheadFills(), 4u);
+  EXPECT_EQ(ahead.generation(3), 0u);
+  EXPECT_EQ(ahead.generation(7), 0u);
   std::size_t at = 0;
-  for (std::size_t r : {9, 0, 1, 2, 3}) {
+  for (std::size_t r : {9, 0, 1, 2}) {
     EXPECT_EQ(ahead.generation(r), gens[at++]) << "row " << r;
   }
+  EXPECT_EQ(ahead.pinnedRows(), 2u);
   ahead.unpin(4);
   ahead.unpin(0);
 
-  // The cache is full: no room ahead, and the next miss evicts row 5,
-  // filled ahead, which entered coldest and was never read, before row 9,
-  // filled first and never read again.
-  EXPECT_EQ(ahead.aheadRoom(8, 0), 0u);
-  (void)ahead.rows(8, 0, RowCache::Ahead{more});
+  // The next miss evicts row 5, filled ahead into a free slot, which
+  // entered coldest and was never read; row 6 waits unread and survives.
+  const auto gen6 = ahead.generation(6);
+  EXPECT_EQ(ahead.aheadRoom(8, 0), 3u);
+  (void)ahead.rows(8, 0);
   EXPECT_EQ(ahead.generation(5), 0u);
-  EXPECT_EQ(ahead.generation(6), 0u);
+  EXPECT_EQ(ahead.generation(6), gen6);
   EXPECT_EQ(ahead.generation(9), gen9);
-  EXPECT_EQ(ahead.aheadFills(), 3u);
+  EXPECT_EQ(ahead.aheadFills(), 4u);
   ahead.unpin(8);
   ahead.unpin(0);
   EXPECT_EQ(ahead.pinnedRows(), 0u);
   std::vector<double> row(ds.rows());
-  for (std::size_t r : {2, 3}) {
+  for (std::size_t r : {2, 6}) {
     exact.fillRow(r, row);
     const auto cached = ahead.row(r);
     for (std::size_t j = 0; j < ds.rows(); ++j) {
@@ -458,6 +463,198 @@ TEST(RowCacheTest, PairFetchFillsTwoMissesInOnePass) {
   EXPECT_EQ(single.generation(5), 0u);
   single.unpin(2);
   single.unpin(0);
+}
+
+/// Rows the cache holds, in any list.
+std::size_t heldRows(const RowCache& cache) {
+  std::size_t n = 0;
+  for (std::uint8_t h : cache.held()) n += h;
+  return n;
+}
+
+/// A full cache of 32 rows (an unread list of two): rows 0..31 read once
+/// each, so row 31 is the coldest.
+struct FullCache {
+  data::Dataset ds = makeData(64);
+  Kernel k{KernelParams::gaussian(0.4)};
+  CountingSource src{k, ds};
+  RowCache cache{src, 32 * ds.rows() * sizeof(float)};
+
+  FullCache() {
+    for (std::size_t r = 0; r < 32; ++r) (void)cache.row(r);
+  }
+  /// A pair fetch of two missing rows with `candidates` ranked ahead,
+  /// unpinned again.
+  void fetch(std::size_t i, std::size_t j,
+             std::vector<std::size_t> candidates) {
+    (void)cache.rows(i, j, RowCache::Ahead{candidates});
+    cache.unpin(i);
+    cache.unpin(j);
+  }
+};
+
+TEST(RowCacheTest, FullCacheFillsAheadIntoTheUnreadList) {
+  FullCache f;
+  ASSERT_EQ(f.cache.capacityRows(), 32u);
+  EXPECT_EQ(f.cache.aheadRoom(32, 33), 2u);
+  // The pair takes the slots of rows 31 and 30, the coldest; row 34,
+  // filled ahead in the same pass, waits unread on row 29's.
+  f.fetch(32, 33, {34});
+  EXPECT_EQ(f.src.multis.back(), (std::vector<std::size_t>{32, 33, 34}));
+  EXPECT_EQ(f.cache.aheadFills(), 1u);
+  EXPECT_EQ(f.cache.misses(), 34u);
+  for (std::size_t r : {29, 30, 31}) EXPECT_EQ(f.cache.generation(r), 0u);
+  EXPECT_NE(f.cache.generation(34), 0u);
+  EXPECT_EQ(heldRows(f.cache), 32u);
+  EXPECT_EQ(f.cache.pinnedRows(), 0u);
+}
+
+TEST(RowCacheTest, UnreadRowsSurviveDemandMisses) {
+  FullCache f;
+  f.fetch(32, 33, {34});
+  const auto gen34 = f.cache.generation(34);
+  // Each demand miss takes the coldest main row's slot, never the
+  // unread row's.
+  for (std::size_t r = 35; r < f.ds.rows(); ++r) (void)f.cache.row(r);
+  EXPECT_EQ(f.cache.generation(34), gen34);
+  EXPECT_EQ(heldRows(f.cache), 32u);
+}
+
+TEST(RowCacheTest, UnreadListGrowsToItsLimitThenDisplacesItsOldest) {
+  FullCache f;
+  // Below its limit of two, the list takes the coldest main rows' slots:
+  // 29 and 28 after the pair's 31 and 30.
+  f.fetch(32, 33, {34, 35});
+  for (std::size_t r : {28, 29, 30, 31}) {
+    EXPECT_EQ(f.cache.generation(r), 0u) << "row " << r;
+  }
+  const auto gen27 = f.cache.generation(27);
+  // At its limit, each new row takes the oldest unread row's slot: 38
+  // displaces 34 and 39 displaces 35, and no main row gives way to them.
+  f.fetch(36, 37, {38, 39});
+  EXPECT_EQ(f.src.multis.back(), (std::vector<std::size_t>{36, 37, 38, 39}));
+  EXPECT_EQ(f.cache.generation(34), 0u);
+  EXPECT_EQ(f.cache.generation(35), 0u);
+  EXPECT_NE(f.cache.generation(38), 0u);
+  EXPECT_NE(f.cache.generation(39), 0u);
+  EXPECT_EQ(f.cache.generation(27), gen27);
+  EXPECT_EQ(f.cache.aheadFills(), 4u);
+  EXPECT_EQ(heldRows(f.cache), 32u);
+}
+
+TEST(RowCacheTest, FirstReadOfAnUnreadRowIsAHitAtTheColdEnd) {
+  FullCache f;
+  f.fetch(32, 33, {34});
+  const auto gen34 = f.cache.generation(34);
+  const std::size_t hits = f.cache.hits();
+  const std::size_t misses = f.cache.misses();
+  const std::size_t sweeps = f.cache.fillSweeps();
+  const std::size_t singles = f.src.singles;
+  const std::size_t multis = f.src.multis.size();
+  const auto row = f.cache.row(34);
+  EXPECT_EQ(f.cache.hits(), hits + 1);
+  EXPECT_EQ(f.cache.misses(), misses);
+  EXPECT_EQ(f.cache.fillSweeps(), sweeps);
+  EXPECT_EQ(f.src.singles, singles);
+  EXPECT_EQ(f.src.multis.size(), multis);
+  EXPECT_EQ(f.cache.generation(34), gen34);
+  for (std::size_t j = 0; j < f.ds.rows(); ++j) {
+    EXPECT_EQ(row[j], static_cast<float>(f.k.eval(f.ds, 34, j))) << j;
+  }
+  // It joined the unretained list at its cold end, where a fill would
+  // have put it: the next demand miss takes its slot.
+  (void)f.cache.row(40);
+  EXPECT_EQ(f.cache.generation(34), 0u);
+  EXPECT_NE(f.cache.generation(33), 0u);
+}
+
+TEST(RowCacheTest, RowsHeldNeverExceedTheCapacity) {
+  const auto ds = makeData(24);
+  const Kernel k(KernelParams::gaussian(0.4));
+  // Two slots: a demand miss takes the unread row's slot when the only
+  // main row is pinned, and does not grow past the budget.
+  {
+    CountingSource src(k, ds);
+    RowCache cache(src, 2 * ds.rows() * sizeof(float));
+    ASSERT_EQ(cache.capacityRows(), 2u);
+    const std::vector<std::size_t> five = {5}, six = {6};
+    (void)cache.rows(0, 0, RowCache::Ahead{five});  // 5 takes a free slot
+    cache.unpin(0);
+    cache.unpin(0);
+    (void)cache.rows(1, 1, RowCache::Ahead{six});  // 6 waits unread on 0's
+    cache.unpin(1);
+    cache.unpin(1);
+    EXPECT_EQ(cache.generation(0), 0u);
+    EXPECT_NE(cache.generation(6), 0u);
+    (void)cache.rows(2, 3);  // 2 takes 1's slot, 3 the unread row's
+    EXPECT_EQ(cache.generation(6), 0u);
+    EXPECT_EQ(heldRows(cache), 2u);
+    cache.unpin(2);
+    cache.unpin(3);
+  }
+  // A scripted walk over caches of two, three and seven slots: whatever
+  // the pair and the candidates, the rows held stay within the capacity,
+  // every held row holds its kernel row, and the rows computed are the
+  // misses plus the rows filled ahead.
+  std::vector<std::vector<double>> exact(ds.rows(),
+                                         std::vector<double>(ds.rows()));
+  ExactRowSource reference(k, ds);
+  for (std::size_t r = 0; r < ds.rows(); ++r) reference.fillRow(r, exact[r]);
+  for (const std::size_t slots : {2u, 3u, 7u}) {
+    CountingSource src(k, ds);
+    RowCache cache(src, slots * ds.rows() * sizeof(float));
+    ASSERT_EQ(cache.capacityRows(), slots);
+    std::uint64_t state = slots;
+    const auto next = [&] {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return static_cast<std::size_t>(state >> 33) % ds.rows();
+    };
+    for (int step = 0; step < 200; ++step) {
+      const std::size_t i = next(), j = next();
+      std::vector<std::size_t> candidates;
+      for (int c = 0; c < 4; ++c) candidates.push_back(next());
+      const auto [a, b] = cache.rows(i, j, RowCache::Ahead{candidates});
+      for (std::size_t c = 0; c < ds.rows(); ++c) {
+        ASSERT_EQ(a[c], static_cast<float>(exact[i][c])) << slots;
+        ASSERT_EQ(b[c], static_cast<float>(exact[j][c])) << slots;
+      }
+      if (step % 3 == 0) cache.retain(i, true);
+      cache.unpin(i);
+      cache.unpin(j);
+      ASSERT_LE(heldRows(cache), slots) << "step " << step;
+      ASSERT_EQ(cache.pinnedRows(), 0u);
+    }
+    std::size_t computed = src.singles + src.subsets;
+    for (const auto& m : src.multis) computed += m.size();
+    EXPECT_EQ(computed, cache.misses() + cache.aheadFills()) << slots;
+    EXPECT_GT(cache.aheadFills(), 0u) << slots;
+    for (std::size_t r = 0; r < ds.rows(); ++r) {
+      if (cache.held()[r] == 0) continue;
+      const auto row = cache.row(r);
+      for (std::size_t c = 0; c < ds.rows(); ++c) {
+        ASSERT_EQ(row[c], static_cast<float>(exact[r][c])) << r;
+      }
+    }
+  }
+}
+
+TEST(RowCacheTest, NarrowSourceHasNoRoomAhead) {
+  // A width-1 source shares no pass: no room ahead, full cache or not,
+  // and a fetch with candidates fills only its own rows.
+  const auto ds = makeData(24);
+  const Kernel k(KernelParams::gaussian(0.4));
+  CountingSource narrow(k, ds, 1);
+  RowCache cache(narrow, 3 * ds.rows() * sizeof(float));
+  const std::vector<std::size_t> candidates = {7, 8, 9};
+  for (std::size_t r = 0; r < 6; r += 2) {
+    EXPECT_EQ(cache.aheadRoom(r, r + 1), 0u);
+    (void)cache.rows(r, r + 1, RowCache::Ahead{candidates});
+    cache.unpin(r);
+    cache.unpin(r + 1);
+  }
+  EXPECT_EQ(cache.aheadFills(), 0u);
+  for (std::size_t c : candidates) EXPECT_EQ(cache.generation(c), 0u);
+  EXPECT_LE(heldRows(cache), 3u);
 }
 
 TEST(RowCacheTest, PairFetchNeverRecyclesItsFirstRow) {

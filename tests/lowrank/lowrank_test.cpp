@@ -424,6 +424,34 @@ TEST(NystromTest, PairFillsMatchSingleFills) {
   }
 }
 
+/// The columns against one to four external vectors in one tile pass are
+/// bitwise one zdot per row and vector, for z-images rounded to float as
+/// the global methods round them.
+TEST(NystromTest, ZdotsMatchZdot) {
+  const data::Dataset ds = makeData(false, 200);
+  const kernel::Kernel kern(kernelFor("gaussian"));
+  const NystromFactor factor = buildFactor(ds, kern, 24);
+  const std::size_t m = factor.rows(), r = factor.rank();
+  const data::Dataset other = makeData(false, 9);
+  std::vector<double> zs(kernel::tile::kMaxQueries * r);
+  for (std::size_t t = 0; t < kernel::tile::kMaxQueries; ++t) {
+    const std::span<double> z = std::span(zs).subspan(t * r, r);
+    factor.map(kern, other.denseRow(t), other.selfDot(t), z);
+    for (double& v : z) v = double(static_cast<float>(v));
+  }
+  for (std::size_t q = 1; q <= kernel::tile::kMaxQueries; ++q) {
+    std::vector<std::vector<double>> cols(q, std::vector<double>(m, -7.5));
+    std::vector<std::span<double>> outs(cols.begin(), cols.end());
+    factor.zdots(std::span(zs).first(q * r), outs);
+    for (std::size_t t = 0; t < q; ++t) {
+      const std::span<const double> z = std::span(zs).subspan(t * r, r);
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(cols[t][j], factor.zdot(j, z)) << "q=" << q << " j=" << j;
+      }
+    }
+  }
+}
+
 class LowRankAccuracyTest : public ::testing::TestWithParam<AccuracyCase> {};
 
 std::string accuracyCaseName(

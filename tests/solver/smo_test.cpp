@@ -381,24 +381,28 @@ class SingleFillsSource final : public kernel::RowSource {
 };
 
 TEST(SmoPairFillTest, PairPassesChangeNoBit) {
-  // A 16-row cache, so both rows of an iteration often miss together and
-  // the first misses find free slots to fill ahead into.
+  // Small caches, so both rows of an iteration often miss together, the
+  // first misses find free slots to fill ahead into, and the later ones
+  // fill ahead into the unread list of a full cache.
   struct Case {
     Selection selection;
     bool shrinking;
+    std::size_t cacheRows;
   };
-  const Case cases[] = {{Selection::FirstOrder, false},
-                        {Selection::FirstOrder, true},
-                        {Selection::SecondOrder, false}};
+  const Case cases[] = {{Selection::FirstOrder, false, 16},
+                        {Selection::FirstOrder, true, 16},
+                        {Selection::SecondOrder, false, 16},
+                        {Selection::FirstOrder, false, 40}};
   for (const char* name : {"toy", "webspam"}) {  // dense, CSR
     const auto nd = data::standin(name, 0.3);
     const bool dense = nd.train.storage() == data::Storage::Dense;
     for (const Case& c : cases) {
       SCOPED_TRACE(std::string(name) + " second-order=" +
                    std::to_string(c.selection == Selection::SecondOrder) +
-                   " shrinking=" + std::to_string(c.shrinking));
+                   " shrinking=" + std::to_string(c.shrinking) +
+                   " cache rows=" + std::to_string(c.cacheRows));
       SolverOptions opts = gaussianOptions(nd.suggestedGamma, nd.suggestedC);
-      opts.cacheBytes = 16 * nd.train.rows() * sizeof(float);
+      opts.cacheBytes = c.cacheRows * nd.train.rows() * sizeof(float);
       opts.selection = c.selection;
       opts.shrinking = c.shrinking;
       opts.shrinkInterval = 100;
@@ -423,6 +427,11 @@ TEST(SmoPairFillTest, PairPassesChangeNoBit) {
         EXPECT_LT(shared.kernelFillSweeps, shared.kernelRowsComputed);
         if (dense) {
           EXPECT_GT(shared.kernelRowsAhead, 0u);
+          // More rows ahead than the cache has slots: the fills went on
+          // after it was full.
+          if (!c.shrinking) {
+            EXPECT_GT(shared.kernelRowsAhead, c.cacheRows);
+          }
         } else {
           EXPECT_EQ(shared.kernelRowsAhead, 0u);
         }

@@ -241,6 +241,162 @@ TEST(WorkingSetTest, Avx2SelectionKeepsEveryRule) {
   expectSelectionRules(fn);
 }
 
+/// One ranking problem: f, the membership and residency bytes, and the
+/// elected pair with its thresholds, plus one past-the-end sample that
+/// would win every ranking if a pass read it.
+struct RankProblem {
+  std::vector<double> f;
+  std::vector<std::uint8_t> high, low, held;
+  PairPick pair{0, 0, 0.0, 0.0};
+  std::size_t m() const { return f.size() - 1; }
+};
+
+RankProblem randomRankProblem(std::size_t m, std::mt19937_64& rng) {
+  std::normal_distribution<double> g(0.0, 1.0);
+  RankProblem p;
+  for (std::size_t i = 0; i < m; ++i) {
+    p.f.push_back(g(rng));
+    p.high.push_back(rng() % 3 != 0);
+    p.low.push_back(rng() % 3 != 0);
+    p.held.push_back(rng() % 4 == 0);
+  }
+  p.pair = selectPortable(p.f.data(), p.high.data(), p.low.data(), m);
+  // The sentinel: in both sets, not held, nearer either threshold than
+  // any sample.
+  p.f.push_back(std::isfinite(p.pair.bHigh) ? p.pair.bHigh : 0.0);
+  p.high.push_back(1);
+  p.low.push_back(1);
+  p.held.push_back(0);
+  return p;
+}
+
+/// The ranking by its definition: every unheld sample but the pair with
+/// a finite score, stably sorted by score, the first `room` of them.
+std::vector<std::size_t> rankBySort(const RankProblem& p, std::size_t room) {
+  std::vector<std::pair<double, std::size_t>> scored;
+  for (std::size_t j = 0; j < p.m(); ++j) {
+    if (p.held[j] != 0 || j == p.pair.high || j == p.pair.low) continue;
+    double score = kInf;
+    if (p.high[j] != 0 && !std::isnan(p.f[j] - p.pair.bHigh)) {
+      score = std::min(score, p.f[j] - p.pair.bHigh);
+    }
+    if (p.low[j] != 0 && !std::isnan(p.pair.bLow - p.f[j])) {
+      score = std::min(score, p.pair.bLow - p.f[j]);
+    }
+    if (score < kInf) scored.emplace_back(score, j);
+  }
+  std::stable_sort(scored.begin(), scored.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::size_t> out;
+  for (std::size_t t = 0; t < std::min(room, scored.size()); ++t) {
+    out.push_back(scored[t].second);
+  }
+  return out;
+}
+
+std::vector<std::size_t> ranked(RankFn fn, const RankProblem& p,
+                                std::size_t room) {
+  std::size_t out[kMaxRanked] = {};
+  const std::size_t n = fn(p.f.data(), p.high.data(), p.low.data(),
+                           p.held.data(), p.m(), p.pair, room, out);
+  return {out, out + n};
+}
+
+/// `fn`, the portable pass and the sorted definition agree on the count
+/// and the indices, at every room.
+void expectRanksAgree(RankFn fn, const RankProblem& p, const char* what) {
+  for (std::size_t room = 0; room <= kMaxRanked; ++room) {
+    const std::vector<std::size_t> got = ranked(fn, p, room);
+    EXPECT_EQ(got, ranked(&rankPortable, p, room))
+        << what << " m=" << p.m() << " room=" << room;
+    EXPECT_EQ(got, rankBySort(p, room))
+        << what << " m=" << p.m() << " room=" << room;
+  }
+}
+
+/// Every ranking rule: random problems at ragged lengths 0-40 and a long
+/// block, ties, NaN, held rows, the pair and empty sets.
+void expectRankRules(RankFn fn) {
+  std::mt19937_64 rng(41);
+  std::vector<std::size_t> sizes;
+  for (std::size_t m = 0; m <= 40; ++m) sizes.push_back(m);
+  sizes.push_back(4000);
+  for (std::size_t m : sizes) {
+    for (int rep = 0; rep < 8; ++rep) {
+      expectRanksAgree(fn, randomRankProblem(m, rng), "random");
+    }
+    if (m < 2) continue;
+    // Ties: equal scores in different lanes and the scalar tail; the
+    // first index wins. Scores repeat with period three.
+    RankProblem tie = randomRankProblem(m, rng);
+    for (std::size_t i = 0; i < m; ++i) {
+      tie.f[i] = double(i % 3);
+      tie.high[i] = 1;
+      tie.low[i] = 0;
+      tie.held[i] = 0;
+    }
+    tie.pair = {0, 1, 0.0, 5.0};
+    expectRanksAgree(fn, tie, "ties");
+    const std::vector<std::size_t> first = ranked(fn, tie, 3);
+    if (m >= 10) {  // the pair's 0 skipped, the zeros of 3, 6 and 9 kept
+      EXPECT_EQ(first, (std::vector<std::size_t>{3, 6, 9}));
+    }
+    // NaN is never chosen; a set of nothing but NaN ranks nothing.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    RankProblem withNan = randomRankProblem(m, rng);
+    for (std::size_t i = 0; i < m; i += 2) withNan.f[i] = nan;
+    expectRanksAgree(fn, withNan, "some NaN");
+    for (std::size_t j : ranked(fn, withNan, 3)) {
+      EXPECT_FALSE(std::isnan(withNan.f[j]));
+    }
+    for (std::size_t i = 0; i < m; ++i) withNan.f[i] = nan;
+    EXPECT_TRUE(ranked(fn, withNan, 3).empty());
+    // Held rows and the pair are skipped: with every row held but the
+    // pair and up to two others, those others are the ranking whatever
+    // their scores.
+    RankProblem skip = randomRankProblem(m, rng);
+    std::fill(skip.high.begin(), skip.high.end(), 1);
+    std::fill(skip.held.begin(), skip.held.end() - 1, 1);
+    skip.pair = {0, m - 1, -100.0, 100.0};
+    std::vector<std::size_t> free;
+    for (std::size_t i : {m / 2, m - 2, std::size_t{0}, m - 1}) {
+      skip.held[i] = 0;
+      if (i != 0 && i != m - 1 &&
+          std::find(free.begin(), free.end(), i) == free.end()) {
+        free.push_back(i);
+      }
+    }
+    expectRanksAgree(fn, skip, "held");
+    std::vector<std::size_t> got = ranked(fn, skip, 3);
+    std::sort(got.begin(), got.end());
+    std::sort(free.begin(), free.end());
+    EXPECT_EQ(got, free) << "m=" << m;
+    // Empty sets: members of neither set are never ranked.
+    RankProblem empty = randomRankProblem(m, rng);
+    std::fill(empty.high.begin(), empty.high.end() - 1, 0);
+    std::fill(empty.low.begin(), empty.low.end() - 1, 0);
+    EXPECT_TRUE(ranked(fn, empty, 3).empty());
+    std::fill(empty.low.begin(), empty.low.end() - 1, 1);
+    expectRanksAgree(fn, empty, "empty high set");
+  }
+}
+
+TEST(RankTest, PortableKeepsEveryRule) { expectRankRules(&rankPortable); }
+
+TEST(RankTest, DispatchedKeepsEveryRule) { expectRankRules(rankFn()); }
+
+TEST(RankTest, Avx512KeepsEveryRule) {
+  const RankFn fn = rankFnFor(Isa::Avx512);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX-512F pass";
+  expectRankRules(fn);
+}
+
+TEST(RankTest, Avx2KeepsEveryRule) {
+  const RankFn fn = rankFnFor(Isa::Avx2);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX2 pass";
+  expectRankRules(fn);
+}
+
 /// An update is the portable one bit for bit at every length up to past
 /// twice the widest step and over a long block: with products that round
 /// (a fused multiply-add would round them once less), subnormal and huge
