@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "casvm/cluster/partition.hpp"
+#include "casvm/kernel/kernel.hpp"
 #include "casvm/net/comm.hpp"
 
 namespace casvm::cluster {
@@ -42,6 +43,10 @@ struct KMeansResult {
 /// Serial Lloyd's K-means over the whole dataset.
 KMeansResult kmeans(const data::Dataset& ds, const KMeansOptions& options);
 
+/// kmeans() through the caller's workspace (see the distributed form).
+KMeansResult kmeans(const data::Dataset& ds, const KMeansOptions& options,
+                    kernel::RowWorkspace& ws);
+
 /// Distributed K-means over an SPMD communicator. `local` is this rank's
 /// block of the (conceptually concatenated) dataset. Initial centers are
 /// sampled on rank 0 and broadcast; each loop does a local assignment pass
@@ -49,5 +54,12 @@ KMeansResult kmeans(const data::Dataset& ds, const KMeansOptions& options);
 /// The returned partition covers only local rows; centers are global.
 KMeansResult kmeansDistributed(net::Comm& comm, const data::Dataset& local,
                                const KMeansOptions& options);
+
+/// kmeansDistributed() through the caller's workspace, so a later pass
+/// over the same block (balanced K-means' rebalance) reuses its tiles
+/// instead of packing the block again.
+KMeansResult kmeansDistributed(net::Comm& comm, const data::Dataset& local,
+                               const KMeansOptions& options,
+                               kernel::RowWorkspace& ws);
 
 }  // namespace casvm::cluster

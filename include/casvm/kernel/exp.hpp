@@ -12,7 +12,9 @@
 /// in r, then the scale 2^k applied as two exact powers of two so that
 /// subnormal results round once. Every step is a plain IEEE multiply, add
 /// or divide (no FMA: the build sets -ffp-contract=off, and the lanes sit
-/// in a no-FMA region of their own, see isa.hpp), so:
+/// in a no-FMA region of their own, see isa.hpp; the one hand-written
+/// fused multiply-add path is the float-rounding pass's candidate below,
+/// which a rounding test checks before it keeps it), so:
 ///   - exp(0) and exp(-0) are exactly 1;
 ///   - a normal result keeps fdlibm's error bound of under 1 ulp (the
 ///     tests hold it within 2 ulp of the C library's exp; glibc and this
@@ -45,5 +47,36 @@ ExpRowFn expRowFnFor(Isa isa);
 /// The portable row pass: what expRowFn() falls back to without AVX2, and
 /// the reference the other variants are tested against.
 void expRowPortable(double* v, std::size_t n);
+
+/// out[i] = float(exp(x[i])) for i in [0, n): a kernel row's exponentials
+/// rounded as the row cache stores them. Returns how many values took the
+/// fallback, exp() itself; a pass without a fast path returns 0.
+///
+/// The portable and AVX2 passes run exp() and convert. The AVX-512 pass
+/// first computes a candidate y = p(r) 2^k for x in [-700, 0]: k =
+/// round(x / ln2), r = x - k ln2 from fdlibm's hi/lo split in two fused
+/// multiply-adds (the first exact), p the degree-11 Taylor polynomial of
+/// e^r by Horner's rule in fused multiply-adds. With |r| <= ln2/2 its
+/// truncation error is under 0.3466^12/12! ~ 2^-47 and its rounding about
+/// 2^-49, so |y - e^x| <= 2^-46 e^x; exp() is within 2^-52 e^x for normal
+/// results (fdlibm's bound), so exp(x) lies in [y (1 - 2^-40), y (1 +
+/// 2^-40)]. The lane keeps float(y) only when both ends of that band
+/// round to the same float (Ziv's rounding test), which then is
+/// float(exp(x)). A lane that fails the test, or whose x lies outside
+/// [-700, 0] or is NaN, runs exp(). Every variant is therefore bit for
+/// bit float(exp(x)).
+using ExpFloatRowFn = std::size_t (*)(const double* x, float* out,
+                                      std::size_t n);
+
+/// The runtime-dispatched float-rounding pass.
+ExpFloatRowFn expFloatRowFn();
+
+/// The float-rounding pass of one instruction set, or nullptr where this
+/// CPU or build lacks it.
+ExpFloatRowFn expFloatRowFnFor(Isa isa);
+
+/// The portable float-rounding pass, the reference the others are tested
+/// against.
+std::size_t expFloatRowPortable(const double* x, float* out, std::size_t n);
 
 }  // namespace casvm::kernel

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "casvm/data/dataset.hpp"
+#include "casvm/kernel/cache_value.hpp"
 
 namespace casvm::kernel {
 
@@ -54,8 +55,11 @@ std::string kernelName(KernelType type);
 /// scatter buffers the fill kernels need, so fills allocate nothing.
 ///
 /// Consecutive dense fills alternate the order they visit the blocked copy
-/// in (tile::sweep), so each fill starts on the blocks the previous one
-/// read last, which a part too large for L2 still holds there.
+/// in (tile::sweepChunks), so each fill starts on the blocks the previous
+/// one read last, which a part too large for L2 still holds there.
+///
+/// CSR rows filled as the row cache stores them (Kernel::rows) go through
+/// a double row of the workspace's own, sized on first use.
 ///
 /// Bound to one dataset at a time; binding a different dataset rebuilds the
 /// blocked copy (one full row fill's worth of work). Not thread-safe — each
@@ -73,8 +77,9 @@ class RowWorkspace {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> tiles_;    ///< dense: ceil(m/16) blocks of cols*16 floats
-  std::vector<double> xd_;      ///< dense: up to four queries widened to double
+  std::vector<double> xd_;      ///< dense: up to eight queries widened to double
   std::vector<float> scatter_;  ///< sparse: dense copy of row i
+  std::vector<double> dots_;    ///< sparse: one row's dots before rounding
   bool reverse_ = false;        ///< dense: the next fill's block order
 };
 
@@ -110,20 +115,27 @@ class Kernel {
   void row(const data::Dataset& ds, std::size_t i, std::span<double> out,
            RowWorkspace& ws) const;
 
-  /// Rows idx[0..q) in one call, 1 <= q <= tile::kMaxQueries, bit for bit
-  /// row(ds, idx[t], outs[t], ws) each: dense fills stream the workspace's
-  /// tiles once for all q rows (one tile::dotFn pass), sparse fills run
-  /// one after the other.
+  /// Rows idx[0..q) as the row cache stores them, 1 <= q <=
+  /// tile::kMaxQueries: outs[t][j] = CacheValue(eval(ds, idx[t], j)), bit
+  /// for bit row() of idx[t] rounded once. A dense fill is one tile pass
+  /// for all q rows, a 256-row chunk at a time in the workspace's
+  /// alternating order (tile::sweepChunks): each chunk's dots land in a
+  /// q x 256 double scratch that stays in L1, and the kernel transform
+  /// and the rounding write the chunk's floats before the next chunk's
+  /// dots overwrite them. CSR rows fill one after the other through the
+  /// workspace's double row.
   void rows(const data::Dataset& ds, std::span<const std::size_t> idx,
-            std::span<const std::span<double>> outs, RowWorkspace& ws) const;
+            std::span<const std::span<CacheValue>> outs,
+            RowWorkspace& ws) const;
 
-  /// Fill out[j] = K(xi, xj) for j in `subset` only; entries of `out`
-  /// outside `subset` are left untouched. Lets the solver's row cache
-  /// refill evicted rows over the active set while shrinking instead of
-  /// paying a full-m row computation. Sparse fills reuse the workspace's
-  /// scatter buffer; bitwise-identical to eval per element.
+  /// out[j] = CacheValue(eval(ds, i, j)) for j in `subset` only; entries
+  /// of `out` outside `subset` are left untouched. Lets the solver's row
+  /// cache refill evicted rows over the active set while shrinking
+  /// instead of paying a full-m row computation. One dot per row, then a
+  /// gathered transform and rounding per block; sparse fills reuse the
+  /// workspace's scatter buffer.
   void row(const data::Dataset& ds, std::size_t i,
-           std::span<const std::size_t> subset, std::span<double> out,
+           std::span<const std::size_t> subset, std::span<CacheValue> out,
            RowWorkspace& ws) const;
 
   /// Fill out[j] = K(xj, x) for all j against an external dense vector x
@@ -136,16 +148,20 @@ class Kernel {
                double xSelfDot, std::span<double> out, RowWorkspace& ws) const;
 
   /// rowWith() for j in `subset` only (ascending); entries of `out`
-  /// outside `subset` are left untouched. One dot per row, then one
-  /// gathered transform (Gaussian exponents through the vector exp pass);
-  /// bitwise-identical to evalWith per row.
+  /// outside `subset` are left untouched. One dot per row, gathered with
+  /// the rows' norms 64 at a time for one transformDots() per block, as
+  /// the cached subset fill above gathers them; bitwise-identical to
+  /// evalWith per row.
   void rowWith(const data::Dataset& ds, std::span<const float> x,
                double xSelfDot, std::span<const std::size_t> subset,
                std::span<double> out) const;
 
   /// Columns against xs[0..q) (squared norms xSelfDots[t]) in one call,
   /// 1 <= q <= tile::kMaxQueries, bit for bit rowWith() of xs[t] into
-  /// outs[t] each: dense fills stream the tiles once for all q vectors.
+  /// outs[t] each: dense fills stream the tiles once for all q vectors
+  /// (tile::sweepChunks, in the workspace's alternating order), and each
+  /// chunk's dots are copied into the full double rows and transformed
+  /// while still in L1.
   void rowsWith(const data::Dataset& ds,
                 std::span<const std::span<const float>> xs,
                 std::span<const double> xSelfDots,
@@ -175,11 +191,14 @@ class Kernel {
  private:
   double fromDot(double dot, double selfI, double selfJ) const;
 
-  /// transformDots() over `subset` only, against a query (row i, or an
-  /// external vector) with squared norm `selfX`.
-  void transformSubset(const data::Dataset& ds, double selfX,
-                       std::span<const std::size_t> subset,
-                       std::span<double> out) const;
+  /// out[j] = CacheValue(K) for j < n from raw dots against one query with
+  /// squared norm `selfX` and the rows' squared norms selfDots[j]: bit for
+  /// bit transformDots() then a rounding, and `dots` is overwritten. Only
+  /// the Gaussian runs its own way: its exponents go through the
+  /// float-rounding exp pass, kernel::expFloatRowFn(), which rounds as
+  /// exp() then a conversion does.
+  void transformToCached(const double* selfDots, double selfX, double* dots,
+                         CacheValue* out, std::size_t n) const;
 
   KernelParams params_;
 };
@@ -192,6 +211,16 @@ class Kernel {
 /// k-means++ scans (clustering, landmark selection) run on it.
 void squaredDistances(const data::Dataset& ds, std::span<const float> x,
                       double xSelfDot, std::span<double> out,
+                      RowWorkspace& ws);
+
+/// squaredDistances() against every vector xs[t] into outs[t], any count:
+/// dense data sweeps once per tile::kMaxQueries vectors (one sweep for
+/// all of k-means' centers when there are at most eight), and every
+/// output is bitwise its one-vector column.
+void squaredDistances(const data::Dataset& ds,
+                      std::span<const std::span<const float>> xs,
+                      std::span<const double> xSelfDots,
+                      std::span<const std::span<double>> outs,
                       RowWorkspace& ws);
 
 }  // namespace casvm::kernel

@@ -28,13 +28,12 @@
 /// has the replayed fill counts (LRU, cold insertion, retention and
 /// Belady's optimum).
 ///
-/// Rows are stored as float, as LIBSVM's Qfloat cache stores them: the
-/// source fills each row in double, the cache rounds every value once, on
-/// store, and a byte budget holds twice the rows a double cache would.
-/// That rounding is the one kernel-value precision every solver trains
-/// on: code that computes kernel values outside the cache and must agree
-/// with a cached solve (the global methods' fresh columns and pair-step
-/// eta) passes them through asCached().
+/// Rows are stored as float (CacheValue, see cache_value.hpp), as LIBSVM's
+/// Qfloat cache stores them, so a byte budget holds twice the rows a
+/// double cache would. The cache does no rounding of its own: a source
+/// fills its rows as CacheValue straight into the cache's slots. Dense
+/// and Nyström fills keep no double row; a CSR fill goes through one
+/// m-double row in the exact source's workspace, outside the budget.
 ///
 /// Rows are produced by a RowSource (see row_source.hpp): the exact kernel
 /// by default, or a low-rank approximation with the same row interface.
@@ -63,7 +62,7 @@
 /// the same rows, counts and generations as two single fetches.
 ///
 /// Lookahead fills. A pass over dense tiles streams them once for up to
-/// four rows, and the rows SMO asks for next are predictable: they belong
+/// eight rows, and the rows SMO asks for next are predictable: they belong
 /// to the samples nearest the violating extremes. So when a full pair
 /// fetch misses, the pass also fills rows the caller ranks as wanted next
 /// (Ahead), up to the source's fill width: candidates already held,
@@ -71,9 +70,11 @@
 ///  1. While the cache has a free slot, a row filled ahead takes it, at
 ///     the cold end of the unretained list.
 ///  2. Once the cache is full, a row filled ahead waits in a third list,
-///     the unread list, of at most S = capacity / 16 rows (at least one).
-///     While the list holds fewer than S rows, the new row takes the
-///     coldest unpinned main row's slot (the main lists are the
+///     the unread list, of at most S = capacity x width / 64 rows (at
+///     least one): capacity / 16 at width four, capacity / 8 at width
+///     eight, whose passes bring twice the rows ahead. S is derived, not
+///     an option. While the list holds fewer than S rows, the new row
+///     takes the coldest unpinned main row's slot (the main lists are the
 ///     unretained and retained ones); otherwise it takes the oldest
 ///     unread row's slot.
 ///  3. A demand miss takes a free slot or the coldest unpinned main row's
@@ -101,18 +102,11 @@
 #include <vector>
 
 #include "casvm/data/dataset.hpp"
+#include "casvm/kernel/cache_value.hpp"
 #include "casvm/kernel/kernel.hpp"
 #include "casvm/kernel/row_source.hpp"
 
 namespace casvm::kernel {
-
-/// Stored precision of a cached kernel value.
-using CacheValue = float;
-
-/// `k` rounded as the row cache stores it, widened back to double.
-inline double asCached(double k) {
-  return static_cast<double>(static_cast<CacheValue>(k));
-}
 
 /// Caches rows of the kernel matrix of one dataset.
 /// Not thread-safe; each solver instance owns its cache.
@@ -121,9 +115,7 @@ class RowCache {
   /// Cache over the exact kernel of `ds`. `budgetBytes` bounds the cached
   /// data (each row is rows()*sizeof(CacheValue) = rows()*4 bytes); at
   /// least TWO row slots are always granted, because SMO holds spans to the
-  /// high and low rows of one iteration simultaneously. Up to four double
-  /// rows of fill scratch (two, or the source's fill width if larger) sit
-  /// outside the budget.
+  /// high and low rows of one iteration simultaneously.
   RowCache(const Kernel& kernel, const data::Dataset& ds,
            std::size_t budgetBytes);
 
@@ -245,12 +237,10 @@ class RowCache {
   /// can run several in one pass.
   Lookup lookup(std::size_t i, const std::span<const std::size_t>* active);
 
-  /// Compute only the active entries of row i into `slot`, each value
-  /// rounded once on store.
+  /// Compute only the active entries of row i into `slot`.
   void fillPartial(Slot& slot, std::size_t i,
                    std::span<const std::size_t> active);
-  /// Compute rows rows[0..q) into slots[0..q) in one source call, each
-  /// value rounded once on store.
+  /// Compute rows rows[0..q) into slots[0..q) in one source call.
   void fillFull(const std::size_t* rows, Slot* const* slots, std::size_t q);
   RowPair fetchPair(std::size_t i, std::size_t j,
                     const std::span<const std::size_t>* active, Ahead ahead);
@@ -283,16 +273,11 @@ class RowCache {
            lists_[kUnread].size();
   }
 
-  /// Scratch row k in the source's double precision.
-  std::span<double> scratch(std::size_t k);
-
   /// Backing storage for the legacy (Kernel, Dataset) constructor.
   std::unique_ptr<ExactRowSource> ownedExact_;
   RowSource* src_;
   std::size_t capacityRows_;
   std::size_t fillWidth_;  ///< the source's, clamped to [1, kMaxQueries]
-  /// max(2, fillWidth_) rows in the source's double precision.
-  std::vector<double> scratch_;
   /// Rows the unread list holds at most (S).
   std::size_t unreadLimit_;
   /// The recency lists (front = hot end, back = cold end) of the

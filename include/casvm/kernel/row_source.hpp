@@ -10,25 +10,33 @@
 /// approximation that exposes the same row interface, such as the Nyström
 /// low-rank factor in casvm::lowrank whose rows are Z·Zᵀ tile-dots.
 ///
+/// Rows are filled as the row cache stores them (CacheValue, see
+/// cache_value.hpp), straight into the cache's slots: each source rounds
+/// every value once, from the double its kernel computes, while that
+/// double is still in L1.
+///
 /// Contract every implementation must honor (the solver depends on it):
 ///  - fillRow(i, out)[j], fillRowSubset(i, active, out)[j in active] and
-///    fillDiagonal(out)[i==j] agree bitwise for the same (i, j) — a row
-///    refilled partially after a full fill must reproduce the same values;
+///    CacheValue(fillDiagonal(out)[i==j]) agree bitwise for the same
+///    (i, j) — a row refilled partially after a full fill must reproduce
+///    the same values;
 ///  - fillRows(rows, outs) is bitwise fillRow(rows[t], outs[t]) for each
 ///    t: it may only decide how the rows are computed, never their values;
 ///  - fills are deterministic: the same i always produces the same row.
 ///
 /// A source also reports its fill width: how many rows one fillRows call
 /// computes in one shared pass over its data. Dense tiles (the exact
-/// kernel's and the Nyström factor's) stream once for up to
-/// tile::kMaxQueries rows, so their width is four; CSR rows share nothing
-/// between fills, so theirs is one. The row cache fills rows ahead of
-/// demand only up to that width (see row_cache.hpp).
+/// kernel's and the Nyström factor's) stream once for as many rows as the
+/// dispatched tile pass serves at full speed, tile::sweepWidth(): eight
+/// where the AVX-512 pass runs, four elsewhere. CSR rows share nothing
+/// between fills, so their width is one. The row cache fills rows ahead
+/// of demand only up to that width (see row_cache.hpp).
 
 #include <cstddef>
 #include <span>
 
 #include "casvm/data/dataset.hpp"
+#include "casvm/kernel/cache_value.hpp"
 #include "casvm/kernel/kernel.hpp"
 #include "casvm/kernel/tile_kernel.hpp"
 
@@ -43,25 +51,25 @@ class RowSource {
   /// Number of rows (== columns) of the kernel matrix.
   virtual std::size_t rows() const = 0;
 
-  /// out[j] = K(i, j) for all j; out.size() == rows().
-  virtual void fillRow(std::size_t i, std::span<double> out) = 0;
+  /// out[j] = CacheValue(K(i, j)) for all j; out.size() == rows().
+  virtual void fillRow(std::size_t i, std::span<CacheValue> out) = 0;
 
   /// Rows rows[0..q) in one call, 1 <= q <= tile::kMaxQueries; outs[t]
   /// has rows() entries and receives row rows[t].
   virtual void fillRows(std::span<const std::size_t> rows,
-                        std::span<const std::span<double>> outs) = 0;
+                        std::span<const std::span<CacheValue>> outs) = 0;
 
   /// Rows one fillRows call computes in one shared pass over the source's
   /// data, at least 1 and at most tile::kMaxQueries.
   virtual std::size_t fillWidth() const = 0;
 
-  /// out[j] = K(i, j) for j in `active` only (ascending indices); entries
-  /// outside `active` are left untouched.
+  /// out[j] = CacheValue(K(i, j)) for j in `active` only (ascending
+  /// indices); entries outside `active` are left untouched.
   virtual void fillRowSubset(std::size_t i,
                              std::span<const std::size_t> active,
-                             std::span<double> out) = 0;
+                             std::span<CacheValue> out) = 0;
 
-  /// out[j] = K(j, j) for all j.
+  /// out[j] = K(j, j) for all j, in double (the solver rounds it).
   virtual void fillDiagonal(std::span<double> out) = 0;
 
   /// True when a full-row fill is expected to beat a subset fill of
@@ -71,28 +79,33 @@ class RowSource {
 
 /// The exact kernel: rows are storage-aware blocked dot products over the
 /// training data (dense: the tiled, runtime-dispatched micro-kernel
-/// through an owned RowWorkspace; sparse: CSR streams). This is the
-/// historical row producer factored out of RowCache; results are
-/// bitwise-identical to Kernel::eval per element.
+/// through an owned RowWorkspace; sparse: CSR streams), rounded as
+/// Kernel::rows() rounds them. Every value is CacheValue(Kernel::eval).
 class ExactRowSource final : public RowSource {
  public:
   ExactRowSource(const Kernel& kernel, const data::Dataset& ds)
       : kernel_(kernel), ds_(ds) {}
 
   std::size_t rows() const override { return ds_.rows(); }
-  void fillRow(std::size_t i, std::span<double> out) override {
+  void fillRow(std::size_t i, std::span<CacheValue> out) override {
+    const std::span<CacheValue> outs[] = {out};
+    kernel_.rows(ds_, {&i, 1}, outs, workspace_);
+  }
+  /// Row i in double, bit for bit Kernel::eval per element: one query's
+  /// fill before any rounding (the benchmark's fill probe times it).
+  void fillRow(std::size_t i, std::span<double> out) {
     kernel_.row(ds_, i, out, workspace_);
   }
   void fillRows(std::span<const std::size_t> rows,
-                std::span<const std::span<double>> outs) override {
+                std::span<const std::span<CacheValue>> outs) override {
     kernel_.rows(ds_, rows, outs, workspace_);
   }
   /// Dense rows share one sweep of the tiles; CSR rows share nothing.
   std::size_t fillWidth() const override {
-    return ds_.storage() == data::Storage::Dense ? tile::kMaxQueries : 1;
+    return ds_.storage() == data::Storage::Dense ? tile::sweepWidth() : 1;
   }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
-                     std::span<double> out) override {
+                     std::span<CacheValue> out) override {
     kernel_.row(ds_, i, active, out, workspace_);
   }
   void fillDiagonal(std::span<double> out) override {

@@ -13,15 +13,19 @@
 /// ascending k into a single double, so the sums are bitwise-identical to
 /// Dataset::dot / Dataset::dotWith against the same row bytes.
 ///
-/// One pass takes one to kMaxQueries queries and streams the tiles once
-/// for all of them; each output keeps its own serial sum, so every output
-/// is bitwise what a one-query pass gives. At 4k rows × 200 features a
-/// part's tiles (3.2 MB) exceed a 2 MB L2, so a pass streams most of them
-/// from L3 and is bound by that stream more than by its arithmetic.
-/// sweep() runs a pass over the blocks in reverse chunk order, and
-/// RowWorkspace alternates the two orders, so each sweep starts on the
-/// tiles the previous one left in L2; block order never changes an
-/// output, since each output row sums over k alone.
+/// One pass takes one to kMaxQueries (eight) queries and streams the
+/// tiles once for all of them; each output keeps its own serial sum, so
+/// every output is bitwise what a one-query pass gives. At 4k rows × 200
+/// features a part's tiles (3.2 MB) exceed a 2 MB L2, so a pass streams
+/// most of them from L3, and every tile lane it widens to double costs
+/// port time that more queries share: on AVX-512 an eight-query sweep of
+/// a 4,000 × 200 pack takes 25.6 µs a row against 36.4 for four.
+/// sweepChunks() runs a pass a 256-row chunk at a time, forward or in
+/// reverse chunk order, and RowWorkspace alternates the two orders, so
+/// each sweep starts on the tiles the previous one left in L2; block
+/// order never changes an output, since each output row sums over k
+/// alone. Each chunk's dots go to the caller while they are still in L1
+/// (the row fills' kernel transform and float rounding, see kernel.hpp).
 ///
 /// Rounding: the portable pass and the AVX2 lanes keep multiplies and
 /// adds apart. The AVX-512 lanes use one fused multiply-add per product,
@@ -44,9 +48,9 @@ namespace casvm::kernel::tile {
 /// Rows per block of the tiled layout.
 inline constexpr std::size_t kRows = 16;
 
-/// Most queries one pass takes: four queries' accumulators (eight zmm
-/// registers) plus the tile lanes and the broadcasts fit AVX-512's 32.
-inline constexpr std::size_t kMaxQueries = 4;
+/// Most queries one pass takes: eight queries' accumulators (sixteen zmm
+/// registers) plus two tile lanes and a broadcast fit AVX-512's 32.
+inline constexpr std::size_t kMaxQueries = 8;
 
 /// Number of 16-row blocks needed for m rows.
 inline constexpr std::size_t blockCount(std::size_t m) {
@@ -78,16 +82,41 @@ using casvm::Isa;
 /// portable pass.
 DotFn dotFnFor(Isa isa);
 
+/// Queries one sweep of dotFn() serves at full speed, the width a row
+/// source fills rows at: kMaxQueries where the AVX-512 pass runs, else
+/// four. The AVX2 pass runs more than two queries as pairs of sweeps, so
+/// there eight rows cost twice the sweeps of four, and the extra rows
+/// filled ahead do not repay them: with the AVX2 pass forced, width eight
+/// was slower end to end than four (DESIGN.md §2.7 has the runs).
+std::size_t sweepWidth();
+
 /// Blocks per chunk of a reversed sweep: 256 rows, 200 KB of tiles at 200
 /// features, a tenth of a 2 MB L2.
 inline constexpr std::size_t kChunkBlocks = 16;
+inline constexpr std::size_t kChunkRows = kChunkBlocks * kRows;
 
-/// One pass of `fn` with dotFn's arguments over all m rows: in ascending
-/// block order, or, when `reverse`, chunk by chunk of kChunkBlocks blocks
-/// from the last chunk to the first (ascending within each chunk). The
-/// outputs are bitwise the same either way.
-void sweep(DotFn fn, const float* tiles, const double* xs, std::size_t q,
-           std::size_t m, std::size_t n, double* const* out, bool reverse);
+/// One pass of `fn` with dotFn's arguments over all m rows, a chunk of
+/// kChunkBlocks blocks at a time: in ascending chunk order, or, when
+/// `reverse`, from the last chunk to the first (ascending within each
+/// chunk). Each chunk's q outputs go to `scratch` (query t's kChunkRows
+/// entries at scratch + t * kChunkRows), then `epilogue(base, count)`
+/// reads them, for rows [base, base + count), before the next chunk's
+/// pass overwrites them. The outputs are bitwise one whole-range pass's
+/// in either order. Every kernel row and column fill runs through it.
+template <class Epilogue>
+void sweepChunks(DotFn fn, const float* tiles, const double* xs, std::size_t q,
+                 std::size_t m, std::size_t n, bool reverse, double* scratch,
+                 Epilogue&& epilogue) {
+  double* out[kMaxQueries];
+  for (std::size_t t = 0; t < q; ++t) out[t] = scratch + t * kChunkRows;
+  const std::size_t chunks = (m + kChunkRows - 1) / kChunkRows;
+  for (std::size_t i = 0; i < chunks; ++i) {
+    const std::size_t base = (reverse ? chunks - 1 - i : i) * kChunkRows;
+    const std::size_t count = m - base < kChunkRows ? m - base : kChunkRows;
+    fn(tiles + base * n, xs, q, count, n, out);
+    epilogue(base, count);
+  }
+}
 
 /// The portable pass: what dotFn() falls back to without AVX2, and the
 /// reference the dispatched passes are tested against.

@@ -28,17 +28,17 @@ class LowRankKernel final : public kernel::RowSource {
   NystromFactor& factor() { return factor_; }
 
   std::size_t rows() const override { return factor_.rows(); }
-  void fillRow(std::size_t i, std::span<double> out) override {
+  void fillRow(std::size_t i, std::span<kernel::CacheValue> out) override {
     factor_.fillRow(i, out);
   }
   void fillRows(std::span<const std::size_t> rows,
-                std::span<const std::span<double>> outs) override {
+                std::span<const std::span<kernel::CacheValue>> outs) override {
     factor_.fillRows(rows, outs);
   }
-  /// Z's tiles stream once for up to four rows, as the exact dense ones do.
-  std::size_t fillWidth() const override { return kernel::tile::kMaxQueries; }
+  /// Z's tiles stream once for as many rows as the exact dense ones.
+  std::size_t fillWidth() const override { return kernel::tile::sweepWidth(); }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
-                     std::span<double> out) override {
+                     std::span<kernel::CacheValue> out) override {
     factor_.fillRowSubset(i, active, out);
   }
   void fillDiagonal(std::span<double> out) override {

@@ -65,16 +65,20 @@ class NystromFactor {
   const LandmarkSet& landmarks() const { return landmarks_; }
 
   // Row interface over K̃ = Z Zᵀ (the shapes RowSource needs; LowRankKernel
-  // forwards to these). All three agree bitwise on shared entries and
-  // K̃(i,j) == K̃(j,i) bitwise: every entry is the same serial ascending-k
-  // double accumulation over the float z-rows of i and j.
-  void fillRow(std::size_t i, std::span<double> out);
-  /// Rows rows[0..q) in one tile pass, 1 <= q <= tile::kMaxQueries;
+  // forwards to these). Rows are rounded as the row cache stores them. All
+  // three agree bitwise on shared entries, with the diagonal rounded
+  // alike, and K̃(i,j) == K̃(j,i) bitwise: every entry is the same serial
+  // ascending-k double accumulation over the float z-rows of i and j,
+  // rounded once.
+  void fillRow(std::size_t i, std::span<kernel::CacheValue> out);
+  /// Rows rows[0..q) in one tile pass, 1 <= q <= tile::kMaxQueries,
+  /// rounded a 256-row chunk at a time while the chunk's dots are in L1;
   /// bitwise fillRow(rows[t], outs[t]) each.
   void fillRows(std::span<const std::size_t> rows,
-                std::span<const std::span<double>> outs);
+                std::span<const std::span<kernel::CacheValue>> outs);
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
-                     std::span<double> out);
+                     std::span<kernel::CacheValue> out);
+  /// The diagonal in double (the solver rounds it).
   void fillDiagonal(std::span<double> out);
 
   /// Map an external dense vector into z-space: z = Wᵀ k_L(x), length
@@ -107,7 +111,7 @@ class NystromFactor {
   std::vector<double> w_;
   /// Z in 16-row k-major float tiles (blockCount(m) * r * 16 floats).
   std::vector<float> tiles_;
-  /// Widened z-row scratch for fills: up to four rows of length r.
+  /// Widened z-row scratch for fills: up to eight rows of length r.
   std::vector<double> xd_;
 
   /// Widen z-row i into xd_[slot * r ..].

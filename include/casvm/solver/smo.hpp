@@ -134,8 +134,9 @@ struct SolverResult {
   /// selection with nothing shrunk, on a source whose fills share a pass;
   /// once the cache is full they wait in its unread list).
   std::size_t kernelRowsAhead = 0;
-  /// Full-row fills asked of the source; each fills up to four rows in
-  /// one pass over dense tiles.
+  /// Full-row fills asked of the source; each fills up to the source's
+  /// fill width of rows (eight on AVX-512 hosts, four elsewhere) in one
+  /// pass over dense tiles.
   std::size_t kernelFillSweeps = 0;
   std::size_t kernelRowHits = 0;       ///< cache hits
 };

@@ -40,6 +40,15 @@
 ///       Add every support vector's term to f over the `stale` rows, whose
 ///       f the loop has reset to -y (the unshrink rebuild).
 ///
+/// A dense iteration reads f once: the gradient update runs fused with
+/// the next iteration's selection (updateSelectFn), and the loop carries
+/// that pick into the next iteration's election. It drops the pick
+/// wherever f or the membership bytes change outside the update: at the
+/// start of every run() (a caller may move alpha between runs, as PBM's
+/// rounds and line search do), on unshrink, on a committed shrink pass
+/// and on the degenerate retry. Shrunk iterations update over `active`
+/// and select in a pass of their own.
+///
 /// Every kernel value the loop steps on is rounded as the row cache stores
 /// it (kernel::asCached), whichever source produced it, so a one-block
 /// distributed solve walks the serial solver's trajectory bit for bit.
@@ -53,6 +62,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -148,7 +158,10 @@ class SmoLoop {
   /// zero for every shrunk one, so a selection is one dense masked pass.
   std::vector<std::uint8_t> inHigh_, inLow_;
   const SelectFn select_ = selectFn();
-  const UpdateFn update_ = updateFn();
+  const UpdateSelectFn updateSelect_ = updateSelectFn();
+  /// The next iteration's selection, found by the last dense update; held
+  /// only while f and the membership bytes are what that pass saw.
+  std::optional<PairPick> carried_;
   double bHigh_ = 0.0, bLow_ = 0.0;
   bool degenerateRetried_ = false;
   long long shrinkEngaged_;
@@ -160,8 +173,10 @@ bool SmoLoop<Source>::run(std::size_t maxIterations) {
   const std::size_t m = ds_.rows();
   const std::size_t start = s.iteration;
   // Membership derives from alpha, which the caller may have moved since
-  // the last run (a resume, PBM's block solves and line search).
+  // the last run (a resume, PBM's block solves and line search); so may f,
+  // and a pick carried from the last run no longer holds.
   for (std::size_t i : s.active) setMembership(i);
+  carried_.reset();
 
   for (; s.iteration < maxIterations; ++s.iteration) {
     const std::size_t iter = s.iteration;
@@ -175,11 +190,15 @@ bool SmoLoop<Source>::run(std::size_t maxIterations) {
     }
 
     // Working-set selection: the maximal violating pair over the active
-    // rows (shrunk rows have no membership bytes), in one masked pass, then
-    // agreed across blocks. An empty candidate set leaves its threshold
-    // at +-inf, which reads as converged.
-    const PairPick elected =
-        src_.elect(select_(s.f.data(), inHigh_.data(), inLow_.data(), m));
+    // rows (shrunk rows have no membership bytes), in one masked pass or
+    // carried from the last dense update, then agreed across blocks. An
+    // empty candidate set leaves its threshold at +-inf, which reads as
+    // converged.
+    const PairPick local =
+        carried_ ? *carried_
+                 : select_(s.f.data(), inHigh_.data(), inLow_.data(), m);
+    carried_.reset();
+    const PairPick elected = src_.elect(local);
     bHigh_ = elected.bHigh;
     bLow_ = elected.bLow;
     if (bLow_ <= bHigh_ + 2.0 * tau_) {
@@ -253,15 +272,16 @@ bool SmoLoop<Source>::run(std::size_t maxIterations) {
                 aLowNew > 0.0 && aLowNew < cLow);
 
     // Gradient update with the two columns (eqn. 5), active rows only: the
-    // dispatched dense pass over the whole block, or a loop over `active`
-    // while shrunk, where the columns are valid only there. Both round
-    // each sample's update alike.
+    // dispatched dense pass over the whole block, which also finds the next
+    // iteration's pick, or a loop over `active` while shrunk, where the
+    // columns are valid only there. Both round each sample's update alike.
     const auto [colHigh, colLow] = src_.columns(s.active);
     const double coefHigh = dHigh * p.yHigh;
     const double coefLow = dLow * p.yLow;
     double* f = s.f.data();
     if (s.active.size() == m) {
-      update_(f, colHigh.data(), colLow.data(), coefHigh, coefLow, m);
+      carried_ = updateSelect_(f, colHigh.data(), colLow.data(), coefHigh,
+                               coefLow, inHigh_.data(), inLow_.data(), m);
     } else {
       for (std::size_t k : s.active) {
         f[k] += coefHigh * double(colHigh[k]) + coefLow * double(colLow[k]);
@@ -329,6 +349,7 @@ void SmoLoop<Source>::unshrink() {
   std::iota(s.active.begin(), s.active.end(), 0);
   for (std::size_t i = 0; i < m; ++i) setMembership(i);
   s.everShrunk = false;  // one reconstruction per convergence attempt
+  carried_.reset();
 }
 
 template <class Source>
@@ -337,9 +358,11 @@ void SmoLoop<Source>::shrink(std::size_t iter) {
   // The pair update just mutated f, so the selection-time thresholds are
   // stale: filtering with them can shrink a sample the update made
   // violating, stalling convergence until the unshrink rescue. Recompute
-  // them over the post-update gradient.
+  // them over the post-update gradient (a dense update already did).
   const PairPick post =
-      select_(s.f.data(), inHigh_.data(), inLow_.data(), ds_.rows());
+      carried_ ? *carried_
+               : select_(s.f.data(), inHigh_.data(), inLow_.data(),
+                         ds_.rows());
   const double sHigh = src_.agreeMin(post.bHigh);
   const double sLow = src_.agreeMax(post.bLow);
   if (sLow <= sHigh + 2.0 * tau_) return;
@@ -378,6 +401,7 @@ void SmoLoop<Source>::shrink(std::size_t iter) {
   }
   s.active = std::move(kept);
   s.everShrunk = true;
+  carried_.reset();
   if (shrinkEngaged_ < 0) shrinkEngaged_ = static_cast<long long>(iter);
 }
 

@@ -17,7 +17,10 @@
 /// values: the first index wins ties (+0.0 and -0.0 tie), NaN is never
 /// chosen, and an empty set yields m with +inf (high) or -inf (low).
 ///
-/// A third dispatched pass ranks the samples whose kernel rows a pair
+/// The gradient update (eqn. 5) runs fused with the next iteration's
+/// selection, dispatched the same way.
+///
+/// A fourth dispatched pass ranks the samples whose kernel rows a pair
 /// fetch fills ahead of demand (see row_cache.hpp): the members of either
 /// set nearest their set's threshold, among the rows the cache does not
 /// hold.
@@ -72,8 +75,9 @@ SelectFn selectFnFor(Isa isa);
 PairPick selectPortable(const double* f, const std::uint8_t* high,
                         const std::uint8_t* low, std::size_t m);
 
-/// Most samples one ranking pass returns.
-inline constexpr std::size_t kMaxRanked = 4;
+/// Most samples one ranking pass returns: the rows an eight-row fill
+/// carries beyond a demand row.
+inline constexpr std::size_t kMaxRanked = 8;
 
 /// One ranking pass over m samples: up to `room` samples (at most
 /// kMaxRanked) whose `held` byte is 0, smallest score first, written to
@@ -104,20 +108,32 @@ std::size_t rankPortable(const double* f, const std::uint8_t* high,
 
 /// The gradient update (eqn. 5) over m samples: f[k] += a * double(h[k]) +
 /// b * double(l[k]), with the two kernel columns as the row cache stores
-/// them. Every variant keeps the products and the adds apart.
-using UpdateFn = void (*)(double* f, const float* h, const float* l,
-                          double a, double b, std::size_t m);
-
-/// The runtime-dispatched update.
-UpdateFn updateFn();
-
-/// The update of one instruction set, or nullptr where this CPU or build
-/// lacks it.
-UpdateFn updateFnFor(Isa isa);
-
-/// The portable update, the reference the other variants are tested
-/// against.
+/// them, products and adds kept apart. The reference the fused pass's
+/// update is tested against.
 void updatePortable(double* f, const float* h, const float* l, double a,
                     double b, std::size_t m);
+
+/// The update and the next selection in one pass over f: f as
+/// updatePortable leaves it (every variant keeps the products and the
+/// adds apart), and the pick the selection of that f under the membership
+/// bytes returns, bit for bit (first index on ties, +0.0 and -0.0 tie,
+/// NaN never chosen). SmoLoop carries the pick into the next iteration,
+/// so a dense iteration reads f once instead of twice.
+using UpdateSelectFn = PairPick (*)(double* f, const float* h, const float* l,
+                                    double a, double b,
+                                    const std::uint8_t* high,
+                                    const std::uint8_t* low, std::size_t m);
+
+/// The runtime-dispatched update-and-select.
+UpdateSelectFn updateSelectFn();
+
+/// The update-and-select of one instruction set, or nullptr where this
+/// CPU or build lacks it.
+UpdateSelectFn updateSelectFnFor(Isa isa);
+
+/// The portable update-and-select: updatePortable, then selectPortable.
+PairPick updateSelectPortable(double* f, const float* h, const float* l,
+                              double a, double b, const std::uint8_t* high,
+                              const std::uint8_t* low, std::size_t m);
 
 }  // namespace casvm::solver

@@ -18,8 +18,10 @@
 /// benchmark's own) would let GCC fuse them inside target("avx512f") code,
 /// where EVEX FMAs are always available. So every lane with such products
 /// sits between CASVM_NO_FMA_BEGIN and CASVM_NO_FMA_END, which turn
-/// contraction off in the source itself. The tile dots' hand-written FMAs
-/// are the one exception: their products are exact (see tile_kernel.hpp).
+/// contraction off in the source itself. Two sets of hand-written FMAs
+/// are the exceptions: the tile dots', whose products are exact (see
+/// tile_kernel.hpp), and the AVX-512 float-rounding exp's candidate, which
+/// a rounding test checks before any lane keeps it (see exp.hpp).
 
 #include <cstdint>
 #include <initializer_list>

@@ -15,9 +15,10 @@ std::size_t ceilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 /// Algorithm 5's migration loop over one class bucket: move the farthest
 /// sample of each over-loaded center to the nearest under-loaded center.
-/// `dist` is the m x P distance matrix, row-major; `eligible(i)` filters
-/// the samples that belong to the bucket; `quota` is the per-center
-/// capacity for that bucket; `load` its current counts.
+/// `dist` holds the P distance columns, center c's m entries at
+/// dist[c * m]; `eligible(i)` filters the samples that belong to the
+/// bucket; `quota` is the per-center capacity for that bucket; `load` its
+/// current counts.
 ///
 /// Moves go only to centers below quota and never lift one past it, so an
 /// over-loaded center gains no member while it waits and only loses
@@ -34,7 +35,7 @@ std::size_t rebalanceBucket(const data::Dataset& ds,
                             const std::vector<std::size_t>& quota,
                             EligibleFn eligible) {
   const int parts = static_cast<int>(quota.size());
-  const auto p = quota.size();
+  const std::size_t m = ds.rows();
   std::size_t moves = 0;
   std::vector<std::size_t> members;
   for (int j = 0; j < parts; ++j) {
@@ -45,14 +46,14 @@ std::size_t rebalanceBucket(const data::Dataset& ds,
     for (std::size_t i = 0; i < ds.rows(); ++i) {
       if (assign[i] == j && eligible(i)) members.push_back(i);
     }
+    const double* dj = dist.data() + uj * m;
     std::stable_sort(members.begin(), members.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return dist[a * p + uj] > dist[b * p + uj];
+                       return dj[a] > dj[b];
                      });
     for (std::size_t next = 0; load[uj] > quota[uj]; ++next) {
       CASVM_ASSERT(next < members.size(), "over-loaded center has no samples");
       const std::size_t maxInd = members[next];
-      const double* di = dist.data() + maxInd * p;
 
       // Nearest under-loaded center for that sample (lines 18-24).
       double minDist = std::numeric_limits<double>::infinity();
@@ -60,8 +61,9 @@ std::size_t rebalanceBucket(const data::Dataset& ds,
       for (int c = 0; c < parts; ++c) {
         const auto uc = static_cast<std::size_t>(c);
         if (load[uc] >= quota[uc]) continue;
-        if (di[uc] < minDist) {
-          minDist = di[uc];
+        const double d = dist[uc * m + maxInd];
+        if (d < minDist) {
+          minDist = d;
           minInd = c;
         }
       }
@@ -77,27 +79,29 @@ std::size_t rebalanceBucket(const data::Dataset& ds,
 }
 
 /// Shared rebalancing core used by the serial and distributed variants:
-/// full m x P distance matrix, then one (class-blind) or two (per-class)
-/// migration passes.
+/// all P distance columns, then one (class-blind) or two (per-class)
+/// migration passes. `ws` is the workspace the K-means phase swept the
+/// same rows through, so the block is packed once.
 std::size_t rebalance(const data::Dataset& ds, Partition& partition,
-                      bool ratioBalanced) {
+                      bool ratioBalanced, kernel::RowWorkspace& ws) {
   const int parts = partition.parts;
   const auto p = static_cast<std::size_t>(parts);
   const std::size_t m = ds.rows();
 
-  // Distance matrix (Algorithm 5 lines 6-8).
+  // Distance matrix (Algorithm 5 lines 6-8): the P distance columns from
+  // one sweep per kernel::tile::kMaxQueries centers.
   std::vector<double> centerSelf(p, 0.0);
   for (std::size_t c = 0; c < p; ++c) {
     for (float v : partition.centers[c]) centerSelf[c] += double(v) * double(v);
   }
   std::vector<double> dist(m * p);
-  kernel::RowWorkspace ws;
-  std::vector<double> column(m);
+  std::vector<std::span<const float>> xs(partition.centers.begin(),
+                                         partition.centers.end());
+  std::vector<std::span<double>> columns(p);
   for (std::size_t c = 0; c < p; ++c) {
-    kernel::squaredDistances(ds, partition.centers[c], centerSelf[c], column,
-                             ws);
-    for (std::size_t i = 0; i < m; ++i) dist[i * p + c] = column[i];
+    columns[c] = std::span(dist).subspan(c * m, m);
   }
+  kernel::squaredDistances(ds, xs, centerSelf, columns, ws);
 
   std::size_t moves = 0;
   if (!ratioBalanced) {
@@ -140,12 +144,13 @@ BalancedKMeansResult balancedKmeans(const data::Dataset& ds,
   km.maxLoops = options.maxKmeansLoops;
   km.changeThreshold = options.kmeansChangeThreshold;
   km.seed = options.seed;
-  KMeansResult base = kmeans(ds, km);
+  kernel::RowWorkspace ws;
+  KMeansResult base = kmeans(ds, km, ws);
 
   BalancedKMeansResult result;
   result.kmeansLoops = base.loops;
   result.partition = std::move(base.partition);
-  result.moves = rebalance(ds, result.partition, options.ratioBalanced);
+  result.moves = rebalance(ds, result.partition, options.ratioBalanced, ws);
   if (options.recomputeCenters) {
     result.partition.centers =
         computeCenters(ds, result.partition.assign, options.parts);
@@ -163,13 +168,15 @@ BalancedKMeansResult balancedKmeansDistributed(
   km.maxLoops = options.maxKmeansLoops;
   km.changeThreshold = options.kmeansChangeThreshold;
   km.seed = options.seed;
-  KMeansResult base = kmeansDistributed(comm, local, km);
+  kernel::RowWorkspace ws;
+  KMeansResult base = kmeansDistributed(comm, local, km, ws);
 
   BalancedKMeansResult result;
   result.kmeansLoops = base.loops;
   result.partition = std::move(base.partition);
   // Divide-and-conquer rebalance: per-rank quotas over the local block.
-  result.moves = rebalance(local, result.partition, options.ratioBalanced);
+  result.moves =
+      rebalance(local, result.partition, options.ratioBalanced, ws);
 
   // Conquer: recompute global centers from the final assignment.
   if (options.recomputeCenters) {

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "casvm/kernel/kernel.hpp"
+#include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/rng.hpp"
 
@@ -12,22 +13,34 @@ namespace casvm::cluster {
 namespace {
 
 /// Nearest center to every row, using precomputed center squared norms:
-/// one tiled distance column per center. Centers are visited in ascending
-/// order with a strict <, so a tie keeps the lowest index.
+/// the tiled distance columns of up to tile::kMaxQueries centers from one
+/// sweep. Centers are visited in ascending order with a strict <, so a tie
+/// keeps the lowest index.
 std::vector<int> nearestCenters(const data::Dataset& ds,
                                 const std::vector<std::vector<float>>& centers,
                                 const std::vector<double>& centerSelf,
                                 kernel::RowWorkspace& ws) {
+  constexpr std::size_t kGroup = kernel::tile::kMaxQueries;
   const std::size_t m = ds.rows();
   std::vector<int> best(m, 0);
   std::vector<double> bestDist(m, std::numeric_limits<double>::infinity());
-  std::vector<double> d(m);
-  for (std::size_t c = 0; c < centers.size(); ++c) {
-    kernel::squaredDistances(ds, centers[c], centerSelf[c], d, ws);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (d[i] < bestDist[i]) {
-        bestDist[i] = d[i];
-        best[i] = static_cast<int>(c);
+  std::vector<double> d(std::min(kGroup, centers.size()) * m);
+  std::span<const float> xs[kGroup];
+  std::span<double> outs[kGroup];
+  for (std::size_t c0 = 0; c0 < centers.size(); c0 += kGroup) {
+    const std::size_t q = std::min(kGroup, centers.size() - c0);
+    for (std::size_t t = 0; t < q; ++t) {
+      xs[t] = centers[c0 + t];
+      outs[t] = std::span(d).subspan(t * m, m);
+    }
+    kernel::squaredDistances(ds, {xs, q}, {centerSelf.data() + c0, q},
+                             {outs, q}, ws);
+    for (std::size_t t = 0; t < q; ++t) {
+      for (std::size_t i = 0; i < m; ++i) {
+        if (outs[t][i] < bestDist[i]) {
+          bestDist[i] = outs[t][i];
+          best[i] = static_cast<int>(c0 + t);
+        }
       }
     }
   }
@@ -159,11 +172,16 @@ KMeansResult kmeansSingle(const data::Dataset& ds,
 }  // namespace
 
 KMeansResult kmeans(const data::Dataset& ds, const KMeansOptions& options) {
+  kernel::RowWorkspace ws;
+  return kmeans(ds, options, ws);
+}
+
+KMeansResult kmeans(const data::Dataset& ds, const KMeansOptions& options,
+                    kernel::RowWorkspace& ws) {
   CASVM_CHECK(options.clusters > 0, "clusters must be positive");
   CASVM_CHECK(ds.rows() >= static_cast<std::size_t>(options.clusters),
               "fewer samples than clusters");
   CASVM_CHECK(options.restarts >= 1, "restarts must be at least 1");
-  kernel::RowWorkspace ws;
   KMeansResult best = kmeansSingle(ds, options, options.seed, ws);
   for (int r = 1; r < options.restarts; ++r) {
     KMeansResult candidate = kmeansSingle(
@@ -175,6 +193,13 @@ KMeansResult kmeans(const data::Dataset& ds, const KMeansOptions& options) {
 
 KMeansResult kmeansDistributed(net::Comm& comm, const data::Dataset& local,
                                const KMeansOptions& options) {
+  kernel::RowWorkspace ws;
+  return kmeansDistributed(comm, local, options, ws);
+}
+
+KMeansResult kmeansDistributed(net::Comm& comm, const data::Dataset& local,
+                               const KMeansOptions& options,
+                               kernel::RowWorkspace& ws) {
   const int k = options.clusters;
   CASVM_CHECK(k > 0, "clusters must be positive");
   const std::size_t localRows = local.rows();
@@ -186,7 +211,6 @@ KMeansResult kmeansDistributed(net::Comm& comm, const data::Dataset& local,
 
   // Rank 0 seeds the centers from its own block and broadcasts them
   // (Algorithm 4 lines 1-4 use the same root-seeded scheme).
-  kernel::RowWorkspace ws;
   std::vector<float> flatCenters(static_cast<std::size_t>(k) * n, 0.0f);
   if (comm.rank() == 0) {
     CASVM_CHECK(localRows >= static_cast<std::size_t>(k),

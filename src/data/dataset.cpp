@@ -4,6 +4,7 @@
 
 #include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
+#include "casvm/support/isa.hpp"
 
 namespace casvm::data {
 
@@ -151,12 +152,22 @@ double Dataset::dotWith(std::size_t i, std::span<const float> x) const {
   return acc;
 }
 
+namespace {
+
+/// acc[k] += row[k] for k < n: one row into a center sum, each feature
+/// its own sum, so the rows it adds in index order sum in index order.
+CASVM_ISA_CLONES void addRow(const float* __restrict row,
+                             double* __restrict acc, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) acc[k] += row[k];
+}
+
+}  // namespace
+
 void Dataset::addRowTo(std::size_t i, std::span<double> acc) const {
   CASVM_ASSERT(i < rows(), "row out of range");
   CASVM_CHECK(acc.size() == cols_, "accumulator has wrong length");
   if (storage_ == Storage::Dense) {
-    const float* a = dense_.data() + i * cols_;
-    for (std::size_t k = 0; k < cols_; ++k) acc[k] += a[k];
+    addRow(dense_.data() + i * cols_, acc.data(), cols_);
     return;
   }
   for (std::size_t p = rowPtr_[i]; p < rowPtr_[i + 1]; ++p) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define CASVM_EXP_X86 1
@@ -67,6 +68,11 @@ void expRowPortable(double* v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) v[i] = exp(v[i]);
 }
 
+std::size_t expFloatRowPortable(const double* x, float* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(exp(x[i]));
+  return 0;
+}
+
 namespace {
 
 #ifdef CASVM_EXP_X86
@@ -125,6 +131,21 @@ void expRowAvx2(double* v, std::size_t n) {
     _mm256_storeu_pd(v + i + 4, b);
   }
   for (; i < n; ++i) v[i] = exp(v[i]);
+}
+
+// expLanes() then a conversion, eight values a step; the ragged end runs
+// the scalar function.
+__attribute__((target("avx2")))
+std::size_t expFloatRowAvx2(const double* x, float* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a = expLanes(_mm256_loadu_pd(x + i));
+    const __m256d b = expLanes(_mm256_loadu_pd(x + i + 4));
+    _mm_storeu_ps(out + i, _mm256_cvtpd_ps(a));
+    _mm_storeu_ps(out + i + 4, _mm256_cvtpd_ps(b));
+  }
+  for (; i < n; ++i) out[i] = static_cast<float>(exp(x[i]));
+  return 0;
 }
 
 #undef CASVM_AVX2_INLINE
@@ -196,6 +217,95 @@ void expRowAvx512(double* v, std::size_t n) {
   }
 }
 
+/// 1/i! for i = 0..11, the Taylor coefficients of the fast path.
+constexpr double kTaylor[12] = {
+    1.0,
+    1.0,
+    1.0 / 2.0,
+    1.0 / 6.0,
+    1.0 / 24.0,
+    1.0 / 120.0,
+    1.0 / 720.0,
+    1.0 / 5040.0,
+    1.0 / 40320.0,
+    1.0 / 362880.0,
+    1.0 / 3628800.0,
+    1.0 / 39916800.0};
+
+/// The fast path's range: e^x is a normal double and 2^k one power of two.
+constexpr double kFastMin = -700.0;
+
+/// Half-width of the rounding test's band, relative: 2^-40, far above the
+/// candidate's 2^-46 error plus exp()'s 2^-52.
+constexpr double kBand = 0x1p-40;
+
+/// Eight doubles rounded to float and widened back. (The zero-masked
+/// forms under an all-ones mask are the plain conversions; GCC 12's
+/// unmasked intrinsics warn on their own bodies.)
+CASVM_AVX512_INLINE __m512d roundToFloat(__m512d v) {
+  return _mm512_maskz_cvtps_pd(0xFF, _mm512_maskz_cvtpd_ps(0xFF, v));
+}
+
+/// float(exp(x)) in eight lanes where the rounding test proves it; `ok`
+/// gets the lanes it holds for. The candidate's products are inexact, so
+/// its fused multiply-adds are written out; every other product rounds
+/// alone (the region is no-FMA).
+CASVM_AVX512_INLINE __m256 expFloatLanes(__m512d x, __mmask8& ok) {
+  const __m512d shifter = _mm512_set1_pd(kShifter);
+  const __mmask8 inRange =
+      _mm512_cmp_pd_mask(x, _mm512_set1_pd(kFastMin), _CMP_GE_OQ) &
+      _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_LE_OQ);
+  const __m512d k = _mm512_sub_pd(
+      _mm512_add_pd(_mm512_mul_pd(x, _mm512_set1_pd(kInvLn2)), shifter),
+      shifter);
+  const __m512d negK = _mm512_sub_pd(_mm512_setzero_pd(), k);
+  // x - k ln2hi is exact (fdlibm's split); the second step rounds once.
+  const __m512d hi = _mm512_fmadd_pd(negK, _mm512_set1_pd(kLn2Hi), x);
+  const __m512d r = _mm512_fmadd_pd(negK, _mm512_set1_pd(kLn2Lo), hi);
+  __m512d p = _mm512_set1_pd(kTaylor[11]);
+  for (int i = 10; i >= 0; --i) {
+    p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(kTaylor[i]));
+  }
+  // A lane outside the range may hold any k; its result is discarded, but
+  // its 2^k must not be formed from an out-of-range exponent field.
+  const __m512d kSafe = _mm512_maskz_mov_pd(inRange, k);
+  const __m512d y = _mm512_mul_pd(p, pow2Lanes(kSafe));
+  const __m512d lo =
+      roundToFloat(_mm512_mul_pd(y, _mm512_set1_pd(1.0 - kBand)));
+  const __m512d up =
+      roundToFloat(_mm512_mul_pd(y, _mm512_set1_pd(1.0 + kBand)));
+  ok = _mm512_mask_cmp_pd_mask(inRange, lo, up, _CMP_EQ_OQ);
+  return _mm512_maskz_cvtpd_ps(0xFF, y);
+}
+
+// Eight values a step; the ragged end runs masked lanes (a masked-off
+// lane loads 0 and is never stored). The lanes the rounding test does not
+// hold for run exp() one by one; over arguments of a Gaussian row they
+// are rare.
+__attribute__((target("avx512f")))
+std::size_t expFloatRowAvx512(const double* x, float* out, std::size_t n) {
+  std::size_t fallbacks = 0;
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t left = n - i;
+    const __mmask8 mask =
+        left >= 8 ? 0xFF : static_cast<__mmask8>((1u << left) - 1);
+    __mmask8 ok;
+    const __m256 y = expFloatLanes(_mm512_maskz_loadu_pd(mask, x + i), ok);
+    // Eight floats, through a buffer on the ragged end (a masked
+    // eight-float store needs AVX-512VL).
+    alignas(32) float buf[8];
+    float* dst = left >= 8 ? out + i : buf;
+    _mm256_storeu_ps(dst, y);
+    if (dst == buf) std::memcpy(out + i, buf, left * sizeof(float));
+    for (unsigned miss = mask & ~ok; miss != 0; miss &= miss - 1) {
+      const std::size_t l = i + static_cast<std::size_t>(__builtin_ctz(miss));
+      out[l] = static_cast<float>(exp(x[l]));
+      ++fallbacks;
+    }
+  }
+  return fallbacks;
+}
+
 #undef CASVM_AVX512_INLINE
 CASVM_NO_FMA_END
 #endif  // CASVM_EXP_X86
@@ -215,6 +325,23 @@ ExpRowFn expRowFnFor(Isa isa) {
 
 ExpRowFn expRowFn() {
   static const ExpRowFn fn = widest(&expRowFnFor, &expRowPortable);
+  return fn;
+}
+
+ExpFloatRowFn expFloatRowFnFor(Isa isa) {
+  if (!cpuHas(isa)) return nullptr;
+#ifdef CASVM_EXP_X86
+  switch (isa) {
+    case Isa::Avx2: return &expFloatRowAvx2;
+    case Isa::Avx512: return &expFloatRowAvx512;
+  }
+#endif
+  return nullptr;
+}
+
+ExpFloatRowFn expFloatRowFn() {
+  static const ExpFloatRowFn fn =
+      widest(&expFloatRowFnFor, &expFloatRowPortable);
   return fn;
 }
 

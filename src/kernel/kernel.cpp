@@ -132,7 +132,35 @@ CASVM_ISA_CLONES void exponents(const double* __restrict selfDots,
 }
 CASVM_NO_FMA_END
 
+/// Subset entries a gathered block holds: its dots, norms and values stay
+/// in L1.
+constexpr std::size_t kSubsetBlock = 64;
+
+/// A scattered subset's kernel values a block at a time: each block's raw
+/// dots (`dotOf(j)`) and row norms are gathered, and `finish(block,
+/// selfDots, dots)` transforms them and writes entry t to block[t].
+template <class DotOf, class Finish>
+void gatherSubset(const data::Dataset& ds, std::span<const std::size_t> subset,
+                  DotOf&& dotOf, Finish&& finish) {
+  double dots[kSubsetBlock], selfDots[kSubsetBlock];
+  for (std::size_t b = 0; b < subset.size(); b += kSubsetBlock) {
+    const std::span<const std::size_t> block =
+        subset.subspan(b, std::min(kSubsetBlock, subset.size() - b));
+    for (std::size_t t = 0; t < block.size(); ++t) {
+      dots[t] = dotOf(block[t]);
+      selfDots[t] = ds.selfDot(block[t]);
+    }
+    finish(block, selfDots, dots);
+  }
+}
+
 }  // namespace
+
+// A conversion rounds alike at every width.
+CASVM_ISA_CLONES void toCached(const double* __restrict src,
+                               CacheValue* __restrict dst, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) dst[k] = static_cast<CacheValue>(src[k]);
+}
 
 // The workspace keeps the dense matrix in the blocked k-major tiling of
 // kernel::tile (see tile_kernel.hpp); fills run through tile::dotFn(), the
@@ -144,6 +172,7 @@ void RowWorkspace::bind(const data::Dataset& ds) {
   bound_ = &ds;
   rows_ = ds.rows();
   cols_ = ds.cols();
+  dots_.clear();
   if (ds.storage() == data::Storage::Dense) {
     tile::pack(ds, tiles_);
     xd_.resize(tile::kMaxQueries * cols_);
@@ -151,6 +180,20 @@ void RowWorkspace::bind(const data::Dataset& ds) {
     tiles_.clear();
     xd_.clear();
   }
+}
+
+void Kernel::transformToCached(const double* selfDots, double selfX,
+                               double* dots, CacheValue* out,
+                               std::size_t n) const {
+  if (params_.type == KernelType::Gaussian) {
+    // fromDot's operations element for element, then float(exp(x)) in
+    // one pass (see exp.hpp).
+    exponents(selfDots, selfX, params_.gamma, dots, n);
+    expFloatRowFn()(dots, out, n);
+    return;
+  }
+  transformDots({selfDots, n}, selfX, {dots, n});
+  toCached(dots, out, n);
 }
 
 void Kernel::transformDots(std::span<const double> selfDots, double selfX,
@@ -204,89 +247,71 @@ void Kernel::row(const data::Dataset& ds, std::size_t i, std::span<double> out,
 }
 
 void Kernel::rows(const data::Dataset& ds, std::span<const std::size_t> idx,
-                  std::span<const std::span<double>> outs,
+                  std::span<const std::span<CacheValue>> outs,
                   RowWorkspace& ws) const {
-  CASVM_CHECK(idx.size() == outs.size(), "one output per kernel row");
+  const std::size_t q = idx.size();
+  const std::size_t m = ds.rows();
+  CASVM_CHECK(q >= 1 && q <= tile::kMaxQueries && outs.size() == q,
+              "one to eight kernel rows, each with an output");
+  for (std::size_t t = 0; t < q; ++t) {
+    CASVM_CHECK(idx[t] < m, "kernel row out of range");
+    CASVM_CHECK(outs[t].size() == m, "kernel row output has wrong length");
+  }
+  ws.bind(ds);
+  const double* selfDots = ds.selfDots().data();
   if (ds.storage() == data::Storage::Dense) {
-    CASVM_CHECK(idx.size() <= tile::kMaxQueries, "too many rows for one pass");
-    std::span<const float> xs[tile::kMaxQueries];
-    double selfDots[tile::kMaxQueries];
-    for (std::size_t t = 0; t < idx.size(); ++t) {
-      xs[t] = ds.denseRow(idx[t]);
-      selfDots[t] = ds.selfDot(idx[t]);
+    double selfX[tile::kMaxQueries];
+    for (std::size_t t = 0; t < q; ++t) {
+      const std::span<const float> x = ds.denseRow(idx[t]);
+      std::copy(x.begin(), x.end(), ws.xd_.begin() + t * ws.cols_);
+      selfX[t] = ds.selfDot(idx[t]);
     }
-    rowsWith(ds, std::span(xs, idx.size()), std::span(selfDots, idx.size()),
-             outs, ws);
+    alignas(64) double chunk[tile::kMaxQueries * tile::kChunkRows];
+    tile::sweepChunks(
+        tile::dotFn(), ws.tiles_.data(), ws.xd_.data(), q, m, ws.cols_,
+        ws.reverse_, chunk, [&](std::size_t base, std::size_t count) {
+          for (std::size_t t = 0; t < q; ++t) {
+            transformToCached(selfDots + base, selfX[t],
+                              chunk + t * tile::kChunkRows,
+                              outs[t].data() + base, count);
+          }
+        });
+    ws.reverse_ = !ws.reverse_;
     return;
   }
-  for (std::size_t t = 0; t < idx.size(); ++t) row(ds, idx[t], outs[t], ws);
-}
-
-void Kernel::transformSubset(const data::Dataset& ds, double selfX,
-                             std::span<const std::size_t> subset,
-                             std::span<double> out) const {
-  switch (params_.type) {
-    case KernelType::Linear:
-      break;
-    case KernelType::Polynomial:
-      for (std::size_t j : subset) {
-        out[j] = std::pow(params_.a * out[j] + params_.r, params_.degree);
-      }
-      break;
-    case KernelType::Gaussian: {
-      // The scattered exponents are gathered a block at a time for the
-      // vector exp pass (exp() bit for bit, several times its speed).
-      constexpr std::size_t kBlock = 64;
-      double block[kBlock];
-      const ExpRowFn expRow = expRowFn();
-      for (std::size_t b = 0; b < subset.size(); b += kBlock) {
-        const std::size_t n = std::min(kBlock, subset.size() - b);
-        for (std::size_t t = 0; t < n; ++t) {
-          const std::size_t j = subset[b + t];
-          const double d2 = selfX + ds.selfDot(j) - 2.0 * out[j];
-          block[t] = -params_.gamma * (d2 > 0.0 ? d2 : 0.0);
-        }
-        expRow(block, n);
-        for (std::size_t t = 0; t < n; ++t) out[subset[b + t]] = block[t];
-      }
-      break;
+  ws.dots_.resize(m);
+  for (std::size_t t = 0; t < q; ++t) {
+    sparseDotRow(ds, idx[t], ws.dots_, ws.scatter_);
+    for (std::size_t b = 0; b < m; b += tile::kChunkRows) {
+      transformToCached(selfDots + b, ds.selfDot(idx[t]), ws.dots_.data() + b,
+                        outs[t].data() + b, std::min(tile::kChunkRows, m - b));
     }
-    case KernelType::Sigmoid:
-      for (std::size_t j : subset) {
-        out[j] = std::tanh(params_.a * out[j] + params_.r);
-      }
-      break;
   }
 }
 
 void Kernel::row(const data::Dataset& ds, std::size_t i,
-                 std::span<const std::size_t> subset, std::span<double> out,
+                 std::span<const std::size_t> subset, std::span<CacheValue> out,
                  RowWorkspace& ws) const {
   CASVM_CHECK(out.size() == ds.rows(), "kernel row output has wrong length");
   ws.bind(ds);
+  std::span<const float> xi;
   if (ds.storage() == data::Storage::Dense) {
-    const std::span<const float> xi = ds.denseRow(i);
-    const std::size_t n = ds.cols();
-    for (std::size_t j : subset) {
-      const float* rj = ds.denseRow(j).data();
-      double acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k) acc += double(xi[k]) * double(rj[k]);
-      out[j] = acc;
-    }
+    xi = ds.denseRow(i);
   } else {
-    std::vector<float>& xd = ws.scatter_;
-    scatterSparseRow(ds, i, xd);
-    for (std::size_t j : subset) {
-      const auto ji = ds.sparseIndices(j);
-      const auto jv = ds.sparseValues(j);
-      double acc = 0.0;
-      for (std::size_t p = 0; p < ji.size(); ++p) {
-        acc += double(jv[p]) * double(xd[ji[p]]);
-      }
-      out[j] = acc;
-    }
+    scatterSparseRow(ds, i, ws.scatter_);
+    xi = ws.scatter_;
   }
-  transformSubset(ds, ds.selfDot(i), subset, out);
+  const double selfX = ds.selfDot(i);
+  gatherSubset(
+      ds, subset, [&](std::size_t j) { return ds.dotWith(j, xi); },
+      [&](std::span<const std::size_t> block, const double* selfDots,
+          double* dots) {
+        CacheValue values[kSubsetBlock];
+        transformToCached(selfDots, selfX, dots, values, block.size());
+        for (std::size_t t = 0; t < block.size(); ++t) {
+          out[block[t]] = values[t];
+        }
+      });
 }
 
 void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,
@@ -294,8 +319,16 @@ void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,
                      std::span<double> out) const {
   CASVM_CHECK(out.size() == ds.rows(), "kernel column output has wrong length");
   CASVM_CHECK(x.size() == ds.cols(), "external vector has wrong length");
-  for (std::size_t j : subset) out[j] = ds.dotWith(j, x);
-  transformSubset(ds, xSelfDot, subset, out);
+  gatherSubset(
+      ds, subset, [&](std::size_t j) { return ds.dotWith(j, x); },
+      [&](std::span<const std::size_t> block, const double* selfDots,
+          double* dots) {
+        transformDots({selfDots, block.size()}, xSelfDot,
+                      {dots, block.size()});
+        for (std::size_t t = 0; t < block.size(); ++t) {
+          out[block[t]] = dots[t];
+        }
+      });
 }
 
 void Kernel::rowWith(const data::Dataset& ds, std::span<const float> x,
@@ -315,7 +348,7 @@ void Kernel::rowsWith(const data::Dataset& ds,
   const std::size_t q = xs.size();
   CASVM_CHECK(q >= 1 && q <= tile::kMaxQueries && xSelfDots.size() == q &&
                   outs.size() == q,
-              "one to four queries, each with a norm and an output");
+              "one to eight queries, each with a norm and an output");
   for (std::size_t t = 0; t < q; ++t) {
     CASVM_CHECK(outs[t].size() == ds.rows(),
                 "kernel column output has wrong length");
@@ -323,22 +356,28 @@ void Kernel::rowsWith(const data::Dataset& ds,
   }
   ws.bind(ds);
   if (ds.storage() == data::Storage::Dense) {
-    double* out[tile::kMaxQueries];
     for (std::size_t t = 0; t < q; ++t) {
       std::copy(xs[t].begin(), xs[t].end(), ws.xd_.begin() + t * ws.cols_);
-      out[t] = outs[t].data();
     }
-    tile::sweep(tile::dotFn(), ws.tiles_.data(), ws.xd_.data(), q, ws.rows_,
-                ws.cols_, out, ws.reverse_);
+    // Each chunk's columns are copied out and transformed while in L1.
+    alignas(64) double chunk[tile::kMaxQueries * tile::kChunkRows];
+    tile::sweepChunks(
+        tile::dotFn(), ws.tiles_.data(), ws.xd_.data(), q, ws.rows_, ws.cols_,
+        ws.reverse_, chunk, [&](std::size_t base, std::size_t count) {
+          for (std::size_t t = 0; t < q; ++t) {
+            const std::span<double> out = outs[t].subspan(base, count);
+            std::copy_n(chunk + t * tile::kChunkRows, count, out.begin());
+            transformDots(ds.selfDots().subspan(base, count), xSelfDots[t],
+                          out);
+          }
+        });
     ws.reverse_ = !ws.reverse_;
-  } else {
-    for (std::size_t t = 0; t < q; ++t) {
-      for (std::size_t j = 0; j < ds.rows(); ++j) {
-        outs[t][j] = ds.dotWith(j, xs[t]);
-      }
-    }
+    return;
   }
   for (std::size_t t = 0; t < q; ++t) {
+    for (std::size_t j = 0; j < ds.rows(); ++j) {
+      outs[t][j] = ds.dotWith(j, xs[t]);
+    }
     transformDots(ds.selfDots(), xSelfDots[t], outs[t]);
   }
 }
@@ -372,10 +411,31 @@ void Kernel::diagonal(const data::Dataset& ds, std::span<double> out) const {
 void squaredDistances(const data::Dataset& ds, std::span<const float> x,
                       double xSelfDot, std::span<double> out,
                       RowWorkspace& ws) {
-  Kernel(KernelParams::linear()).rowWith(ds, x, xSelfDot, out, ws);
-  // Same operand order as Dataset::squaredDistanceTo.
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    out[j] = ds.selfDot(j) + xSelfDot - 2.0 * out[j];
+  const std::span<const float> xs[] = {x};
+  const double xSelfDots[] = {xSelfDot};
+  const std::span<double> outs[] = {out};
+  squaredDistances(ds, xs, xSelfDots, outs, ws);
+}
+
+void squaredDistances(const data::Dataset& ds,
+                      std::span<const std::span<const float>> xs,
+                      std::span<const double> xSelfDots,
+                      std::span<const std::span<double>> outs,
+                      RowWorkspace& ws) {
+  CASVM_CHECK(xSelfDots.size() == xs.size() && outs.size() == xs.size(),
+              "one norm and one output per vector");
+  const Kernel linear(KernelParams::linear());
+  for (std::size_t c = 0; c < xs.size(); c += tile::kMaxQueries) {
+    const std::size_t q = std::min(tile::kMaxQueries, xs.size() - c);
+    linear.rowsWith(ds, xs.subspan(c, q), xSelfDots.subspan(c, q),
+                    outs.subspan(c, q), ws);
+  }
+  for (std::size_t t = 0; t < xs.size(); ++t) {
+    // Same operand order as Dataset::squaredDistanceTo.
+    const std::span<double> out = outs[t];
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      out[j] = ds.selfDot(j) + xSelfDots[t] - 2.0 * out[j];
+    }
   }
 }
 

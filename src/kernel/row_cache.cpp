@@ -5,7 +5,6 @@
 
 #include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
-#include "casvm/support/isa.hpp"
 
 namespace casvm::kernel {
 
@@ -19,15 +18,9 @@ std::size_t capacityFor(std::size_t rows, std::size_t budgetBytes) {
   return std::max<std::size_t>(2, budgetBytes / rowBytes);
 }
 
-/// dst[k] = CacheValue(src[k]) for k < m: a filled row rounded once, as
-/// the cache stores it (a conversion rounds alike at every width).
-CASVM_ISA_CLONES void roundRow(const double* __restrict src,
-                               CacheValue* __restrict dst, std::size_t m) {
-  for (std::size_t k = 0; k < m; ++k) dst[k] = static_cast<CacheValue>(src[k]);
-}
-
-/// The unread list holds at most capacity / kUnreadShare rows.
-constexpr std::size_t kUnreadShare = 16;
+/// The unread list holds at most capacity * width / kUnreadShare rows: a
+/// sixteenth of the cache at width four, an eighth at width eight.
+constexpr std::size_t kUnreadShare = 64;
 
 }  // namespace
 
@@ -38,8 +31,8 @@ RowCache::RowCache(const Kernel& kernel, const data::Dataset& ds,
       capacityRows_(capacityFor(src_->rows(), budgetBytes)),
       fillWidth_(std::clamp<std::size_t>(src_->fillWidth(), 1,
                                          tile::kMaxQueries)),
-      scratch_(std::max<std::size_t>(2, fillWidth_) * src_->rows()),
-      unreadLimit_(std::max<std::size_t>(1, capacityRows_ / kUnreadShare)),
+      unreadLimit_(std::max<std::size_t>(
+          1, capacityRows_ * fillWidth_ / kUnreadShare)),
       slot_(src_->rows(), nullptr),
       held_(src_->rows(), 0) {}
 
@@ -48,8 +41,8 @@ RowCache::RowCache(RowSource& source, std::size_t budgetBytes)
       capacityRows_(capacityFor(src_->rows(), budgetBytes)),
       fillWidth_(std::clamp<std::size_t>(src_->fillWidth(), 1,
                                          tile::kMaxQueries)),
-      scratch_(std::max<std::size_t>(2, fillWidth_) * src_->rows()),
-      unreadLimit_(std::max<std::size_t>(1, capacityRows_ / kUnreadShare)),
+      unreadLimit_(std::max<std::size_t>(
+          1, capacityRows_ * fillWidth_ / kUnreadShare)),
       slot_(src_->rows(), nullptr),
       held_(src_->rows(), 0) {}
 
@@ -132,11 +125,6 @@ RowCache::Slot* RowCache::claimAhead(std::size_t i) {
   return &place(*victim, i, kUnread);
 }
 
-std::span<double> RowCache::scratch(std::size_t k) {
-  const std::size_t m = src_->rows();
-  return {scratch_.data() + k * m, m};
-}
-
 RowCache::Lookup RowCache::lookup(std::size_t i,
                                   const std::span<const std::size_t>* active) {
   CASVM_CHECK(i < src_->rows(), "kernel row out of range");
@@ -184,26 +172,19 @@ void RowCache::fillPartial(Slot& slot, std::size_t i,
   std::fill(slot.values.begin(), slot.values.end(),
             std::numeric_limits<CacheValue>::quiet_NaN());
 #endif
-  const std::span<double> row = scratch(0);
-  src_->fillRowSubset(i, active, row);
-  for (std::size_t j : active) {
-    slot.values[j] = static_cast<CacheValue>(row[j]);
-  }
+  src_->fillRowSubset(i, active, slot.values);
 }
 
 void RowCache::fillFull(const std::size_t* rows, Slot* const* slots,
                         std::size_t q) {
-  std::span<double> outs[tile::kMaxQueries];
-  for (std::size_t t = 0; t < q; ++t) outs[t] = scratch(t);
+  std::span<CacheValue> outs[tile::kMaxQueries];
+  for (std::size_t t = 0; t < q; ++t) outs[t] = slots[t]->values;
   if (q == 1) {
     src_->fillRow(rows[0], outs[0]);
   } else {
     src_->fillRows({rows, q}, {outs, q});
   }
   ++fillSweeps_;
-  for (std::size_t t = 0; t < q; ++t) {
-    roundRow(outs[t].data(), slots[t]->values.data(), outs[t].size());
-  }
 }
 
 std::span<const CacheValue> RowCache::row(std::size_t i) {

@@ -150,8 +150,9 @@ void dot2Avx2(const float* tiles, const double* x0, const double* x1,
   }
 }
 
-/// Sixteen accumulators do not fit AVX2's sixteen registers, so three or
-/// four queries take two sweeps: the queries in pairs, an odd one alone.
+/// More than two queries' accumulators do not fit AVX2's sixteen
+/// registers, so three to eight queries take one sweep per pair, an odd
+/// one alone.
 __attribute__((target("avx2")))
 void dotAvx2(const float* tiles, const double* xs, std::size_t q,
              std::size_t m, std::size_t n, double* const* out) {
@@ -192,7 +193,10 @@ CASVM_AVX512_INLINE void storeBlock512(double* out, std::size_t cnt,
 }
 
 // Q queries per sweep of each 16-row block: two zmm accumulators per query
-// (rows 0-7 and 8-15), each chain a serial sum over ascending k. The fused
+// (rows 0-7 and 8-15), each chain a serial sum over ascending k; at Q = 8
+// the sixteen accumulators, two tile lanes and a broadcast fit the 32
+// registers. Each pair of conversions a block's tile row costs is shared
+// by all Q queries, so wider passes widen fewer tiles per output. The fused
 // multiply-add is bitwise the separate multiply and add here (see the
 // header): both factors are widened floats, so the product is exact.
 template <std::size_t Q>
@@ -205,7 +209,7 @@ void dotAvx512Q(const float* tiles, const double* xs, std::size_t m,
     // The accumulator arrays stay in registers only when the loops over
     // the queries unroll, which GCC's -O2 does not do unasked.
     __m512d lo[Q], hi[Q];
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (std::size_t s = 0; s < Q; ++s) {
       lo[s] = _mm512_setzero_pd();
       hi[s] = _mm512_setzero_pd();
@@ -214,7 +218,7 @@ void dotAvx512Q(const float* tiles, const double* xs, std::size_t m,
       const float* tk = t + k * kRows;
       const __m512d v0 = lanesLo(tk);
       const __m512d v1 = lanesHi(tk);
-#pragma GCC unroll 4
+#pragma GCC unroll 8
       for (std::size_t s = 0; s < Q; ++s) {
         const __m512d x = _mm512_set1_pd(xs[s * n + k]);
         lo[s] = _mm512_fmadd_pd(x, v0, lo[s]);
@@ -222,7 +226,7 @@ void dotAvx512Q(const float* tiles, const double* xs, std::size_t m,
       }
     }
     const std::size_t base = b * kRows;
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (std::size_t s = 0; s < Q; ++s) {
       storeBlock512(out[s] + base, m - base, lo[s], hi[s]);
     }
@@ -274,7 +278,11 @@ void dotAvx512(const float* tiles, const double* xs, std::size_t q,
     case 1: dot1Avx512(tiles, xs, m, n, out[0]); return;
     case 2: dotAvx512Q<2>(tiles, xs, m, n, out); return;
     case 3: dotAvx512Q<3>(tiles, xs, m, n, out); return;
-    default: dotAvx512Q<4>(tiles, xs, m, n, out); return;
+    case 4: dotAvx512Q<4>(tiles, xs, m, n, out); return;
+    case 5: dotAvx512Q<5>(tiles, xs, m, n, out); return;
+    case 6: dotAvx512Q<6>(tiles, xs, m, n, out); return;
+    case 7: dotAvx512Q<7>(tiles, xs, m, n, out); return;
+    default: dotAvx512Q<8>(tiles, xs, m, n, out); return;
   }
 }
 
@@ -299,19 +307,10 @@ DotFn dotFn() {
   return fn;
 }
 
-void sweep(DotFn fn, const float* tiles, const double* xs, std::size_t q,
-           std::size_t m, std::size_t n, double* const* out, bool reverse) {
-  if (!reverse) {
-    fn(tiles, xs, q, m, n, out);
-    return;
-  }
-  constexpr std::size_t kChunkRows = kChunkBlocks * kRows;
-  double* chunkOut[kMaxQueries];
-  for (std::size_t c = (m + kChunkRows - 1) / kChunkRows; c-- > 0;) {
-    const std::size_t base = c * kChunkRows;
-    for (std::size_t t = 0; t < q; ++t) chunkOut[t] = out[t] + base;
-    fn(tiles + base * n, xs, q, std::min(kChunkRows, m - base), n, chunkOut);
-  }
+std::size_t sweepWidth() {
+  static const std::size_t width =
+      dotFn() == dotFnFor(Isa::Avx512) ? kMaxQueries : 4;
+  return width;
 }
 
 }  // namespace casvm::kernel::tile

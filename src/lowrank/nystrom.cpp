@@ -191,30 +191,38 @@ void NystromFactor::widenRow(std::size_t i, std::size_t slot) {
   }
 }
 
-void NystromFactor::fillRow(std::size_t i, std::span<double> out) {
+void NystromFactor::fillRow(std::size_t i,
+                            std::span<kernel::CacheValue> out) {
   const std::size_t rows[] = {i};
-  const std::span<double> outs[] = {out};
+  const std::span<kernel::CacheValue> outs[] = {out};
   fillRows(rows, outs);
 }
 
-void NystromFactor::fillRows(std::span<const std::size_t> rows,
-                             std::span<const std::span<double>> outs) {
+void NystromFactor::fillRows(
+    std::span<const std::size_t> rows,
+    std::span<const std::span<kernel::CacheValue>> outs) {
+  namespace tile = kernel::tile;
   const std::size_t q = rows.size();
-  CASVM_CHECK(q >= 1 && q <= kernel::tile::kMaxQueries && outs.size() == q,
-              "nystrom fills take one to four rows, each with an output");
-  double* out[kernel::tile::kMaxQueries];
+  CASVM_CHECK(q >= 1 && q <= tile::kMaxQueries && outs.size() == q,
+              "nystrom fills take one to eight rows, each with an output");
   for (std::size_t t = 0; t < q; ++t) {
     CASVM_CHECK(rows[t] < m_, "nystrom row out of range");
     CASVM_CHECK(outs[t].size() == m_, "nystrom row output has wrong length");
     widenRow(rows[t], t);
-    out[t] = outs[t].data();
   }
-  kernel::tile::dotFn()(tiles_.data(), xd_.data(), q, m_, r_, out);
+  alignas(64) double chunk[tile::kMaxQueries * tile::kChunkRows];
+  tile::sweepChunks(tile::dotFn(), tiles_.data(), xd_.data(), q, m_, r_,
+                    false, chunk, [&](std::size_t base, std::size_t count) {
+                      for (std::size_t t = 0; t < q; ++t) {
+                        kernel::toCached(chunk + t * tile::kChunkRows,
+                                         outs[t].data() + base, count);
+                      }
+                    });
 }
 
 void NystromFactor::fillRowSubset(std::size_t i,
                                   std::span<const std::size_t> active,
-                                  std::span<double> out) {
+                                  std::span<kernel::CacheValue> out) {
   CASVM_CHECK(i < m_, "nystrom row out of range");
   CASVM_CHECK(out.size() == m_, "nystrom row output has wrong length");
   widenRow(i);
@@ -228,7 +236,7 @@ void NystromFactor::fillRowSubset(std::size_t i,
       acc += xd_[k] *
              double(tiles_[(block * r_ + k) * kernel::tile::kRows + lane]);
     }
-    out[j] = acc;
+    out[j] = static_cast<kernel::CacheValue>(acc);
   }
 }
 
@@ -290,7 +298,7 @@ void NystromFactor::zdots(std::span<const double> zs,
                           std::span<const std::span<double>> outs) const {
   const std::size_t q = outs.size();
   CASVM_CHECK(q >= 1 && q <= kernel::tile::kMaxQueries,
-              "nystrom zdots take one to four vectors");
+              "nystrom zdots take one to eight vectors");
   CASVM_CHECK(zs.size() == q * r_, "nystrom zdots: vectors have wrong length");
   double* out[kernel::tile::kMaxQueries];
   for (std::size_t t = 0; t < q; ++t) {

@@ -96,8 +96,8 @@ void rankFrom(Ranked& r, const double* f, const std::uint8_t* high,
   }
 }
 
-/// The update as one plain loop; each variant below is this loop compiled
-/// for its instruction set.
+/// The update as one plain loop: the portable pass, and the ragged tail
+/// of each fused variant below.
 [[gnu::always_inline]] inline void updateLoop(double* __restrict f,
                                               const float* __restrict h,
                                               const float* __restrict l,
@@ -120,6 +120,13 @@ PairPick selectPortable(const double* f, const std::uint8_t* high,
 void updatePortable(double* f, const float* h, const float* l, double a,
                     double b, std::size_t m) {
   updateLoop(f, h, l, a, b, m);
+}
+
+PairPick updateSelectPortable(double* f, const float* h, const float* l,
+                              double a, double b, const std::uint8_t* high,
+                              const std::uint8_t* low, std::size_t m) {
+  updatePortable(f, h, l, a, b, m);
+  return selectPortable(f, high, low, m);
 }
 
 std::size_t rankPortable(const double* f, const std::uint8_t* high,
@@ -218,10 +225,46 @@ PairPick selectAvx2(const double* f, const std::uint8_t* high,
   return p;
 }
 
+/// f[k..k+3] + (a h + b l), as updateLoop rounds it, stored back.
+CASVM_AVX2_INLINE __m256d updateLanes(double* f, const float* h,
+                                      const float* l, __m256d a, __m256d b) {
+  const __m256d v = _mm256_add_pd(
+      _mm256_loadu_pd(f),
+      _mm256_add_pd(_mm256_mul_pd(a, _mm256_cvtps_pd(_mm_loadu_ps(h))),
+                    _mm256_mul_pd(b, _mm256_cvtps_pd(_mm_loadu_ps(l)))));
+  _mm256_storeu_pd(f, v);
+  return v;
+}
+
+// selectAvx2 over the values the update stores, eight samples a step;
+// the tail runs the scalar update, then the scalar rule.
 __attribute__((target("avx2")))
-void updateAvx2(double* f, const float* h, const float* l, double a, double b,
-                std::size_t m) {
-  updateLoop(f, h, l, a, b, m);
+PairPick updateSelectAvx2(double* f, const float* h, const float* l, double a,
+                          double b, const std::uint8_t* high,
+                          const std::uint8_t* low, std::size_t m) {
+  const __m256d av = _mm256_set1_pd(a), bv = _mm256_set1_pd(b);
+  const __m256d inf = _mm256_set1_pd(kInf);
+  const __m256d none = _mm256_set1_pd(double(m));
+  Lanes x{inf, none, _mm256_set1_pd(-kInf), none};
+  Lanes y = x;
+  __m256d idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+  const __m256d four = _mm256_set1_pd(4.0);
+  const __m256d eight = _mm256_set1_pd(8.0);
+  std::size_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    step(x, updateLanes(f + i, h + i, l + i, av, bv), idx,
+         memberLanes(high + i), memberLanes(low + i));
+    step(y, updateLanes(f + i + 4, h + i + 4, l + i + 4, av, bv),
+         _mm256_add_pd(idx, four), memberLanes(high + i + 4),
+         memberLanes(low + i + 4));
+    idx = _mm256_add_pd(idx, eight);
+  }
+  updateLoop(f + i, h + i, l + i, a, b, m - i);
+  PairPick p{m, m, kInf, -kInf};
+  fold(p, x);
+  fold(p, y);
+  scanFrom(p, f, high, low, i, m);
+  return p;
 }
 
 // Four samples a step: the scores as rankScore computes them, then one
@@ -329,10 +372,48 @@ PairPick selectAvx512(const double* f, const std::uint8_t* high,
   return p;
 }
 
+/// f[k..k+7] + (a h + b l), as updateLoop rounds it, stored back. (The
+/// zero-masked widening under an all-ones mask is the plain one.)
+CASVM_AVX512_INLINE __m512d updateLanes(double* f, const float* h,
+                                        const float* l, __m512d a,
+                                        __m512d b) {
+  const __m512d hv = _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(h));
+  const __m512d lv = _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(l));
+  const __m512d v = _mm512_add_pd(
+      _mm512_loadu_pd(f),
+      _mm512_add_pd(_mm512_mul_pd(a, hv), _mm512_mul_pd(b, lv)));
+  _mm512_storeu_pd(f, v);
+  return v;
+}
+
+// selectAvx512 over the values the update stores, sixteen samples a step;
+// the tail runs the scalar update, then the scalar rule.
 __attribute__((target("avx512f")))
-void updateAvx512(double* f, const float* h, const float* l, double a,
-                  double b, std::size_t m) {
-  updateLoop(f, h, l, a, b, m);
+PairPick updateSelectAvx512(double* f, const float* h, const float* l,
+                            double a, double b, const std::uint8_t* high,
+                            const std::uint8_t* low, std::size_t m) {
+  const __m512d av = _mm512_set1_pd(a), bv = _mm512_set1_pd(b);
+  const __m512i none = _mm512_set1_epi64(static_cast<long long>(m));
+  Lanes512 x{_mm512_set1_pd(kInf), _mm512_set1_pd(-kInf), none, none};
+  Lanes512 y = x;
+  __m512i idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m512i eight = _mm512_set1_epi64(8);
+  const __m512i sixteen = _mm512_set1_epi64(16);
+  std::size_t i = 0;
+  for (; i + 16 <= m; i += 16) {
+    step(x, updateLanes(f + i, h + i, l + i, av, bv), idx,
+         memberMask(high + i), memberMask(low + i));
+    step(y, updateLanes(f + i + 8, h + i + 8, l + i + 8, av, bv),
+         _mm512_add_epi64(idx, eight), memberMask(high + i + 8),
+         memberMask(low + i + 8));
+    idx = _mm512_add_epi64(idx, sixteen);
+  }
+  updateLoop(f + i, h + i, l + i, a, b, m - i);
+  PairPick p{m, m, kInf, -kInf};
+  fold(p, x);
+  fold(p, y);
+  scanFrom(p, f, high, low, i, m);
+  return p;
 }
 
 // Eight samples a step, as in the AVX2 pass, with the membership and
@@ -395,19 +476,20 @@ SelectFn selectFn() {
   return fn;
 }
 
-UpdateFn updateFnFor(Isa isa) {
+UpdateSelectFn updateSelectFnFor(Isa isa) {
   if (!cpuHas(isa)) return nullptr;
 #ifdef CASVM_SELECT_X86
   switch (isa) {
-    case Isa::Avx2: return &updateAvx2;
-    case Isa::Avx512: return &updateAvx512;
+    case Isa::Avx2: return &updateSelectAvx2;
+    case Isa::Avx512: return &updateSelectAvx512;
   }
 #endif
   return nullptr;
 }
 
-UpdateFn updateFn() {
-  static const UpdateFn fn = widest(&updateFnFor, &updatePortable);
+UpdateSelectFn updateSelectFn() {
+  static const UpdateSelectFn fn =
+      widest(&updateSelectFnFor, &updateSelectPortable);
   return fn;
 }
 

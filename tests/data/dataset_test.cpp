@@ -121,6 +121,37 @@ TEST(DatasetTest, AddRowToAccumulates) {
   EXPECT_EQ(accD, accS);
 }
 
+/// The dense center sum runs as a vectorized pass; each feature still
+/// sums the rows in index order, so it matches the scalar loop bit for
+/// bit at every row length, ragged vector ends included.
+TEST(DatasetTest, AddRowToMatchesScalarLoop) {
+  for (std::size_t cols : {1u, 3u, 7u, 8u, 9u, 16u, 17u, 33u, 200u}) {
+    std::vector<float> values;
+    std::vector<std::int8_t> labels;
+    const std::size_t rows = 13;
+    for (std::size_t i = 0; i < rows; ++i) {
+      labels.push_back(i % 2 == 0 ? 1 : -1);
+      for (std::size_t k = 0; k < cols; ++k) {
+        values.push_back(
+            static_cast<float>(std::ldexp(double((i * 31 + k * 17) % 97) - 48,
+                                          static_cast<int>((i + k) % 40) - 20)));
+      }
+    }
+    const Dataset ds = Dataset::fromDense(cols, values, labels);
+    std::vector<double> got(cols, 0.125), want(cols, 0.125);
+    for (std::size_t i = 0; i < rows; ++i) {
+      ds.addRowTo(i, got);
+      const std::span<const float> r = ds.denseRow(i);
+      for (std::size_t k = 0; k < cols; ++k) want[k] += r[k];
+    }
+    for (std::size_t k = 0; k < cols; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                std::bit_cast<std::uint64_t>(want[k]))
+          << "cols=" << cols << " k=" << k;
+    }
+  }
+}
+
 TEST(DatasetTest, CopyRowDense) {
   const Dataset sparse = smallSparse();
   std::vector<float> out(2, 99.0f);

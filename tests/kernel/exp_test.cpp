@@ -155,5 +155,104 @@ TEST(ExpTest, SpecialValues) {
   EXPECT_EQ(bits(row[6]), bits(exp(-1.0)));
 }
 
+/// Arguments whose exp lies within a quarter of the float-rounding pass's
+/// band (2^-42 relative, for its 2^-40 band) of a float rounding midpoint,
+/// the halfway point between two adjacent floats: no candidate within
+/// 2^-46 of exp(x) can pass the rounding test there. The midpoints are
+/// drawn across the normal and subnormal float range (exp of [-103.97,
+/// 0]) and x = log(midpoint); an x whose exp(x) misses the 2^-42 window is
+/// dropped.
+std::vector<double> hardFloatArguments() {
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<double> u(-103.9, 0.0);
+  std::vector<double> args;
+  while (args.size() < 20000) {
+    const float f = static_cast<float>(std::exp(u(rng)));
+    const float next = std::nextafter(f, 2.0f);
+    if (f <= 0.0f || next > 1.0f) continue;
+    const double mid = 0.5 * (double(f) + double(next));
+    const double x = std::log(mid);
+    if (std::abs(exp(x) / mid - 1.0) <= 0x1p-42) args.push_back(x);
+  }
+  return args;
+}
+
+/// A float-rounding pass is float(exp(x)) bit for bit over 10^7 seeded
+/// arguments of the Gaussian range [-745, 0], at every ragged length up to
+/// 40, and on the special values. On the hard set every value must take
+/// the fallback in a pass with a fast path, and still match.
+void expectFloatPassMatchesScalar(ExpFloatRowFn fn, bool fastPath) {
+  const auto same = [](float a, float b) {
+    return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+  };
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> u(-745.0, 0.0);
+  constexpr std::size_t kBatch = 1u << 20;
+  std::vector<double> x(kBatch);
+  std::vector<float> got(kBatch);
+  std::size_t mismatches = 0, checked = 0;
+  for (int batch = 0; batch < 10; ++batch) {
+    for (double& v : x) v = u(rng);
+    (void)fn(x.data(), got.data(), kBatch);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      mismatches += !same(got[i], static_cast<float>(exp(x[i])));
+    }
+    checked += kBatch;
+  }
+  EXPECT_GE(checked, 10'000'000u);
+  EXPECT_EQ(mismatches, 0u);
+
+  const std::vector<double> hard = hardFloatArguments();
+  std::vector<float> hardOut(hard.size());
+  const std::size_t fallbacks = fn(hard.data(), hardOut.data(), hard.size());
+  EXPECT_EQ(fallbacks, fastPath ? hard.size() : 0u);
+  for (std::size_t i = 0; i < hard.size(); ++i) {
+    ASSERT_TRUE(same(hardOut[i], static_cast<float>(exp(hard[i]))))
+        << "x=" << hard[i];
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {0.0,    -0.0,    -1e-300, -87.34,
+                                        -103.97, -700.0, -745.2,  -inf,
+                                        nan};
+  std::vector<float> out(specials.size());
+  (void)fn(specials.data(), out.data(), specials.size());
+  for (std::size_t i = 0; i < specials.size(); ++i) {
+    const float ref = static_cast<float>(exp(specials[i]));
+    EXPECT_TRUE(std::isnan(ref) ? std::isnan(out[i]) : same(out[i], ref))
+        << "x=" << specials[i];
+  }
+  EXPECT_EQ(out[0], 1.0f);
+  EXPECT_EQ(out[1], 1.0f);
+
+  // Ragged ends: each length's tail past the last full step.
+  const std::vector<double> row(x.begin(), x.begin() + 40);
+  for (std::size_t n = 0; n <= row.size(); ++n) {
+    std::vector<float> o(n + 1, -7.5f);
+    (void)fn(row.data(), o.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same(o[i], static_cast<float>(exp(row[i])))) << n;
+    }
+    EXPECT_EQ(o[n], -7.5f) << "wrote past n=" << n;
+  }
+}
+
+TEST(ExpFloatTest, PortablePassMatchesScalar) {
+  expectFloatPassMatchesScalar(&expFloatRowPortable, false);
+}
+
+TEST(ExpFloatTest, Avx2PassMatchesScalar) {
+  const ExpFloatRowFn fn = expFloatRowFnFor(Isa::Avx2);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX2 pass";
+  expectFloatPassMatchesScalar(fn, false);
+}
+
+TEST(ExpFloatTest, Avx512PassMatchesScalarAndFallsBackOnHardArguments) {
+  const ExpFloatRowFn fn = expFloatRowFnFor(Isa::Avx512);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX-512F pass";
+  expectFloatPassMatchesScalar(fn, true);
+}
+
 }  // namespace
 }  // namespace casvm::kernel

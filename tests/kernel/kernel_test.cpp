@@ -10,6 +10,7 @@
 #include <iterator>
 #include <numeric>
 #include <random>
+#include <string>
 
 #include "casvm/data/synth.hpp"
 #include "casvm/kernel/row_source.hpp"
@@ -194,16 +195,16 @@ TEST_P(KernelRowPropertyTest, SubsetRowFillsOnlySubset) {
     for (std::size_t j : subset) {
       if (j < ds->rows()) sub.push_back(j);
     }
-    std::vector<double> row(ds->rows(), -7.5);
+    std::vector<CacheValue> row(ds->rows(), -7.5f);
     RowWorkspace ws;
     k.row(*ds, 2, sub, row, ws);
     std::size_t p = 0;
     for (std::size_t j = 0; j < ds->rows(); ++j) {
       if (p < sub.size() && sub[p] == j) {
-        EXPECT_EQ(row[j], k.eval(*ds, 2, j)) << "j=" << j;
+        EXPECT_EQ(row[j], CacheValue(k.eval(*ds, 2, j))) << "j=" << j;
         ++p;
       } else {
-        EXPECT_EQ(row[j], -7.5) << "entry outside subset touched, j=" << j;
+        EXPECT_EQ(row[j], -7.5f) << "entry outside subset touched, j=" << j;
       }
     }
   }
@@ -272,33 +273,81 @@ TEST_P(KernelRowPropertyTest, ColumnFillsBitwiseMatchEvalWith) {
 }
 
 /// A multi-row fill may only decide how its rows are computed: each row
-/// is bitwise its single fill, for one to four rows across tile blocks,
-/// inside one block, in the ragged tail, reversed and repeated.
+/// is bitwise its single fill, and the single fill bitwise the double row
+/// rounded once, for one to eight rows across tile blocks, inside one
+/// block, in the ragged tail, reversed and repeated.
 TEST_P(KernelRowPropertyTest, PairRowFillsBitwiseMatchSingleFills) {
   const Kernel k(GetParam());
   const std::vector<std::vector<std::size_t>> sets = {
       {0, 44}, {16, 3}, {31, 32}, {40, 41}, {5, 5},
-      {7}, {44, 0, 17}, {1, 16, 32, 44}, {9, 9, 2, 9}};
+      {7}, {44, 0, 17}, {1, 16, 32, 44}, {9, 9, 2, 9},
+      {3, 17, 30, 44, 8}, {0, 1, 2, 3, 4, 5}, {44, 43, 16, 15, 1, 0, 31},
+      {2, 40, 2, 33, 12, 19, 27, 6}};
   for (const data::Dataset* ds : {&dense_, &sparse_}) {
     const std::size_t m = ds->rows();
     ExactRowSource source(k, *ds);
     for (std::vector<std::size_t> rows : sets) {
       for (std::size_t& r : rows) r %= m;
-      std::vector<std::vector<double>> many(rows.size(),
-                                            std::vector<double>(m, -7.5));
-      std::vector<std::span<double>> outs(many.begin(), many.end());
+      std::vector<std::vector<CacheValue>> many(
+          rows.size(), std::vector<CacheValue>(m, -7.5f));
+      std::vector<std::span<CacheValue>> outs(many.begin(), many.end());
       source.fillRows(rows, outs);
-      std::vector<double> one(m);
+      std::vector<CacheValue> one(m);
+      std::vector<double> wide(m);
       for (std::size_t t = 0; t < rows.size(); ++t) {
-        source.fillRow(rows[t], one);
+        source.fillRow(rows[t], std::span<CacheValue>(one));
+        source.fillRow(rows[t], std::span<double>(wide));
         for (std::size_t c = 0; c < m; ++c) {
           EXPECT_EQ(many[t][c], one[c])
               << "q=" << rows.size() << " row " << rows[t] << " c=" << c;
-          EXPECT_EQ(many[t][c], k.eval(*ds, rows[t], c))
+          EXPECT_EQ(wide[c], k.eval(*ds, rows[t], c))
+              << "row " << rows[t] << " c=" << c;
+          EXPECT_EQ(one[c], CacheValue(wide[c]))
               << "row " << rows[t] << " c=" << c;
         }
       }
     }
+  }
+}
+
+/// Cached-row fills over more than one 256-row chunk: one to eight rows
+/// per pass, consecutive passes alternating their chunk order, with a
+/// ragged last chunk, each value CacheValue(eval); subset fills match on
+/// their entries and leave the rest alone.
+TEST_P(KernelRowPropertyTest, CachedRowFillsAcrossChunksMatchEval) {
+  const Kernel k(GetParam());
+  data::MixtureSpec spec;
+  spec.samples = 2 * tile::kChunkRows + 45;
+  spec.features = 9;
+  spec.seed = 17;
+  const data::Dataset ds = data::generateMixture(spec);
+  const std::size_t m = ds.rows();
+  std::vector<std::vector<double>> exact(m);
+  RowWorkspace ws;
+  for (std::size_t q = 1; q <= tile::kMaxQueries; ++q) {
+    for (int pass = 0; pass < 2; ++pass) {  // both chunk orders
+      std::vector<std::size_t> rows(q);
+      for (std::size_t t = 0; t < q; ++t) rows[t] = (q * 97 + t * 61 + pass) % m;
+      std::vector<std::vector<CacheValue>> got(q,
+                                               std::vector<CacheValue>(m));
+      std::vector<std::span<CacheValue>> outs(got.begin(), got.end());
+      k.rows(ds, rows, outs, ws);
+      for (std::size_t t = 0; t < q; ++t) {
+        for (std::size_t j = 0; j < m; ++j) {
+          ASSERT_EQ(got[t][j], CacheValue(k.eval(ds, rows[t], j)))
+              << "q=" << q << " pass=" << pass << " row " << rows[t]
+              << " j=" << j;
+        }
+      }
+    }
+  }
+  std::vector<std::size_t> subset;
+  for (std::size_t j = 3; j < m; j += 5) subset.push_back(j);
+  std::vector<CacheValue> row(m, -7.5f);
+  k.row(ds, 11, subset, row, ws);
+  for (std::size_t j = 0; j < m; ++j) {
+    const bool in = (j >= 3 && (j - 3) % 5 == 0);
+    EXPECT_EQ(row[j], in ? CacheValue(k.eval(ds, 11, j)) : -7.5f) << j;
   }
 }
 
@@ -376,20 +425,77 @@ TEST(KernelSubsetTest, GaussianSubsetAcrossExpBlocksMatchesEval) {
   const Kernel k(KernelParams::gaussian(0.4));
   std::vector<std::size_t> subset;
   for (std::size_t j = 1; j < ds.rows(); j += 2) subset.push_back(j);
-  std::vector<double> row(ds.rows(), -7.5);
+  std::vector<CacheValue> row(ds.rows(), -7.5f);
   RowWorkspace ws;
   k.row(ds, 5, subset, row, ws);
   for (std::size_t j = 0; j < ds.rows(); ++j) {
     if (j % 2 == 1) {
-      EXPECT_EQ(row[j], k.eval(ds, 5, j)) << "j=" << j;
+      EXPECT_EQ(row[j], CacheValue(k.eval(ds, 5, j))) << "j=" << j;
     } else {
-      EXPECT_EQ(row[j], -7.5) << "entry outside subset touched, j=" << j;
+      EXPECT_EQ(row[j], -7.5f) << "entry outside subset touched, j=" << j;
+    }
+  }
+}
+
+/// Subset fills gather their dots and norms 64 entries at a time before
+/// the kernel transform. Across several blocks with a ragged last one, for
+/// every kernel family, the double columns (Kernel::rowWith over a subset,
+/// and ExactRowSource::fillColumn's partial branch, which the global
+/// methods run while shrunk) must reproduce evalWith bit for bit, the
+/// cached subset row must be eval rounded once, and entries outside the
+/// subset must stay untouched.
+TEST(KernelSubsetTest, SubsetFillsAcrossBlocksMatchEval) {
+  data::MixtureSpec spec;
+  spec.samples = 800;
+  spec.features = 5;
+  spec.clusters = 2;
+  spec.seed = 11;
+  const data::Dataset ds = data::generateMixture(spec);
+  std::vector<std::size_t> subset;
+  for (std::size_t j = 1; j < ds.rows(); j += 6) subset.push_back(j);
+  ASSERT_GT(subset.size(), 128u);
+  ASSERT_NE(subset.size() % 64, 0u);
+  const std::size_t i = 9;
+  std::vector<float> x(ds.cols());
+  ds.copyRowDense(i, x);
+  x[0] += 0.25f;  // an external vector, not a row of the set
+  double xDot = 0.0;
+  for (float v : x) xDot += double(v) * double(v);
+  for (const KernelParams& params :
+       {KernelParams::linear(), KernelParams::gaussian(0.4),
+        KernelParams::polynomial(0.5, 1.0, 3), KernelParams::sigmoid(0.1, 0.2)}) {
+    const Kernel k(params);
+    ExactRowSource source(k, ds);
+    ASSERT_FALSE(source.preferFullFill(subset.size()));
+    std::vector<double> column(ds.rows(), -7.5);
+    k.rowWith(ds, x, xDot, subset, column);
+    std::vector<double> filled(ds.rows(), -7.5);
+    source.fillColumn(x, xDot, subset, filled);
+    std::vector<CacheValue> row(ds.rows(), -7.5f);
+    source.fillRowSubset(i, subset, row);
+    for (std::size_t j = 0; j < ds.rows(); ++j) {
+      const std::string at = kernelName(params.type) + " j=" + std::to_string(j);
+      if (j % 6 == 1) {
+        const double expected = k.evalWith(ds, j, x, xDot);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(column[j]),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "rowWith " << at;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(filled[j]),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "fillColumn " << at;
+        EXPECT_EQ(row[j], CacheValue(k.eval(ds, i, j))) << "row " << at;
+      } else {
+        EXPECT_EQ(column[j], -7.5) << "rowWith touched " << at;
+        EXPECT_EQ(filled[j], -7.5) << "fillColumn touched " << at;
+        EXPECT_EQ(row[j], -7.5f) << "row touched " << at;
+      }
     }
   }
 }
 
 /// A tile pass must reproduce the portable pass bit for bit, for one to
-/// four queries, in both sweep orders, and the portable pass must give
+/// eight queries, called over all m rows and run a chunk at a time in
+/// both sweep orders (tile::sweepChunks), and the portable pass must give
 /// each query what a one-query pass gives. The row counts cover one block,
 /// a ragged block, an odd block count, ragged last blocks after one and
 /// two full ones, the AVX-512 one-query step of four blocks with one to
@@ -397,8 +503,8 @@ TEST(KernelSubsetTest, GaussianSubsetAcrossExpBlocksMatchesEval) {
 /// blocks each), the first of them ragged. Zeros, subnormals and
 /// +-FLT_MAX sit in both the tiles and the queries: the AVX-512 lanes fuse
 /// each multiply-add, which is exact only because a product of two floats
-/// is, and these are the extremes of that claim. Outputs past m must stay
-/// untouched.
+/// is, and these are the extremes of that claim. A pass must write nothing
+/// past its m rows, called over all of them or a chunk at a time.
 void expectPassMatchesPortable(tile::DotFn fn) {
   const std::size_t n = 7;
   std::mt19937 rng(11);
@@ -423,18 +529,57 @@ void expectPassMatchesPortable(tile::DotFn fn) {
       tile::dotPortable(tiles.data(), xs.data() + t * n, 1, m, n, o);
     }
     for (std::size_t q = 1; q <= tile::kMaxQueries; ++q) {
+      // One call over all m rows, as the serving and Nyström projections
+      // make it: bitwise the one-query passes, nothing written past m.
+      std::vector<std::vector<double>> whole(
+          q, std::vector<double>(m + tile::kRows, kSentinel));
+      double* wholeOut[tile::kMaxQueries];
+      for (std::size_t t = 0; t < q; ++t) wholeOut[t] = whole[t].data();
+      fn(tiles.data(), xs.data(), q, m, n, wholeOut);
+      for (std::size_t t = 0; t < q; ++t) {
+        for (std::size_t j = 0; j < m; ++j) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(whole[t][j]),
+                    std::bit_cast<std::uint64_t>(one[t][j]))
+              << "whole q=" << q << " m=" << m << " t=" << t << " j=" << j;
+        }
+        for (std::size_t j = m; j < whole[t].size(); ++j) {
+          EXPECT_EQ(whole[t][j], kSentinel)
+              << "q=" << q << " m=" << m << " wrote past m at j=" << j;
+        }
+      }
       for (const bool reverse : {false, true}) {
         std::vector<std::vector<double>> port(q, std::vector<double>(m));
-        std::vector<std::vector<double>> got(
-            q, std::vector<double>(m + tile::kRows, kSentinel));
         double* portOut[tile::kMaxQueries];
-        double* gotOut[tile::kMaxQueries];
-        for (std::size_t t = 0; t < q; ++t) {
-          portOut[t] = port[t].data();
-          gotOut[t] = got[t].data();
-        }
+        for (std::size_t t = 0; t < q; ++t) portOut[t] = port[t].data();
         tile::dotPortable(tiles.data(), xs.data(), q, m, n, portOut);
-        tile::sweep(fn, tiles.data(), xs.data(), q, m, n, gotOut, reverse);
+        // The scratch is reset to the sentinel after every chunk, so a
+        // pass that writes past its chunk's rows (or into another query's
+        // slot) shows at the next epilogue.
+        std::vector<double> chunk(tile::kMaxQueries * tile::kChunkRows,
+                                  kSentinel);
+        std::vector<std::vector<double>> got(q, std::vector<double>(m));
+        std::size_t lastBase = reverse ? m : 0;
+        std::size_t chunks = 0;
+        tile::sweepChunks(
+            fn, tiles.data(), xs.data(), q, m, n, reverse, chunk.data(),
+            [&](std::size_t base, std::size_t count) {
+              EXPECT_TRUE(reverse ? base < lastBase : base >= lastBase);
+              EXPECT_EQ(base % tile::kChunkRows, 0u);
+              lastBase = base;
+              ++chunks;
+              for (std::size_t t = 0; t < tile::kMaxQueries; ++t) {
+                const double* slot = chunk.data() + t * tile::kChunkRows;
+                for (std::size_t j = t < q ? count : 0; j < tile::kChunkRows;
+                     ++j) {
+                  EXPECT_EQ(slot[j], kSentinel)
+                      << "q=" << q << " m=" << m << " reverse=" << reverse
+                      << " wrote past its rows at t=" << t << " j=" << j;
+                }
+                if (t < q) std::copy_n(slot, count, got[t].data() + base);
+              }
+              std::fill(chunk.begin(), chunk.end(), kSentinel);
+            });
+        EXPECT_EQ(chunks, (m + tile::kChunkRows - 1) / tile::kChunkRows);
         for (std::size_t t = 0; t < q; ++t) {
           for (std::size_t j = 0; j < m; ++j) {
             EXPECT_EQ(std::bit_cast<std::uint64_t>(port[t][j]),
@@ -444,11 +589,6 @@ void expectPassMatchesPortable(tile::DotFn fn) {
                       std::bit_cast<std::uint64_t>(one[t][j]))
                 << "q=" << q << " m=" << m << " reverse=" << reverse
                 << " t=" << t << " j=" << j;
-          }
-          for (std::size_t j = m; j < got[t].size(); ++j) {
-            EXPECT_EQ(got[t][j], kSentinel)
-                << "q=" << q << " m=" << m << " reverse=" << reverse
-                << " wrote past m at j=" << j;
           }
         }
       }
@@ -506,6 +646,41 @@ TEST(SquaredDistancesTest, BitwiseMatchDatasetDistances) {
         if (i < m) {
           EXPECT_EQ(out[j], ds.squaredDistance(j, i))
               << "x=" << i << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+/// The many-vector form is its one-vector columns bit for bit, for one to
+/// eight vectors (one sweep) and nine (two sweeps), over dense and CSR
+/// rows, with consecutive calls alternating the dense sweep order.
+TEST(SquaredDistancesTest, ManyVectorsMatchOneVectorColumns) {
+  for (const data::Dataset& ds : {raggedDense(), sparseWithEmptyRows()}) {
+    const std::size_t m = ds.rows();
+    const std::size_t n = ds.cols();
+    std::vector<std::vector<float>> centers(9, std::vector<float>(n));
+    std::vector<double> selfs(9, 0.0);
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+      for (std::size_t k = 0; k < n; ++k) {
+        centers[c][k] = 0.25f * static_cast<float>((c * 7 + k * 3) % 11) - 1.0f;
+        selfs[c] += double(centers[c][k]) * double(centers[c][k]);
+      }
+    }
+    RowWorkspace ws, one;
+    std::vector<double> column(m);
+    for (std::size_t q = 1; q <= centers.size(); ++q) {
+      std::vector<std::span<const float>> xs(centers.begin(),
+                                             centers.begin() + q);
+      std::vector<std::vector<double>> got(q, std::vector<double>(m, -7.5));
+      std::vector<std::span<double>> outs(got.begin(), got.end());
+      squaredDistances(ds, xs, std::span(selfs).first(q), outs, ws);
+      for (std::size_t c = 0; c < q; ++c) {
+        squaredDistances(ds, centers[c], selfs[c], column, one);
+        for (std::size_t j = 0; j < m; ++j) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[c][j]),
+                    std::bit_cast<std::uint64_t>(column[j]))
+              << "q=" << q << " c=" << c << " j=" << j;
         }
       }
     }

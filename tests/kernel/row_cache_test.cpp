@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "casvm/data/synth.hpp"
-#include "casvm/kernel/tile_kernel.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::kernel {
@@ -21,25 +20,26 @@ data::Dataset makeData(std::size_t rows = 30) {
 }
 
 /// Exact rows, counting the fills the cache asks for, with a fill width of
-/// `width` rows per pass.
+/// `width` rows per pass, whatever this CPU's tile pass serves: the cases
+/// below pin four (the width AVX2 and portable hosts fill at) or eight
+/// (AVX-512's), so their counts hold on every host.
 class CountingSource final : public RowSource {
  public:
-  CountingSource(const Kernel& k, const data::Dataset& ds,
-                 std::size_t width = tile::kMaxQueries)
+  CountingSource(const Kernel& k, const data::Dataset& ds, std::size_t width)
       : exact_(k, ds), width_(width) {}
   std::size_t rows() const override { return exact_.rows(); }
-  void fillRow(std::size_t i, std::span<double> out) override {
+  void fillRow(std::size_t i, std::span<CacheValue> out) override {
     ++singles;
     exact_.fillRow(i, out);
   }
   void fillRows(std::span<const std::size_t> rows,
-                std::span<const std::span<double>> outs) override {
+                std::span<const std::span<CacheValue>> outs) override {
     multis.emplace_back(rows.begin(), rows.end());
     exact_.fillRows(rows, outs);
   }
   std::size_t fillWidth() const override { return width_; }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
-                     std::span<double> out) override {
+                     std::span<CacheValue> out) override {
     ++subsets;
     exact_.fillRowSubset(i, active, out);
   }
@@ -347,7 +347,7 @@ TEST(RowCacheTest, PairFetchFillsTwoMissesInOnePass) {
   // Large enough that `few` stays under the full-fill cutoff.
   const auto ds = makeData(48);
   const Kernel k(KernelParams::gaussian(0.4));
-  CountingSource src(k, ds);
+  CountingSource src(k, ds, 4);
   RowCache cache(src, 1 << 20);
   const std::vector<std::size_t> few = {1, 4, 7};
   (void)cache.row(3, few);  // a partial slot, upgraded by the pair below
@@ -379,7 +379,7 @@ TEST(RowCacheTest, PairFetchFillsTwoMissesInOnePass) {
   // hold what fillRow gives.
   ExactRowSource exact(k, ds);
   const std::size_t budget = 7 * ds.rows() * sizeof(float);
-  CountingSource wide(k, ds);
+  CountingSource wide(k, ds, 4);
   RowCache ahead(wide, budget);
   ASSERT_EQ(ahead.capacityRows(), 7u);
   (void)ahead.row(9);
@@ -472,15 +472,15 @@ std::size_t heldRows(const RowCache& cache) {
   return n;
 }
 
-/// A full cache of 32 rows (an unread list of two): rows 0..31 read once
-/// each, so row 31 is the coldest.
+/// A full cache of 32 rows (at width four, an unread list of two): rows
+/// 0..31 read once each, so row 31 is the coldest.
 struct FullCache {
   data::Dataset ds = makeData(64);
   Kernel k{KernelParams::gaussian(0.4)};
-  CountingSource src{k, ds};
+  CountingSource src;
   RowCache cache{src, 32 * ds.rows() * sizeof(float)};
 
-  FullCache() {
+  explicit FullCache(std::size_t width = 4) : src{k, ds, width} {
     for (std::size_t r = 0; r < 32; ++r) (void)cache.row(r);
   }
   /// A pair fetch of two missing rows with `candidates` ranked ahead,
@@ -574,7 +574,7 @@ TEST(RowCacheTest, RowsHeldNeverExceedTheCapacity) {
   // Two slots: a demand miss takes the unread row's slot when the only
   // main row is pinned, and does not grow past the budget.
   {
-    CountingSource src(k, ds);
+    CountingSource src(k, ds, 4);
     RowCache cache(src, 2 * ds.rows() * sizeof(float));
     ASSERT_EQ(cache.capacityRows(), 2u);
     const std::vector<std::size_t> five = {5}, six = {6};
@@ -601,7 +601,7 @@ TEST(RowCacheTest, RowsHeldNeverExceedTheCapacity) {
   ExactRowSource reference(k, ds);
   for (std::size_t r = 0; r < ds.rows(); ++r) reference.fillRow(r, exact[r]);
   for (const std::size_t slots : {2u, 3u, 7u}) {
-    CountingSource src(k, ds);
+    CountingSource src(k, ds, 4);
     RowCache cache(src, slots * ds.rows() * sizeof(float));
     ASSERT_EQ(cache.capacityRows(), slots);
     std::uint64_t state = slots;
@@ -655,6 +655,65 @@ TEST(RowCacheTest, NarrowSourceHasNoRoomAhead) {
   EXPECT_EQ(cache.aheadFills(), 0u);
   for (std::size_t c : candidates) EXPECT_EQ(cache.generation(c), 0u);
   EXPECT_LE(heldRows(cache), 3u);
+}
+
+TEST(RowCacheTest, EightWideSourceFillsSixAheadOfAPair) {
+  // Width eight less the two missing rows leaves room for six; into free
+  // slots they take the cold end, unpinned.
+  const auto ds = makeData(48);
+  const Kernel k(KernelParams::gaussian(0.4));
+  CountingSource wide(k, ds, 8);
+  RowCache cache(wide, 16 * ds.rows() * sizeof(float));
+  ASSERT_EQ(cache.capacityRows(), 16u);
+  EXPECT_EQ(cache.aheadRoom(0, 1), 6u);
+  (void)cache.row(9);
+  EXPECT_EQ(cache.aheadRoom(9, 1), 7u);  // one demand row: seven ahead
+  const std::vector<std::size_t> ranked = {1, 9, 2, 3, 3, 4, 5, 6, 7, 8};
+  (void)cache.rows(0, 1, RowCache::Ahead{ranked});
+  ASSERT_EQ(wide.multis.size(), 1u);
+  EXPECT_EQ(wide.multis[0],
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(cache.aheadFills(), 6u);
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.pinnedRows(), 2u);
+  EXPECT_EQ(cache.generation(8), 0u);
+  for (std::size_t r = 2; r < 8; ++r) {
+    const auto row = cache.row(r);
+    for (std::size_t j = 0; j < ds.rows(); ++j) {
+      ASSERT_EQ(row[j], static_cast<float>(k.eval(ds, r, j))) << r;
+    }
+  }
+  cache.unpin(0);
+  cache.unpin(1);
+}
+
+TEST(RowCacheTest, EightWideUnreadListHoldsAnEighthOfTheCache) {
+  // At width eight S = 32 x 8 / 64 = 4: the list takes the coldest main
+  // rows' slots until it holds four rows, then displaces its oldest.
+  FullCache f(8);
+  ASSERT_EQ(f.cache.capacityRows(), 32u);
+  EXPECT_EQ(f.cache.aheadRoom(32, 33), 6u);
+  // The pair takes rows 31 and 30; 34..37 wait unread on 29..26.
+  f.fetch(32, 33, {34, 35, 36, 37});
+  EXPECT_EQ(f.src.multis.back(),
+            (std::vector<std::size_t>{32, 33, 34, 35, 36, 37}));
+  for (std::size_t r = 26; r < 32; ++r) {
+    EXPECT_EQ(f.cache.generation(r), 0u) << "row " << r;
+  }
+  const auto gen25 = f.cache.generation(25);
+  // At its limit, each new row takes the oldest unread row's slot: the
+  // pair takes the last pair's slots (the coldest main rows), 40 and 41
+  // displace 34 and 35, and no other main row gives way.
+  f.fetch(38, 39, {40, 41});
+  for (std::size_t r : {32, 33, 34, 35}) {
+    EXPECT_EQ(f.cache.generation(r), 0u) << "row " << r;
+  }
+  for (std::size_t r : {36, 37, 38, 39, 40, 41}) {
+    EXPECT_NE(f.cache.generation(r), 0u) << "row " << r;
+  }
+  EXPECT_EQ(f.cache.generation(25), gen25);
+  EXPECT_EQ(f.cache.aheadFills(), 6u);
+  EXPECT_EQ(heldRows(f.cache), 32u);
 }
 
 TEST(RowCacheTest, PairFetchNeverRecyclesItsFirstRow) {
@@ -716,7 +775,7 @@ TEST(RowCacheTest, PairFetchMatchesTwoSingleFetches) {
   };
 
   for (const bool retaining : {false, true}) {
-    CountingSource src(k, ds);
+    CountingSource src(k, ds, 4);
     RowCache paired(src, budget);
     RowCache single(k, ds, budget);
     ASSERT_EQ(paired.capacityRows(), 3u);

@@ -210,22 +210,23 @@ TEST(NystromTest, FillsAgreeBitwiseAndMatrixIsSymmetric) {
   ASSERT_GT(factor.rank(), 0u);
 
   const std::size_t m = ds.rows();
-  std::vector<double> full(m);
   std::vector<double> diag(m);
   factor.fillDiagonal(diag);
-  std::vector<std::vector<double>> rows(m, std::vector<double>(m));
+  std::vector<std::vector<kernel::CacheValue>> rows(
+      m, std::vector<kernel::CacheValue>(m));
   for (std::size_t i = 0; i < m; ++i) factor.fillRow(i, rows[i]);
 
   const std::vector<std::size_t> active{0, 3, 7, 42, 199};
-  std::vector<double> subset(m);  // scatter semantics: full-length output
+  // scatter semantics: full-length output
+  std::vector<kernel::CacheValue> subset(m);
   for (std::size_t i = 0; i < m; i += 37) {
     // Full fill vs partial fill: bitwise equal on the shared entries.
     factor.fillRowSubset(i, active, subset);
     for (const std::size_t j : active) {
       EXPECT_EQ(subset[j], rows[i][j]) << i << "," << j;
     }
-    // Diagonal path agrees bitwise with the row path.
-    EXPECT_EQ(diag[i], rows[i][i]) << i;
+    // Diagonal path agrees bitwise with the row path, rounded alike.
+    EXPECT_EQ(kernel::CacheValue(diag[i]), rows[i][i]) << i;
     // PSD: every diagonal entry is a squared norm.
     EXPECT_GE(diag[i], 0.0);
   }
@@ -252,7 +253,7 @@ TEST(NystromTest, MatchesExplicitZZtThroughMap) {
   for (std::size_t i = 0; i < m; ++i) {
     factor.map(kern, ds.denseRow(i), ds.selfDot(i), z[i]);
   }
-  std::vector<double> row(m);
+  std::vector<kernel::CacheValue> row(m);
   for (std::size_t i = 0; i < m; i += 13) {
     factor.fillRow(i, row);
     for (std::size_t j = 0; j < m; ++j) {
@@ -271,7 +272,7 @@ TEST(NystromTest, ApproximatesExactKernelOnLandmarkSpans) {
   const data::Dataset ds = makeData(false, 64);
   const kernel::Kernel kern(kernel::KernelParams::gaussian(0.5));
   NystromFactor factor = buildFactor(ds, kern, ds.rows());
-  std::vector<double> approx(ds.rows());
+  std::vector<kernel::CacheValue> approx(ds.rows());
   for (std::size_t i = 0; i < ds.rows(); i += 7) {
     factor.fillRow(i, approx);
     for (std::size_t j = 0; j < ds.rows(); ++j) {
@@ -299,8 +300,8 @@ TEST(NystromTest, CodecRoundTripsBitwise) {
   EXPECT_EQ(restored.rank(), original.rank());
   EXPECT_EQ(restored.landmarks().count(), original.landmarks().count());
   EXPECT_EQ(restored.encode(), bytes) << "re-encode differs";
-  std::vector<double> a(ds.rows());
-  std::vector<double> b(ds.rows());
+  std::vector<kernel::CacheValue> a(ds.rows());
+  std::vector<kernel::CacheValue> b(ds.rows());
   for (std::size_t i = 0; i < ds.rows(); i += 11) {
     original.fillRow(i, a);
     restored.fillRow(i, b);
@@ -397,20 +398,22 @@ kernel::KernelParams kernelFor(const std::string& tag) {
 TEST(NystromTest, PairFillsMatchSingleFills) {
   const std::vector<std::vector<std::size_t>> sets = {
       {0, 199}, {17, 16}, {150, 3}, {5, 5}, {42}, {199, 0, 31},
-      {1, 16, 150, 198}, {8, 8, 3, 8}};
+      {1, 16, 150, 198}, {8, 8, 3, 8}, {3, 60, 199, 120, 7},
+      {0, 1, 2, 3, 4, 5, 6, 7}};
   for (const bool sparse : {false, true}) {
     const data::Dataset ds = makeData(sparse, 200);
     for (const char* tag : {"linear", "gaussian", "polynomial", "sigmoid"}) {
       SCOPED_TRACE(std::string(tag) + (sparse ? " csr" : " dense"));
       const kernel::Kernel kern(kernelFor(tag));
       LowRankKernel source(buildFactor(ds, kern, 24));
-      EXPECT_EQ(source.fillWidth(), kernel::tile::kMaxQueries);
+      EXPECT_EQ(source.fillWidth(), kernel::tile::sweepWidth());
       const std::size_t m = source.rows();
-      std::vector<double> one(m);
+      std::vector<kernel::CacheValue> one(m);
       for (const auto& rows : sets) {
-        std::vector<std::vector<double>> many(rows.size(),
-                                              std::vector<double>(m, -7.5));
-        std::vector<std::span<double>> outs(many.begin(), many.end());
+        std::vector<std::vector<kernel::CacheValue>> many(
+            rows.size(), std::vector<kernel::CacheValue>(m, -7.5f));
+        std::vector<std::span<kernel::CacheValue>> outs(many.begin(),
+                                                        many.end());
         source.fillRows(rows, outs);
         for (std::size_t t = 0; t < rows.size(); ++t) {
           source.fillRow(rows[t], one);

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <numeric>
+#include <tuple>
 
 #include "casvm/data/registry.hpp"
 #include "casvm/data/synth.hpp"
+#include "casvm/kernel/row_cache.hpp"
 #include "casvm/kernel/row_source.hpp"
+#include "casvm/solver/smo_loop.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::solver {
@@ -355,18 +360,18 @@ class SingleFillsSource final : public kernel::RowSource {
   SingleFillsSource(const kernel::Kernel& k, const data::Dataset& ds)
       : exact_(k, ds) {}
   std::size_t rows() const override { return exact_.rows(); }
-  void fillRow(std::size_t i, std::span<double> out) override {
+  void fillRow(std::size_t i, std::span<kernel::CacheValue> out) override {
     exact_.fillRow(i, out);
   }
   void fillRows(std::span<const std::size_t> rows,
-                std::span<const std::span<double>> outs) override {
+                std::span<const std::span<kernel::CacheValue>> outs) override {
     for (std::size_t t = 0; t < rows.size(); ++t) {
       exact_.fillRow(rows[t], outs[t]);
     }
   }
   std::size_t fillWidth() const override { return exact_.fillWidth(); }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
-                     std::span<double> out) override {
+                     std::span<kernel::CacheValue> out) override {
     exact_.fillRowSubset(i, active, out);
   }
   void fillDiagonal(std::span<double> out) override {
@@ -379,6 +384,105 @@ class SingleFillsSource final : public kernel::RowSource {
  private:
   kernel::ExactRowSource exact_;
 };
+
+/// A minimal serial pair source for SmoLoop: both rows from a row cache,
+/// pinned while the iteration holds them, no shrinking.
+class CachedPairSource {
+ public:
+  CachedPairSource(const kernel::Kernel& k, const data::Dataset& ds)
+      : cache_(k, ds, 1 << 20), ds_(ds) {}
+
+  PairPick elect(const PairPick& local) const { return local; }
+  ElectedPair pair(const PairPick& e, const SolverSnapshot& s,
+                   const std::uint8_t*, const std::uint8_t*) {
+    high_ = e.high;
+    low_ = e.low;
+    std::tie(rowHigh_, rowLow_) = cache_.rows(high_, low_);
+    return {high_,
+            low_,
+            s.f[high_],
+            s.f[low_],
+            s.alpha[high_],
+            s.alpha[low_],
+            double(ds_.label(high_)),
+            double(ds_.label(low_)),
+            double(rowHigh_[high_]),
+            double(rowLow_[low_]),
+            double(rowHigh_[low_])};
+  }
+  void commit(const ElectedPair&, double, double, bool, bool) {}
+  kernel::RowCache::RowPair columns(std::span<const std::size_t>) const {
+    return {rowHigh_, rowLow_};
+  }
+  void release() {
+    cache_.unpin(high_);
+    cache_.unpin(low_);
+  }
+  static double now() { return 0.0; }
+  static double hitRate() { return 0.0; }
+  static double agreeMin(double v) { return v; }
+  static double agreeMax(double v) { return v; }
+  static long long agreeSum(long long v) { return v; }
+  void restore(SolverSnapshot&, std::span<const std::size_t>) {}
+
+ private:
+  kernel::RowCache cache_;
+  const data::Dataset& ds_;
+  std::size_t high_ = 0, low_ = 0;
+  std::span<const kernel::CacheValue> rowHigh_, rowLow_;
+};
+
+/// A dense iteration carries its fused pass's pick into the next one. A
+/// caller that moves alpha (and f with it) between two runs of one loop,
+/// as PBM does, must see the run after the move walk exactly the steps a
+/// fresh loop takes from the moved state.
+TEST(SmoLoopTest, RunAfterAlphaMovedMatchesAFreshLoop) {
+  const auto ds = data::generateTwoGaussians(80, 4, 1.5, 61);
+  const SolverOptions opts = gaussianOptions(0.5, 1.0);
+  const kernel::Kernel k(opts.kernel);
+  const std::size_t m = ds.rows();
+
+  SolverSnapshot state;
+  state.alpha.assign(m, 0.0);
+  state.f.resize(m);
+  for (std::size_t i = 0; i < m; ++i) state.f[i] = -double(ds.label(i));
+  state.active.resize(m);
+  std::iota(state.active.begin(), state.active.end(), 0);
+
+  CachedPairSource source(k, ds);
+  SmoLoop loop(source, ds, opts, state);
+  ASSERT_FALSE(loop.run(12));
+  ASSERT_EQ(state.iteration, 12u);
+
+  // Move alpha (halving keeps sum alpha_i y_i = 0) and rebuild f from it.
+  for (double& a : state.alpha) a *= 0.5;
+  for (std::size_t i = 0; i < m; ++i) {
+    double fi = -double(ds.label(i));
+    for (std::size_t j = 0; j < m; ++j) {
+      if (state.alpha[j] == 0.0) continue;
+      fi += state.alpha[j] * double(ds.label(j)) *
+            kernel::asCached(k.eval(ds, j, i));
+    }
+    state.f[i] = fi;
+  }
+  SolverSnapshot moved = state;
+
+  const bool converged = loop.run(40);
+  CachedPairSource freshSource(k, ds);
+  SmoLoop fresh(freshSource, ds, opts, moved);
+  EXPECT_EQ(fresh.run(40), converged);
+  EXPECT_EQ(state.iteration, moved.iteration);
+  for (std::size_t i = 0; i < m; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(state.alpha[i]),
+              std::bit_cast<std::uint64_t>(moved.alpha[i]))
+        << "alpha " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(state.f[i]),
+              std::bit_cast<std::uint64_t>(moved.f[i]))
+        << "f " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loop.gap()),
+            std::bit_cast<std::uint64_t>(fresh.gap()));
+}
 
 TEST(SmoPairFillTest, PairPassesChangeNoBit) {
   // Small caches, so both rows of an iteration often miss together, the

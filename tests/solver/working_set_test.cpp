@@ -397,11 +397,16 @@ TEST(RankTest, Avx2KeepsEveryRule) {
   expectRankRules(fn);
 }
 
-/// An update is the portable one bit for bit at every length up to past
-/// twice the widest step and over a long block: with products that round
-/// (a fused multiply-add would round them once less), subnormal and huge
-/// columns, and f past m left alone.
-void expectUpdateMatchesPortable(UpdateFn fn) {
+/// The update an update-and-select pass makes is the portable one bit for
+/// bit at every length up to past twice the widest step and over a long
+/// block: with products that round (a fused multiply-add would round them
+/// once less), subnormal and huge columns, and f past m left alone.
+void expectUpdateMatchesPortable(UpdateSelectFn fused) {
+  const auto fn = [fused](double* f, const float* h, const float* l,
+                          double a, double b, std::size_t m) {
+    const std::vector<std::uint8_t> member(m, 1);
+    (void)fused(f, h, l, a, b, member.data(), member.data(), m);
+  };
   std::mt19937_64 rng(23);
   std::normal_distribution<double> g(0.0, 1.0);
   std::uniform_real_distribution<float> col(-1.0f, 1.0f);
@@ -442,19 +447,111 @@ void expectUpdateMatchesPortable(UpdateFn fn) {
 }
 
 TEST(GradientUpdateTest, DispatchedMatchesPortable) {
-  expectUpdateMatchesPortable(updateFn());
+  expectUpdateMatchesPortable(updateSelectFn());
 }
 
 TEST(GradientUpdateTest, Avx512MatchesPortable) {
-  const UpdateFn fn = updateFnFor(Isa::Avx512);
+  const UpdateSelectFn fn = updateSelectFnFor(Isa::Avx512);
   if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX-512F pass";
   expectUpdateMatchesPortable(fn);
 }
 
 TEST(GradientUpdateTest, Avx2MatchesPortable) {
-  const UpdateFn fn = updateFnFor(Isa::Avx2);
+  const UpdateSelectFn fn = updateSelectFnFor(Isa::Avx2);
   if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX2 pass";
   expectUpdateMatchesPortable(fn);
+}
+
+/// The update-and-select pass under test, seen as a selection: an update
+/// by -0.0 columns leaves every f bit as it was (x + -0.0 is x, signed
+/// zeros and NaN included), so the pick must be the plain scan's.
+UpdateSelectFn gFused = nullptr;
+
+PairPick fusedAsSelect(const double* f, const std::uint8_t* high,
+                       const std::uint8_t* low, std::size_t m) {
+  std::vector<double> g(f, f + m);
+  const std::vector<float> zero(m, -0.0f);
+  const PairPick got =
+      gFused(g.data(), zero.data(), zero.data(), 1.0, 1.0, high, low, m);
+  for (std::size_t k = 0; k < m; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g[k]),
+              std::bit_cast<std::uint64_t>(f[k]))
+        << "identity update changed f[" << k << "]";
+  }
+  return got;
+}
+
+/// Update-and-select is updatePortable then selectPortable bit for bit:
+/// through every selection rule above (ties, signed zeros, NaN, masked
+/// sets, lengths 1 to 4,000), and under random updates at every length
+/// from 0 to 40 and at 4,000, with memberships that mask a third of each
+/// set and rounding products. f past m stays untouched.
+void expectUpdateSelectMatches(UpdateSelectFn fn) {
+  gFused = fn;
+  expectSelectionRules(&fusedAsSelect);
+
+  std::mt19937_64 rng(31);
+  std::normal_distribution<double> g(0.0, 1.0);
+  std::uniform_real_distribution<float> col(-1.0f, 1.0f);
+  std::vector<std::size_t> sizes;
+  for (std::size_t m = 0; m <= 40; ++m) sizes.push_back(m);
+  sizes.push_back(4000);
+  for (std::size_t m : sizes) {
+    for (int rep = 0; rep < 4; ++rep) {
+      std::vector<double> f(m + 1);
+      std::vector<float> h(m), l(m);
+      std::vector<std::uint8_t> high(m), low(m);
+      for (std::size_t k = 0; k < m; ++k) {
+        f[k] = g(rng);
+        h[k] = col(rng);
+        l[k] = col(rng);
+        high[k] = rng() % 3 != 0;
+        low[k] = rng() % 3 != 0;
+      }
+      f[m] = -5.0;
+      const double a = g(rng), b = g(rng) * 1e-3;
+      std::vector<double> ref = f;
+      updatePortable(ref.data(), h.data(), l.data(), a, b, m);
+      const PairPick want = selectPortable(ref.data(), high.data(),
+                                           low.data(), m);
+      const PairPick got = fn(f.data(), h.data(), l.data(), a, b,
+                              high.data(), low.data(), m);
+      for (std::size_t k = 0; k < m; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(f[k]),
+                  std::bit_cast<std::uint64_t>(ref[k]))
+            << "m=" << m << " k=" << k;
+      }
+      EXPECT_EQ(f[m], -5.0) << "m=" << m << " wrote past m";
+      EXPECT_EQ(got.high, want.high) << "m=" << m;
+      EXPECT_EQ(got.low, want.low) << "m=" << m;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bHigh),
+                std::bit_cast<std::uint64_t>(want.bHigh))
+          << "m=" << m;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bLow),
+                std::bit_cast<std::uint64_t>(want.bLow))
+          << "m=" << m;
+    }
+  }
+}
+
+TEST(UpdateSelectTest, PortableIsUpdateThenSelect) {
+  expectUpdateSelectMatches(&updateSelectPortable);
+}
+
+TEST(UpdateSelectTest, DispatchedMatchesPortable) {
+  expectUpdateSelectMatches(updateSelectFn());
+}
+
+TEST(UpdateSelectTest, Avx512MatchesPortable) {
+  const UpdateSelectFn fn = updateSelectFnFor(Isa::Avx512);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX-512F pass";
+  expectUpdateSelectMatches(fn);
+}
+
+TEST(UpdateSelectTest, Avx2MatchesPortable) {
+  const UpdateSelectFn fn = updateSelectFnFor(Isa::Avx2);
+  if (fn == nullptr) GTEST_SKIP() << "this CPU or build has no AVX2 pass";
+  expectUpdateSelectMatches(fn);
 }
 
 }  // namespace
